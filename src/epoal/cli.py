@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import as_preference
 from .diagnostics import certify_epo
 from .harness import GridSpec, HarnessError, run_experiment
 from .problems import CONVEX, FIG1, NONCONVEX, load_problem, make_problem, sample_initial
@@ -130,27 +131,18 @@ def _trace_lines(args) -> tuple[list[str], int]:
         raise UsageError("--eta is required for --algo epo-al")
     if args.algo == SMOOTH_MAX and args.tau is None:
         raise UsageError("--tau is required for --algo smooth-max")
-    if args.iters < 0:
-        raise UsageError("--iters must be non-negative")
-    if not args.mu > 0:
-        raise UsageError("--mu must be positive")
-    if args.eta is not None and args.eta < 0:
-        raise UsageError("--eta must be non-negative")
-    if args.tau is not None and not args.tau > 0:
-        raise UsageError("--tau must be positive")
-    if args.d < 1:
-        raise UsageError("--d must be at least 1")
 
     r = _float_list(args.r) if args.r else [1.0 / K] * K
     if len(r) != K:
         raise UsageError(f"--r has {len(r)} entries, problem has K={K}")
-    if any(x <= 0 for x in r):
-        raise UsageError("--r entries must be strictly positive")
-
-    problem = make_problem(kind, args.d, K, args.seed)
-    w0 = sample_initial(args.d, args.seed)
-    config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
-                          max_iter=args.iters, seed=args.seed)
+    try:
+        as_preference(r)
+        problem = make_problem(kind, args.d, K, args.seed)
+        w0 = sample_initial(args.d, args.seed)
+        config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
+                              max_iter=args.iters, seed=args.seed)
+    except ValueError as err:
+        raise UsageError(str(err))
     header = {"type": "header", "tool": "epoal", "version": __version__,
               "command": "trace",
               "config": {"algorithm": args.algo, "kind": kind, "d": args.d, "K": K,
@@ -207,6 +199,12 @@ def cmd_bench(args) -> int:
     if args.jobs < 1 or args.timing_reps < 1:
         raise UsageError("--jobs and --timing-reps must be at least 1")
     grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
+    try:
+        for kind in kinds:
+            for K in K_values:
+                make_problem(kind, args.d, K, args.seed)
+    except ValueError as err:
+        raise UsageError(str(err))
 
     aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
                                 algorithms=algos, grid=grid, jobs=args.jobs,

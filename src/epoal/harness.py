@@ -9,9 +9,18 @@ the protocol is:
   2. For each algorithm and each hyperparameter combination in its grid,
      the iteration complexity of that combination is the first iterate
      whose min-max value lies within ``epsilon`` of J*; the algorithm's
-     iteration complexity i_o is the minimum over combinations, and the
-     winning combination is re-run for exactly i_o iterations under a
-     monotonic clock to measure the wall-clock complexity t_o.
+     iteration complexity i_o is the minimum over combinations, ties going
+     to the combination first in lexicographic grid order, and the winning
+     combination is re-run for exactly i_o iterations under a monotonic
+     clock to measure the wall-clock complexity t_o.
+     The minimum is found by exact branch and bound.  Combinations are
+     tried in descending step-size order, so a small i_o appears early;
+     once one has entered the band, every later run is capped at the best
+     i_o so far (minus one for a combination that would lose the tie),
+     since a capped run's records are a prefix of the full run's.  The
+     subgradient grid is the target scan's grid with the same seed, so the
+     subgradient i_o is read off the target-scan runs instead of being
+     run again.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -133,19 +142,25 @@ def _run_allowing_divergence(algorithm, problem, r, w0, config) -> list[Iteratio
         return err.records
 
 
-def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0) -> float:
+def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
+                   _scan: list | None = None) -> float:
     """Target J*: best min-max value the subgradient algorithm ever attains.
 
     One full-length run per step size in the grid, all re-seeded identically
     so tie-breaking noise does not differ across step sizes; the minimum is
     taken over every iterate of every run, iterate 0 included.
+
+    ``_scan`` is for the protocol's own use: when given, it receives one
+    ``(config, records)`` pair per step size, in grid order, so the same
+    runs can serve as the subgradient tuning runs.
     """
     best = np.inf
-    for mu in grid.mu_grid:
-        cfg = SolverConfig(mu=float(mu), max_iter=grid.max_iter, seed=seed)
+    for cfg in _grid_configs(SUBGRADIENT, grid, seed):
         records = _run_allowing_divergence(SUBGRADIENT, problem, r, w0, cfg)
         if records:
             best = min(best, min(rec.minmax for rec in records))
+        if _scan is not None:
+            _scan.append((cfg, records))
     if not np.isfinite(best):
         raise HarnessError("every target-scan run diverged before its first iterate")
     return float(best)
@@ -183,6 +198,50 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
     return float(np.median(samples))
 
 
+def _best_of_scan(scan, target: float, epsilon: float):
+    """(i_o, config) over full-length ``(config, records)`` runs in grid order."""
+    best_i, best_cfg = None, None
+    for cfg, records in scan:
+        if not records:
+            continue
+        i = iteration_complexity(records, target, epsilon)
+        if i is not None and (best_i is None or i < best_i):
+            best_i, best_cfg = i, cfg
+    return best_i, best_cfg
+
+
+def _branch_and_bound(algorithm, problem, r, w0, grid: GridSpec, seed: int,
+                      target: float):
+    """(i_o, config) equal to the exhaustive grid minimum, with capped runs."""
+    configs = _grid_configs(algorithm, grid, seed)
+    best_i, best_j = None, None
+    for j in sorted(range(len(configs)), key=lambda idx: -configs[idx].mu):
+        if best_i is None:
+            budget = grid.max_iter
+        else:
+            # An earlier combination in grid order wins a tie, a later one
+            # must be strictly faster.
+            budget = best_i if j < best_j else best_i - 1
+        if budget < 0:
+            continue
+        records = _run_allowing_divergence(algorithm, problem, r, w0,
+                                           replace(configs[j], max_iter=budget))
+        if not records:
+            continue
+        i = iteration_complexity(records, target, grid.epsilon)
+        if i is not None and (best_i is None or i < best_i
+                              or (i == best_i and j < best_j)):
+            best_i, best_j = i, j
+    return best_i, (None if best_j is None else configs[best_j])
+
+
+def _trial_record(algorithm, problem, w0, seed, target, best_i, best_cfg,
+                  t_o=None) -> TrialRecord:
+    return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
+                       K=problem.count, d=np.asarray(w0).size, seed=seed,
+                       target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)
+
+
 def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0,
                      target: float | None = None, timing_reps: int = 3,
                      measure: bool = True) -> TrialRecord:
@@ -194,24 +253,13 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0,
     """
     if target is None:
         target = compute_target(problem, r, w0, grid, seed=seed)
-
-    best_i: int | None = None
-    best_cfg: SolverConfig | None = None
-    for cfg in _grid_configs(algorithm, grid, seed):
-        records = _run_allowing_divergence(algorithm, problem, r, w0, cfg)
-        if not records:
-            continue
-        i_o = iteration_complexity(records, target, grid.epsilon)
-        if i_o is not None and (best_i is None or i_o < best_i):
-            best_i, best_cfg = i_o, cfg
+    best_i, best_cfg = _branch_and_bound(algorithm, problem, r, w0, grid, seed, target)
 
     t_o = None
     if measure and best_i is not None:
         t_o = measure_time(algorithm, problem, r, w0, best_cfg, best_i,
                            reps=timing_reps)
-    return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
-                       K=problem.count, d=np.asarray(w0).size, seed=seed,
-                       target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)
+    return _trial_record(algorithm, problem, w0, seed, target, best_i, best_cfg, t_o)
 
 
 def trimmed_mean_ci(samples, level: float = CI_LEVEL) -> tuple[float, float, float]:
@@ -236,10 +284,18 @@ def _tune_trial(task):
     problem = make_problem(kind, d, K, seed)
     r = sample_preference(K, seed)
     w0 = sample_initial(d, seed)
-    target = compute_target(problem, r, w0, grid, seed=seed)
-    return [tune_and_measure(algo, problem, r, w0, grid, seed=seed,
-                             target=target, measure=False)
-            for algo in algorithms]
+    scan = []
+    target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
+    trials = []
+    for algo in algorithms:
+        if algo == SUBGRADIENT:
+            # The target scan already ran the subgradient grid with this seed.
+            best_i, best_cfg = _best_of_scan(scan, target, grid.epsilon)
+            trials.append(_trial_record(algo, problem, w0, seed, target, best_i, best_cfg))
+        else:
+            trials.append(tune_and_measure(algo, problem, r, w0, grid, seed=seed,
+                                           target=target, measure=False))
+    return trials
 
 
 def _aggregate(kind, algorithm, K, d, trials: list[TrialRecord]) -> AggregateRecord:

@@ -102,12 +102,13 @@ def eval_nonconvex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.n
 _EVALUATORS = {CONVEX: eval_convex, NONCONVEX: eval_nonconvex, FIG1: eval_nonconvex}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticProblem(ObjectiveSet):
     """An anchor-based objective set of one of the synthetic kinds.
 
     ``seed`` records how the anchors were generated (None when they were
     supplied directly); it is carried for audit and serialization only.
+    Instances compare and hash by identity, since the anchors are an array.
     """
 
     kind: str
@@ -120,6 +121,8 @@ class SyntheticProblem(ObjectiveSet):
         anchors = np.asarray(self.anchors, dtype=np.float64)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValueError(f"anchors must be a (K, d) matrix, got shape {anchors.shape}")
+        if not np.all(np.isfinite(anchors)):
+            raise ValueError("anchors must be finite")
         norms = np.linalg.norm(anchors, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("anchor rows must have unit norm")

@@ -44,6 +44,21 @@ def test_trace_requires_k_without_fig1(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--kind", "convex", "--d", "3", "--K", "1", "--algo", "subgradient",
+     "--mu", "0.1"],
+    ["trace", "--kind", "convex", "--d", "3", "--K", "2", "--r", "nan,1", "--algo",
+     "subgradient", "--mu", "0.1"],
+    ["bench", "--kinds", "convex", "--K", "1", "--d", "3", "--trials", "3",
+     "--out", "unused.csv"],
+    ["bench", "--kinds", "convex", "--K", "2", "--d", "0", "--trials", "3",
+     "--out", "unused.csv"],
+], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0"])
+def test_invalid_problem_or_preference_exits_64(argv, capsys):
+    assert main(argv) == 64
+    assert "epoal: error:" in capsys.readouterr().err
+
+
 def test_trace_zero_iterations_single_record(tmp_path):
     out = tmp_path / "trace.jsonl"
     code = main(["trace", "--fig1", "--d", "3", "--algo", "subgradient",

@@ -6,9 +6,11 @@ from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, two_objective_epo_oracle,
                    fig1_problem)
-from epoal.harness import _grid_configs
-from epoal.solvers import IterationRecord
+from epoal.harness import (_best_of_scan, _grid_configs, _run_allowing_divergence,
+                           _tune_trial, trial_seed)
+from epoal.solvers import ALGORITHMS, IterationRecord
 
+from oracles import exhaustive_target, exhaustive_tune
 from test_solvers import CountingObjectives
 
 
@@ -161,8 +163,13 @@ def test_tune_run_accounting():
     n_configs = len(_grid_configs("epo-al", grid, seed=4))
     assert n_configs == 9
     assert record.i_o == 0
-    # every grid run records 21 iterates; the 3 timing reps see only iterate 0
-    assert counter.evaluations == n_configs * 21 + 3 * 1
+    # Branch and bound visits mu descending.  The first configuration (mu_3,
+    # eta_1) has no bound yet and records all 21 iterates; it sets i_o = 0.
+    # (mu_2, eta_1) and (mu_1, eta_1) come earlier in grid order and win a
+    # tie, so each gets a budget of 0 iterations (1 evaluation); every other
+    # configuration would need i_o < 0 and is skipped.  The 3 timing reps
+    # see only iterate 0: 21 + 2 * 1 + 3 * 1 = 26.
+    assert counter.evaluations == 21 + 2 * 1 + 3 * 1
     assert record.t_o > 0
 
 
@@ -178,6 +185,76 @@ def test_tune_best_is_minimum_over_configs():
         recs = _run_allowing_divergence("epo-al", problem, r, w0, cfg)
         i_cfg = iteration_complexity(recs, target, grid.epsilon) if recs else None
         assert i_cfg is None or record.i_o <= i_cfg
+
+
+PARITY_GRID = GridSpec(mu_grid=tuple(log_grid(1e-3, 1e-1, 5)),
+                       eta_grid=tuple(log_grid(1e-1, 1e2, 5)),
+                       tau_grid=tuple(log_grid(1e-2, 10.0, 5)),
+                       max_iter=200)
+
+
+def assert_trial_matches_oracle(task):
+    kind, K, d, seed, _, grid = task
+    problem, r, w0 = trial_inputs(kind, d, K, seed)
+    target = exhaustive_target(problem, r, w0, grid, seed)
+    for rec in _tune_trial(task):
+        assert rec.target == target
+        expected = exhaustive_tune(rec.algorithm, problem, r, w0, grid, seed, target)
+        assert (rec.i_o, rec.best_config) == expected, rec.algorithm
+
+
+@pytest.mark.parametrize("K", [2, 4, 16])
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+def test_tuning_matches_exhaustive_oracle(kind, K):
+    for trial in range(2):
+        seed = trial_seed(31, kind, K, trial)
+        assert_trial_matches_oracle((kind, K, 20, seed, ALGORITHMS, PARITY_GRID))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_tuning_at_start_value_ties_go_to_first_config(algorithm):
+    problem, r, w0 = trial_inputs()
+    grid = small_grid(max_iter=40)
+    target = minmax_value(r, problem.values(w0))
+    record = tune_and_measure(algorithm, problem, r, w0, grid, seed=4, target=target,
+                              measure=False)
+    assert record.i_o == 0
+    assert record.best_config == _grid_configs(algorithm, grid, seed=4)[0]
+    assert (record.i_o, record.best_config) == exhaustive_tune(
+        algorithm, problem, r, w0, grid, 4, target)
+
+
+def test_target_scan_reuse_ties_go_to_first_step_size():
+    problem, r, w0 = trial_inputs()
+    grid = small_grid(max_iter=40)
+    scan = []
+    compute_target(problem, r, w0, grid, seed=4, _scan=scan)
+    target = minmax_value(r, problem.values(w0))
+    assert _best_of_scan(scan, target, grid.epsilon) == (
+        0, _grid_configs("subgradient", grid, seed=4)[0])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_tuning_unreachable_target_censors_every_config(algorithm):
+    problem, r, w0 = trial_inputs()
+    grid = small_grid(max_iter=40)
+    record = tune_and_measure(algorithm, problem, r, w0, grid, seed=4, target=-5.0,
+                              measure=False)
+    assert record.i_o is None and record.best_config is None
+    assert exhaustive_tune(algorithm, problem, r, w0, grid, 4, -5.0) == (None, None)
+
+
+def test_tuning_with_diverging_config_matches_oracle():
+    # A step size of 1e200 overflows ||w - w_k||^2 on the first step, so that
+    # configuration diverges after its first iterate in every algorithm.
+    grid = small_grid(max_iter=60)
+    grid = GridSpec(mu_grid=grid.mu_grid + (1e200,), eta_grid=grid.eta_grid,
+                    tau_grid=grid.tau_grid, max_iter=grid.max_iter)
+    problem, r, w0 = trial_inputs()
+    for algorithm in ALGORITHMS:
+        diverging = _grid_configs(algorithm, grid, seed=4)[-1]
+        assert len(_run_allowing_divergence(algorithm, problem, r, w0, diverging)) == 1
+    assert_trial_matches_oracle(("convex-distance", 3, 6, 4, ALGORITHMS, grid))
 
 
 def test_tune_smooth_max_through_full_protocol():

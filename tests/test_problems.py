@@ -138,6 +138,21 @@ def test_problem_rejects_non_unit_anchors():
         SyntheticProblem(kind="convex-distance", anchors=np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_anchors(bad):
+    anchors = np.array([[1.0, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SyntheticProblem(kind="convex-distance", anchors=anchors)
+
+
+def test_problem_hashes_and_compares_by_identity():
+    a = make_problem("convex-distance", 4, 2, seed=3)
+    b = make_problem("convex-distance", 4, 2, seed=3)
+    assert hash(a) == hash(a) and a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=0.0, max_value=1.0))
 def test_convex_family_is_convex_along_segments(seed, lam):
