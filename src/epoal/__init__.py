@@ -8,10 +8,9 @@ complexity.
 """
 
 from .core import (ObjectiveSet, as_model_vector, as_preference, fairness_residual,
-                   finite_diff_jacobian, lr_apply, lr_dense, minmax_value)
-from .diagnostics import (EpoCertificate, InfeasibilityError, StationarityResult,
-                          certify_epo, min_norm_grid_search, pareto_stationarity_gap,
-                          two_objective_epo_oracle)
+                   lr_apply, minmax_value)
+from .diagnostics import (EpoCertificate, StationarityResult, certify_epo,
+                          pareto_stationarity_gap)
 from .harness import (AggregateRecord, GridSpec, HarnessError, TrialRecord,
                       compute_target, iteration_complexity, log_grid, measure_time,
                       run_experiment, trimmed_mean_ci, tune_and_measure)

@@ -192,14 +192,10 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown algorithm {algo!r}")
     if args.trials < 3:
         raise UsageError("--trials must be at least 3")
-    if not args.epsilon > 0:
-        raise UsageError("--epsilon must be positive")
-    if args.max_iter < 0:
-        raise UsageError("--max-iter must be non-negative")
     if args.jobs < 1 or args.timing_reps < 1:
         raise UsageError("--jobs and --timing-reps must be at least 1")
-    grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
     try:
+        grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
         for kind in kinds:
             for K in K_values:
                 make_problem(kind, args.d, K, args.seed)
@@ -273,8 +269,10 @@ def cmd_certify(args) -> int:
     r = _float_list(args.r)
     if len(r) != problem.count:
         raise UsageError(f"--r has {len(r)} entries, problem has K={problem.count}")
-    if any(x <= 0 for x in r):
-        raise UsageError("--r entries must be strictly positive")
+    try:
+        as_preference(r)
+    except ValueError as err:
+        raise UsageError(str(err))
     for name, tol in (("--fair-tol", args.fair_tol), ("--gap-tol", args.gap_tol)):
         if tol is not None and not tol > 0:
             raise UsageError(f"{name} must be positive")

@@ -60,20 +60,8 @@ class ObjectiveSet(ABC):
         """Number of objectives K."""
 
     @abstractmethod
-    def values(self, w: np.ndarray) -> np.ndarray:
-        """Objective values, shape (K,)."""
-
-    @abstractmethod
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        """Gradient matrix of shape (d, K); column k is the gradient of objective k."""
-
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate values and jacobian together.
-
-        Subclasses whose objectives share intermediate work (e.g. a common
-        distance term) should override this to evaluate both in one pass.
-        """
-        return self.values(w), self.jacobian(w)
+        """Values, shape (K,), and gradient matrix, shape (d, K), column k for J_k."""
 
 
 def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -88,17 +76,6 @@ def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"length mismatch: r has shape {r.shape}, v has shape {v.shape}")
     u = r * v
     return r * (u - u.mean())
-
-
-def lr_dense(r: np.ndarray) -> np.ndarray:
-    """Explicit dense matrix diag(r) (I - (1/K) 1 1^T) diag(r).
-
-    Test oracle only; solver loops must go through :func:`lr_apply`.
-    """
-    r = as_preference(r, min_size=2)
-    k = r.size
-    centering = np.eye(k) - np.ones((k, k)) / k
-    return np.diag(r) @ centering @ np.diag(r)
 
 
 def fairness_residual(r: np.ndarray, jvals: np.ndarray) -> float:
@@ -120,22 +97,3 @@ def minmax_value(r: np.ndarray, jvals: np.ndarray) -> float:
     """The weighted min-max objective value max_k r_k * jvals_k."""
     return float(np.max(np.asarray(r) * np.asarray(jvals)))
 
-
-def finite_diff_jacobian(obj: ObjectiveSet, w: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference approximation of the (d, K) gradient matrix.
-
-    Entry (j, k) is (J_k(w + h e_j) - J_k(w - h e_j)) / (2 h).  Test oracle
-    for analytic jacobians.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    w = as_model_vector(w)
-    jac = np.empty((w.size, obj.count))
-    for j in range(w.size):
-        bumped = w.copy()
-        bumped[j] = w[j] + h
-        plus = obj.values(bumped)
-        bumped[j] = w[j] - h
-        minus = obj.values(bumped)
-        jac[j] = (plus - minus) / (2.0 * h)
-    return jac

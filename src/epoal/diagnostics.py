@@ -7,10 +7,6 @@ search, keeping every iteration at O(Kd).  Combined with the fairness
 residual from :mod:`epoal.core` this yields a checkable certificate of
 exact Pareto optimality; on convex problems a passing certificate
 witnesses min-max optimality.
-
-The module also hosts the brute-force oracles the test suite checks the
-fast paths against: a dense grid search over the simplex and a bisection
-solver for symmetric two-objective instances.
 """
 
 from __future__ import annotations
@@ -21,10 +17,6 @@ import numpy as np
 
 from .core import as_model_vector, as_preference, fairness_residual, minmax_value
 from .core import ObjectiveSet
-
-
-class InfeasibilityError(RuntimeError):
-    """The fairness equation has no root on the searched segment."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,27 +83,6 @@ def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-10,
                               fw_iterations=iterations)
 
 
-def min_norm_grid_search(G: np.ndarray, step: float = 1e-3) -> float:
-    """Brute-force min of ||G p|| over a regular simplex grid (oracle, K <= 3)."""
-    G = np.asarray(G, dtype=np.float64)
-    K = G.shape[1]
-    n = int(round(1.0 / step))
-    if K == 1:
-        points = np.ones((1, 1))
-    elif K == 2:
-        i = np.arange(n + 1)
-        points = np.column_stack([i, n - i]) / n
-    elif K == 3:
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        mask = i + j <= n
-        i, j = i[mask], j[mask]
-        points = np.column_stack([i, j, n - i - j]) / n
-    else:
-        raise ValueError("grid oracle only supports K <= 3")
-    images = G @ points.T
-    return float(np.sqrt(np.min(np.einsum("dn,dn->n", images, images))))
-
-
 def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
                 fair_tol: float | None = None,
                 gap_tol: float | None = None) -> EpoCertificate:
@@ -140,52 +111,3 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
                           is_fair=fairness <= fair_tol,
                           is_stationary=gap <= gap_tol, minmax=mm)
 
-
-def two_objective_epo_oracle(r: np.ndarray, problem: ObjectiveSet,
-                             tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Independent root-finding oracle for symmetric two-anchor problems.
-
-    For a problem with unit-norm antipodal anchors the exact Pareto optimum
-    lies on the segment between them, so it suffices to solve the scalar
-    fairness equation r_1 J_1(w(t)) = r_2 J_2(w(t)) with w(t) = t * axis,
-    where axis points from the first anchor toward the second (t = -1 at
-    the first anchor, t = +1 at the second).  Bisection runs until the
-    weighted residual |r_1 J_1 - r_2 J_2| drops to ``tol``.  Returns the
-    root coordinate t and the objective pair there.
-    """
-    r = as_preference(r, min_size=2)
-    if r.size != 2 or problem.count != 2:
-        raise ValueError("oracle requires exactly two objectives")
-    anchors = np.asarray(problem.anchors)
-    if (np.linalg.norm(anchors[0] + anchors[1]) > 1e-9
-            or abs(np.linalg.norm(anchors[0]) - 1.0) > 1e-9):
-        raise ValueError("oracle requires unit-norm antipodal anchors")
-    axis = 0.5 * (anchors[1] - anchors[0])
-
-    def residual(t: float) -> float:
-        j1, j2 = problem.values(t * axis)
-        return r[0] * j1 - r[1] * j2
-
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        lo, hi = lo, lo
-    elif f_hi == 0.0:
-        lo, hi = hi, hi
-    elif np.sign(f_lo) == np.sign(f_hi):
-        raise InfeasibilityError(
-            "weighted objectives do not cross on the anchor segment")
-
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        f_mid = residual(t)
-        if abs(f_mid) <= tol:
-            break
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo = t
-        else:
-            hi = t
-        t = 0.5 * (lo + hi)
-    else:
-        raise RuntimeError(f"bisection did not reach residual {tol}")
-    return t, problem.values(t * axis)

@@ -73,6 +73,12 @@ class GridSpec:
     max_iter: int = 1000
     epsilon: float = 0.01
 
+    def __post_init__(self):
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -329,6 +335,9 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     """
     if n_trials < 3:
         raise ValueError(f"need n_trials >= 3, got {n_trials}")
+    if jobs < 1 or timing_reps < 1:
+        raise ValueError(f"need jobs >= 1 and timing_reps >= 1, "
+                         f"got jobs={jobs}, timing_reps={timing_reps}")
     grid = grid if grid is not None else GridSpec()
     kinds = list(kinds)
     K_values = [int(K) for K in K_values]

@@ -16,6 +16,7 @@ seed, so the three sources can be reproduced independently.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,12 +137,6 @@ class SyntheticProblem(ObjectiveSet):
     def count(self) -> int:
         return self.anchors.shape[0]
 
-    def values(self, w: np.ndarray) -> np.ndarray:
-        return self.values_and_jacobian(w)[0]
-
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        return self.values_and_jacobian(w)[1]
-
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # One shared pass: both formulas reuse the same ||w - w_k||^2 term.
         return _EVALUATORS[self.kind](self.anchors, np.asarray(w, dtype=np.float64))
@@ -183,18 +178,46 @@ def save_problem(problem: SyntheticProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _token_error(path, line_no: int, tokens, parse, what: str) -> ValueError:
+    """ValueError naming ``path:line_no`` and the first token ``parse`` rejects."""
+    for token in tokens:
+        try:
+            parse(token)
+        except (ValueError, DeprecationWarning):
+            return ValueError(f"{path}:{line_no}: {token!r} is not {what}")
+    return ValueError(f"{path}:{line_no}: malformed line")
+
+
+def _parse_row(text: str) -> np.ndarray:
+    return np.fromstring(text, sep=" ")
+
+
 def load_problem(path) -> SyntheticProblem:
     """Read a problem record written by :func:`save_problem`."""
     with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), start=1)
+                 if ln]
     if not lines:
         raise ValueError(f"empty problem file: {path}")
-    head = lines[0].split()
+    head_no, head_text = lines[0]
+    head = head_text.split()
     if len(head) != 4:
-        raise ValueError(f"malformed problem header: {lines[0]!r}")
-    kind, d, K = head[0], int(head[1]), int(head[2])
-    seed = None if head[3] == "-" else int(head[3])
-    rows = [np.fromstring(ln, sep=" ") for ln in lines[1:]]
+        raise ValueError(f"{path}:{head_no}: malformed problem header: {head_text!r}")
+    try:
+        kind, d, K = head[0], int(head[1]), int(head[2])
+        seed = None if head[3] == "-" else int(head[3])
+    except ValueError:
+        raise _token_error(path, head_no, head[1:], int, "an integer") from None
+    rows = []
+    with warnings.catch_warnings():
+        # Older numpy releases only warn on a row they cannot read to its end.
+        warnings.simplefilter("error", DeprecationWarning)
+        for no, ln in lines[1:]:
+            try:
+                rows.append(_parse_row(ln))
+            except (ValueError, DeprecationWarning):
+                raise _token_error(path, no, ln.split(), _parse_row,
+                                   "a decimal number") from None
     anchors = np.vstack(rows) if rows else np.empty((0, d))
     if anchors.shape != (K, d):
         raise ValueError(f"anchor block has shape {anchors.shape}, header says ({K}, {d})")

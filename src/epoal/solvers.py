@@ -22,6 +22,7 @@ trace record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError(f"step size mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"step size mu must be positive and finite, got {self.mu}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError(f"penalty eta must be non-negative, got {self.eta}")
-        if self.tau is not None and not (self.tau > 0):
-            raise ValueError(f"temperature tau must be positive, got {self.tau}")
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise ValueError(f"penalty eta must be non-negative and finite, got {self.eta}")
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ValueError(f"temperature tau must be positive and finite, got {self.tau}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,47 +120,41 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _check_finite(jvals: np.ndarray, jac: np.ndarray, w: np.ndarray,
-                  iteration: int | None = None) -> None:
+def _evaluate(obj: ObjectiveSet, w: np.ndarray, iteration: int | None = None,
+              records: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Objective values and jacobian at ``w``; DivergenceError if not all finite."""
+    jvals, jac = obj.values_and_jacobian(w)
     if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
-        raise DivergenceError(
-            "objective evaluation produced non-finite values",
-            iteration=iteration, iterate=w)
+        raise DivergenceError("objective evaluation produced non-finite values",
+                              iteration=iteration, iterate=w, records=records)
+    return jvals, jac
 
 
-def _epo_al_update(w, p, jvals, jac, r, mu, eta):
-    fairness_grad = lr_apply(r, jvals)
-    w_new = w - mu * (jac @ (np.maximum(p, 0.0) + eta * fairness_grad))
-    p_new = p + mu * fairness_grad
-    return w_new, p_new
-
-
-def _active_index(v: np.ndarray, rng: np.random.Generator) -> int:
-    active = np.flatnonzero(v >= (1.0 - ACTIVE_TIE_RTOL) * v.max())
-    return int(active[rng.integers(active.size)])
-
-
-def _subgradient_update(w, jvals, jac, r, mu, rng):
-    k = _active_index(r * jvals, rng)
-    return w - mu * r[k] * jac[:, k], k
-
-
-def _smoothmax_update(w, jvals, jac, r, mu, tau):
-    v = (r * jvals) / tau
+def _update(algorithm, w, p, jvals, jac, r, config: SolverConfig, rng):
+    """One step from an evaluated iterate: (w+, p+, active index or None)."""
+    mu = config.mu
+    if algorithm == EPO_AL:
+        fairness_grad = lr_apply(r, jvals)
+        w_new = w - mu * (jac @ (np.maximum(p, 0.0) + config.eta * fairness_grad))
+        return w_new, p + mu * fairness_grad, None
+    if algorithm == SUBGRADIENT:
+        v = r * jvals
+        active = np.flatnonzero(v >= (1.0 - ACTIVE_TIE_RTOL) * v.max())
+        k = int(active[rng.integers(active.size)])
+        return w - mu * r[k] * jac[:, k], p, k
+    v = (r * jvals) / config.tau
     weights = np.exp(v - v.max())
     weights /= weights.sum()
-    return w - (mu / tau) * (jac @ (weights * r))
+    return w - (mu / config.tau) * (jac @ (weights * r)), p, None
 
 
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
                 mu: float, eta: float) -> EpoAlState:
     """One primal-dual step from ``state``; both updates use the incoming w."""
-    if not (mu > 0) or eta < 0:
-        raise ValueError("need mu > 0 and eta >= 0")
+    config = SolverConfig(mu=mu, eta=eta)
     r = as_preference(r)
-    jvals, jac = obj.values_and_jacobian(state.w)
-    _check_finite(jvals, jac, state.w, state.iter)
-    w_new, p_new = _epo_al_update(state.w, state.p, jvals, jac, r, mu, eta)
+    jvals, jac = _evaluate(obj, state.w, state.iter)
+    w_new, p_new, _ = _update(EPO_AL, state.w, state.p, jvals, jac, r, config, None)
     return EpoAlState(w=w_new, p=p_new, iter=state.iter + 1)
 
 
@@ -171,12 +166,11 @@ def subgradient_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray, mu: float,
     relative tolerance of the maximum; the step index is sampled uniformly
     from it.
     """
-    if not (mu > 0):
-        raise ValueError("need mu > 0")
+    config = SolverConfig(mu=mu)
     r = as_preference(r)
-    jvals, jac = obj.values_and_jacobian(w)
-    _check_finite(jvals, jac, w)
-    return _subgradient_update(w, jvals, jac, r, mu, rng)
+    jvals, jac = _evaluate(obj, w)
+    w_new, _, k = _update(SUBGRADIENT, w, None, jvals, jac, r, config, rng)
+    return w_new, k
 
 
 def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
@@ -187,12 +181,10 @@ def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     length scales like mu / tau; softmax weights are computed with
     max-subtraction for stability.
     """
-    if not (mu > 0) or not (tau > 0):
-        raise ValueError("need mu > 0 and tau > 0")
+    config = SolverConfig(mu=mu, tau=tau)
     r = as_preference(r)
-    jvals, jac = obj.values_and_jacobian(w)
-    _check_finite(jvals, jac, w)
-    return _smoothmax_update(w, jvals, jac, r, mu, tau)
+    jvals, jac = _evaluate(obj, w)
+    return _update(SMOOTH_MAX, w, None, jvals, jac, r, config, None)[0]
 
 
 def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
@@ -222,37 +214,21 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 
     records: list[IterationRecord] = []
     for i in range(config.max_iter + 1):
-        jvals, jac = obj.values_and_jacobian(w)
-        try:
-            _check_finite(jvals, jac, w, i)
-        except DivergenceError as err:
-            err.records = records
-            raise
+        jvals, jac = _evaluate(obj, w, i, records)
         fairness = fairness_residual(r, jvals)
 
         stop = i == config.max_iter
         if not stop and early_stop and fairness <= stop_fairness_tol:
             stop = pareto_stationarity_gap(jac).gap <= stop_gap_tol
 
-        if stop:
-            records.append(IterationRecord(
-                iter=i, jvals=jvals, minmax=minmax_value(r, jvals),
-                fairness=fairness, p_snapshot=p))
-            break
-
         active = None
-        if algorithm == EPO_AL:
-            w_next, p_next = _epo_al_update(w, p, jvals, jac, r, config.mu, config.eta)
-        elif algorithm == SUBGRADIENT:
-            w_next, active = _subgradient_update(w, jvals, jac, r, config.mu, rng)
-            p_next = None
-        else:
-            w_next = _smoothmax_update(w, jvals, jac, r, config.mu, config.tau)
-            p_next = None
-
+        if not stop:
+            w_next, p_next, active = _update(algorithm, w, p, jvals, jac, r, config, rng)
         records.append(IterationRecord(
             iter=i, jvals=jvals, minmax=minmax_value(r, jvals),
             fairness=fairness, p_snapshot=p, active_index=active))
+        if stop:
+            break
         w, p = w_next, p_next
 
     return records

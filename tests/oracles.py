@@ -2,8 +2,113 @@
 
 import numpy as np
 
+from epoal import as_model_vector, as_preference
 from epoal.harness import (SUBGRADIENT, _grid_configs, _run_allowing_divergence,
                            iteration_complexity)
+
+
+class InfeasibilityError(RuntimeError):
+    """The fairness equation has no root on the searched segment."""
+
+
+def lr_dense(r):
+    """Explicit dense matrix diag(r) (I - (1/K) 1 1^T) diag(r), for ``lr_apply``."""
+    r = as_preference(r, min_size=2)
+    k = r.size
+    centering = np.eye(k) - np.ones((k, k)) / k
+    return np.diag(r) @ centering @ np.diag(r)
+
+
+def finite_diff_jacobian(obj, w, h):
+    """Central-difference approximation of the (d, K) gradient matrix.
+
+    Entry (j, k) is (J_k(w + h e_j) - J_k(w - h e_j)) / (2 h).
+    """
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    w = as_model_vector(w)
+    jac = np.empty((w.size, obj.count))
+    for j in range(w.size):
+        bumped = w.copy()
+        bumped[j] = w[j] + h
+        plus = obj.values_and_jacobian(bumped)[0]
+        bumped[j] = w[j] - h
+        minus = obj.values_and_jacobian(bumped)[0]
+        jac[j] = (plus - minus) / (2.0 * h)
+    return jac
+
+
+def min_norm_grid_search(G, step=1e-3):
+    """Brute-force min of ||G p|| over a regular simplex grid (K <= 3)."""
+    G = np.asarray(G, dtype=np.float64)
+    K = G.shape[1]
+    n = int(round(1.0 / step))
+    if K == 1:
+        points = np.ones((1, 1))
+    elif K == 2:
+        i = np.arange(n + 1)
+        points = np.column_stack([i, n - i]) / n
+    elif K == 3:
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        mask = i + j <= n
+        i, j = i[mask], j[mask]
+        points = np.column_stack([i, j, n - i - j]) / n
+    else:
+        raise ValueError("grid oracle only supports K <= 3")
+    images = G @ points.T
+    return float(np.sqrt(np.min(np.einsum("dn,dn->n", images, images))))
+
+
+def two_objective_epo_oracle(r, problem, tol=1e-10):
+    """Root-finding oracle for symmetric two-anchor problems.
+
+    For a problem with unit-norm antipodal anchors the exact Pareto optimum
+    lies on the segment between them, so it suffices to solve the scalar
+    fairness equation r_1 J_1(w(t)) = r_2 J_2(w(t)) with w(t) = t * axis,
+    where axis points from the first anchor toward the second (t = -1 at
+    the first anchor, t = +1 at the second).  Bisection runs until the
+    weighted residual |r_1 J_1 - r_2 J_2| drops to ``tol``.  Returns the
+    root coordinate t and the objective pair there.
+    """
+    r = as_preference(r, min_size=2)
+    if r.size != 2 or problem.count != 2:
+        raise ValueError("oracle requires exactly two objectives")
+    anchors = np.asarray(problem.anchors)
+    if (np.linalg.norm(anchors[0] + anchors[1]) > 1e-9
+            or abs(np.linalg.norm(anchors[0]) - 1.0) > 1e-9):
+        raise ValueError("oracle requires unit-norm antipodal anchors")
+    axis = 0.5 * (anchors[1] - anchors[0])
+
+    def values(t):
+        return problem.values_and_jacobian(t * axis)[0]
+
+    def residual(t):
+        j1, j2 = values(t)
+        return r[0] * j1 - r[1] * j2
+
+    lo, hi = -1.0, 1.0
+    f_lo, f_hi = residual(lo), residual(hi)
+    if f_lo == 0.0:
+        lo, hi = lo, lo
+    elif f_hi == 0.0:
+        lo, hi = hi, hi
+    elif np.sign(f_lo) == np.sign(f_hi):
+        raise InfeasibilityError(
+            "weighted objectives do not cross on the anchor segment")
+
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        f_mid = residual(t)
+        if abs(f_mid) <= tol:
+            break
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo = t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    else:
+        raise RuntimeError(f"bisection did not reach residual {tol}")
+    return t, values(t)
 
 
 def exhaustive_target(problem, r, w0, grid, seed):

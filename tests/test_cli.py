@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from epoal import (epo_al_step, fig1_problem, initial_state, make_problem,
-                   sample_initial, sample_preference, save_problem,
-                   two_objective_epo_oracle)
+                   sample_initial, sample_preference, save_problem)
 from epoal.cli import CSV_COLUMNS, build_parser, main
+
+from oracles import two_objective_epo_oracle
 
 
 def read_jsonl(path):
@@ -53,7 +54,12 @@ def test_trace_requires_k_without_fig1(capsys):
      "--out", "unused.csv"],
     ["bench", "--kinds", "convex", "--K", "2", "--d", "0", "--trials", "3",
      "--out", "unused.csv"],
-], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0"])
+    ["bench", "--kinds", "convex", "--K", "2", "--d", "3", "--trials", "3",
+     "--epsilon", "-1", "--out", "unused.csv"],
+    ["bench", "--kinds", "convex", "--K", "2", "--d", "3", "--trials", "3",
+     "--max-iter", "-1", "--out", "unused.csv"],
+], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0", "bench-epsilon-negative",
+        "bench-max-iter-negative"])
 def test_invalid_problem_or_preference_exits_64(argv, capsys):
     assert main(argv) == 64
     assert "epoal: error:" in capsys.readouterr().err
@@ -226,6 +232,25 @@ def test_certify_missing_problem_exits_65(tmp_path, capsys):
     code = main(["certify", "--problem", str(tmp_path / "nope.txt"), "--model",
                  str(model_path), "--r", "1,1"])
     assert code == 65
+
+
+@pytest.mark.parametrize("r", ["nan,1", "inf,1"])
+def test_certify_non_finite_r_exits_64(tmp_path, capsys, r):
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", r])
+    assert code == 64
+    assert "epoal: error:" in capsys.readouterr().err
+
+
+def test_certify_malformed_problem_row_names_line_and_token(tmp_path, capsys):
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    header, first, _ = problem_path.read_text().splitlines()
+    problem_path.write_text(f"{header}\n\n{first}\n0.0 1x0 0.0\n")
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", "1,1"])
+    assert code == 65
+    assert f"{problem_path}:4: '1x0'" in capsys.readouterr().err
 
 
 def test_certify_wrong_r_length_exits_64(tmp_path, capsys):

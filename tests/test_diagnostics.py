@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from epoal import (InfeasibilityError, certify_epo, epo_al_step, fairness_residual,
-                   fig1_problem, initial_state, make_problem, min_norm_grid_search,
-                   minmax_value, pareto_stationarity_gap, sample_initial,
-                   sample_preference, two_objective_epo_oracle)
+from epoal import (certify_epo, epo_al_step, fairness_residual, fig1_problem,
+                   initial_state, make_problem, minmax_value, pareto_stationarity_gap,
+                   sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
+
+from oracles import InfeasibilityError, min_norm_grid_search, two_objective_epo_oracle
 
 
 def test_gap_single_column_is_its_norm():
@@ -83,7 +84,7 @@ def test_certify_flags_unequal_weighted_values():
     cert = certify_epo(np.ones(4) / 2.0, problem, [1.0, 5.0])
     assert not cert.is_fair
     assert cert.minmax == pytest.approx(
-        minmax_value([1.0, 5.0], problem.values(np.ones(4) / 2.0)))
+        minmax_value([1.0, 5.0], problem.values_and_jacobian(np.ones(4) / 2.0)[0]))
 
 
 def test_certify_rejects_nonpositive_tolerances():
@@ -112,7 +113,7 @@ def test_certified_point_is_minmax_optimal_among_probes():
     rng = np.random.default_rng(0)
     for _ in range(100):
         probe = w + rng.standard_normal(3) * rng.choice([0.01, 0.1, 1.0])
-        assert cert.minmax <= minmax_value(r, problem.values(probe)) + 1e-9
+        assert cert.minmax <= minmax_value(r, problem.values_and_jacobian(probe)[0]) + 1e-9
 
 
 def test_oracle_balanced_preferences_sit_at_midpoint():
@@ -133,7 +134,7 @@ def test_oracle_point_agrees_between_t_and_values():
     problem = fig1_problem(4)
     t, jvals = two_objective_epo_oracle([0.3, 0.7], problem)
     axis = 0.5 * (problem.anchors[1] - problem.anchors[0])
-    np.testing.assert_allclose(problem.values(t * axis), jvals)
+    np.testing.assert_allclose(problem.values_and_jacobian(t * axis)[0], jvals)
 
 
 def test_oracle_requires_antipodal_unit_anchors():
@@ -148,8 +149,8 @@ class ConstantPair:
     count = 2
     anchors = np.vstack([np.ones(3) / np.sqrt(3), -np.ones(3) / np.sqrt(3)])
 
-    def values(self, w):
-        return np.array([1.0, 1.0])
+    def values_and_jacobian(self, w):
+        return np.array([1.0, 1.0]), np.zeros((3, 2))
 
 
 def test_oracle_reports_infeasible_segment():

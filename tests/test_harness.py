@@ -4,13 +4,12 @@ import pytest
 from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    iteration_complexity, log_grid, make_problem, minmax_value,
                    run_experiment, sample_initial, sample_preference,
-                   trimmed_mean_ci, tune_and_measure, two_objective_epo_oracle,
-                   fig1_problem)
+                   trimmed_mean_ci, tune_and_measure, fig1_problem)
 from epoal.harness import (_best_of_scan, _grid_configs, _run_allowing_divergence,
                            _tune_trial, trial_seed)
 from epoal.solvers import ALGORITHMS, IterationRecord
 
-from oracles import exhaustive_target, exhaustive_tune
+from oracles import exhaustive_target, exhaustive_tune, two_objective_epo_oracle
 from test_solvers import CountingObjectives
 
 
@@ -38,6 +37,11 @@ def test_log_grid_validation():
         log_grid(1.0, 0.1, 5)
     with pytest.raises(ValueError):
         log_grid(0.1, 1.0, 1)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GridSpec(epsilon=bad)
+    with pytest.raises(ValueError):
+        GridSpec(max_iter=-1)
 
 
 def test_default_grids_follow_protocol():
@@ -127,7 +131,7 @@ def trial_inputs(kind="convex-distance", d=6, K=3, seed=4):
 def test_compute_target_not_above_initial_value():
     problem, r, w0 = trial_inputs()
     target = compute_target(problem, r, w0, small_grid(), seed=4)
-    assert target <= minmax_value(r, problem.values(w0))
+    assert target <= minmax_value(r, problem.values_and_jacobian(w0)[0])
 
 
 def test_compute_target_single_objective_reaches_anchor_value():
@@ -158,7 +162,7 @@ def test_tune_run_accounting():
     grid = small_grid(max_iter=20)
     counter = CountingObjectives(problem)
     # target at the starting value: iterate 0 is inside the band, i_o = 0
-    target = minmax_value(r, problem.values(w0))
+    target = minmax_value(r, problem.values_and_jacobian(w0)[0])
     record = tune_and_measure("epo-al", counter, r, w0, grid, seed=4, target=target)
     n_configs = len(_grid_configs("epo-al", grid, seed=4))
     assert n_configs == 9
@@ -215,7 +219,7 @@ def test_tuning_matches_exhaustive_oracle(kind, K):
 def test_tuning_at_start_value_ties_go_to_first_config(algorithm):
     problem, r, w0 = trial_inputs()
     grid = small_grid(max_iter=40)
-    target = minmax_value(r, problem.values(w0))
+    target = minmax_value(r, problem.values_and_jacobian(w0)[0])
     record = tune_and_measure(algorithm, problem, r, w0, grid, seed=4, target=target,
                               measure=False)
     assert record.i_o == 0
@@ -229,7 +233,7 @@ def test_target_scan_reuse_ties_go_to_first_step_size():
     grid = small_grid(max_iter=40)
     scan = []
     compute_target(problem, r, w0, grid, seed=4, _scan=scan)
-    target = minmax_value(r, problem.values(w0))
+    target = minmax_value(r, problem.values_and_jacobian(w0)[0])
     assert _best_of_scan(scan, target, grid.epsilon) == (
         0, _grid_configs("subgradient", grid, seed=4)[0])
 
@@ -295,6 +299,10 @@ def test_run_experiment_deterministic_and_ordered():
 def test_run_experiment_trial_count_floor():
     with pytest.raises(ValueError):
         run_experiment(["convex-distance"], [2], d=3, n_trials=2, master_seed=0)
+    for bad in (dict(jobs=0), dict(timing_reps=0)):
+        with pytest.raises(ValueError):
+            run_experiment(["convex-distance"], [2], d=3, n_trials=3, master_seed=0,
+                           **bad)
 
 
 def test_run_experiment_parallel_matches_serial():

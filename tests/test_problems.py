@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epoal import (SyntheticProblem, eval_convex, eval_nonconvex, fig1_problem,
-                   finite_diff_jacobian, gen_anchors, load_problem, make_problem,
-                   sample_initial, sample_preference, save_problem)
+                   gen_anchors, load_problem, make_problem, sample_initial,
+                   sample_preference, save_problem)
+
+from oracles import finite_diff_jacobian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -50,7 +54,7 @@ def test_jacobian_matches_finite_differences(kind, d, K):
     for _ in range(5):
         w = rng.standard_normal(d)
         w /= np.linalg.norm(w)
-        analytic = problem.jacobian(w)
+        analytic = problem.values_and_jacobian(w)[1]
         fd = finite_diff_jacobian(problem, w, h=1e-5)
         scale = max(np.linalg.norm(analytic), 1e-8)
         assert np.linalg.norm(fd - analytic) <= 1e-5 * scale
@@ -116,10 +120,10 @@ def test_fig1_problem_geometry():
         prob = fig1_problem(d)
         np.testing.assert_allclose(np.linalg.norm(prob.anchors, axis=1), 1.0, atol=1e-12)
     prob = fig1_problem(3)
-    jvals = prob.values(prob.anchors[0])
+    jvals = prob.values_and_jacobian(prob.anchors[0])[0]
     assert jvals[0] == pytest.approx(0.0, abs=1e-15)
     assert jvals[1] == pytest.approx(1.0 - np.exp(-4.0))
-    mid = prob.values(np.zeros(3))
+    mid = prob.values_and_jacobian(np.zeros(3))[0]
     np.testing.assert_allclose(mid, 1.0 - np.exp(-1.0))
 
 
@@ -159,8 +163,9 @@ def test_convex_family_is_convex_along_segments(seed, lam):
     problem = make_problem("convex-distance", 5, 3, seed=17)
     rng = np.random.default_rng(seed)
     w1, w2 = rng.standard_normal(5), rng.standard_normal(5)
-    mix = problem.values(lam * w1 + (1 - lam) * w2)
-    bound = lam * problem.values(w1) + (1 - lam) * problem.values(w2)
+    mix = problem.values_and_jacobian(lam * w1 + (1 - lam) * w2)[0]
+    bound = (lam * problem.values_and_jacobian(w1)[0]
+             + (1 - lam) * problem.values_and_jacobian(w2)[0])
     assert np.all(mix <= bound + 1e-12)
 
 
@@ -190,6 +195,9 @@ def test_load_problem_rejects_malformed_records(tmp_path):
         load_problem(bad)
     bad.write_text("just nonsense\n")
     with pytest.raises(ValueError):
+        load_problem(bad)
+    bad.write_text("convex-distance 3 2x 7\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:1: '2x'")):
         load_problem(bad)
     bad.write_text("")
     with pytest.raises(ValueError):

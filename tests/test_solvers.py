@@ -18,11 +18,8 @@ class FixedObjectives(ObjectiveSet):
     def count(self):
         return self.vals.size
 
-    def values(self, w):
-        return self.vals.copy()
-
-    def jacobian(self, w):
-        return self.jac.copy()
+    def values_and_jacobian(self, w):
+        return self.vals.copy(), self.jac.copy()
 
 
 class ExplodingObjectives(ObjectiveSet):
@@ -35,16 +32,13 @@ class ExplodingObjectives(ObjectiveSet):
     def count(self):
         return 2
 
-    def values(self, w):
-        with np.errstate(over="ignore"):
-            return np.array([np.exp(self.c * w[0]), np.exp(-self.c * w[0])])
-
-    def jacobian(self, w):
+    def values_and_jacobian(self, w):
         jac = np.zeros((self.d, 2))
         with np.errstate(over="ignore"):
-            jac[0, 0] = self.c * np.exp(self.c * w[0])
-            jac[0, 1] = -self.c * np.exp(-self.c * w[0])
-        return jac
+            vals = np.array([np.exp(self.c * w[0]), np.exp(-self.c * w[0])])
+            jac[0, 0] = self.c * vals[0]
+            jac[0, 1] = -self.c * vals[1]
+        return vals, jac
 
 
 class CountingObjectives(ObjectiveSet):
@@ -55,14 +49,6 @@ class CountingObjectives(ObjectiveSet):
     @property
     def count(self):
         return self.inner.count
-
-    def values(self, w):
-        self.evaluations += 1
-        return self.inner.values(w)
-
-    def jacobian(self, w):
-        self.evaluations += 1
-        return self.inner.jacobian(w)
 
     def values_and_jacobian(self, w):
         self.evaluations += 1
@@ -83,6 +69,13 @@ def test_config_validation():
         SolverConfig(mu=0.1, eta=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(mu=0.1, tau=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(mu=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(mu=0.1, eta=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(mu=0.1, tau=bad)
 
 
 def test_initial_state_uniform_dual():
@@ -186,7 +179,7 @@ def test_smoothmax_matches_finite_difference_of_soft_maximum():
     tau, mu = 0.3, 0.05
 
     def soft_maximum(w):
-        v = r * problem.values(w) / tau
+        v = r * problem.values_and_jacobian(w)[0] / tau
         m = v.max()
         return m + np.log(np.sum(np.exp(v - m)))
 
@@ -206,7 +199,7 @@ def test_run_zero_iterations_records_initial_point_only():
     assert len(records) == 1
     assert records[0].iter == 0
     np.testing.assert_allclose(records[0].p_snapshot, 1.0 / problem.count)
-    np.testing.assert_allclose(records[0].jvals, problem.values(w0))
+    np.testing.assert_allclose(records[0].jvals, problem.values_and_jacobian(w0)[0])
 
 
 def test_run_is_deterministic_given_seed():
@@ -241,6 +234,28 @@ def test_run_one_evaluation_per_recorded_iterate():
         records = run(algorithm, counter, r, w0, cfg)
         assert len(records) == 18
         assert counter.evaluations == 18
+
+
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_public_steps_agree_with_run(algorithm, kind):
+    problem, r, w0 = small_problem(kind=kind, d=5, K=4, seed=12)
+    config = SolverConfig(mu=0.05, eta=1.0, tau=0.5, max_iter=50, seed=3)
+    records = run(algorithm, problem, r, w0, config)
+    state = initial_state(w0, problem.count)
+    w = state.w
+    rng = np.random.default_rng(config.seed)
+    for rec in records:
+        np.testing.assert_array_equal(problem.values_and_jacobian(w)[0], rec.jvals)
+        if algorithm == "epo-al":
+            np.testing.assert_array_equal(state.p, rec.p_snapshot)
+            state = epo_al_step(state, problem, r, config.mu, config.eta)
+            w = state.w
+        elif algorithm == "subgradient":
+            w, k = subgradient_step(w, problem, r, config.mu, rng)
+            assert k == rec.active_index or rec is records[-1]
+        else:
+            w = smoothmax_step(w, problem, r, config.mu, config.tau)
 
 
 def test_run_epo_al_fairness_trends_down_on_convex_family():
