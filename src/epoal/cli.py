@@ -6,7 +6,8 @@ Subcommands and exit codes:
   bench    CSV of aggregated benchmark results + JSON sidecar 0 ok, 1 harness error
   certify  JSON certificate for a stored model                0 certified, 3 not
 
-Usage errors exit 64, malformed data files exit 65.  Every output file
+Usage errors exit 64; malformed data files, and a model at which the
+objectives are not finite, exit 65.  Every output file
 starts with a metadata header carrying the tool version, the fully
 resolved configuration and the seed; apart from wall-clock columns,
 outputs are a pure function of that header.
@@ -23,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import as_preference
 from .diagnostics import certify_epo
 from .harness import GridSpec, HarnessError, run_experiment
 from .problems import CONVEX, FIG1, NONCONVEX, load_problem, make_problem, sample_initial
@@ -59,18 +59,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, parse=float) -> list:
     try:
-        return [float(piece) for piece in text.split(",") if piece != ""]
+        return [parse(piece) for piece in text.split(",") if piece != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(piece) for piece in text.split(",") if piece != ""]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        raise UsageError(f"expected comma-separated {parse.__name__} values, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,55 +112,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trace_lines(args) -> tuple[list[str], int]:
-    if args.fig1:
-        kind, K = FIG1, 2
-        if args.K not in (None, 2):
-            raise UsageError("--fig1 is a two-objective problem; omit --K or pass 2")
-    else:
-        if args.K is None:
-            raise UsageError("--K is required unless --fig1 is given")
-        kind, K = _SHORT_KINDS[args.kind], args.K
+    K = 2 if args.fig1 and args.K is None else args.K
+    if K is None:
+        raise UsageError("--K is required unless --fig1 is given")
     if args.algo == EPO_AL and args.eta is None:
         raise UsageError("--eta is required for --algo epo-al")
     if args.algo == SMOOTH_MAX and args.tau is None:
         raise UsageError("--tau is required for --algo smooth-max")
+    kind = FIG1 if args.fig1 else _SHORT_KINDS[args.kind]
 
-    r = _float_list(args.r) if args.r else [1.0 / K] * K
-    if len(r) != K:
-        raise UsageError(f"--r has {len(r)} entries, problem has K={K}")
+    error = None
     try:
-        as_preference(r)
+        # make_problem rejects K < 2 before the default r divides by K.
         problem = make_problem(kind, args.d, K, args.seed)
-        w0 = sample_initial(args.d, args.seed)
+        r = _number_list(args.r) if args.r else [1.0 / K] * K
         config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
                               max_iter=args.iters, seed=args.seed)
+        records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
     except ValueError as err:
         raise UsageError(str(err))
+    except DivergenceError as err:
+        records, error = err.records, err
     header = {"type": "header", "tool": "epoal", "version": __version__,
               "command": "trace",
               "config": {"algorithm": args.algo, "kind": kind, "d": args.d, "K": K,
                          "r": r, "mu": args.mu, "eta": args.eta, "tau": args.tau,
                          "iters": args.iters, "seed": args.seed}}
     lines = [json.dumps(header)]
-
-    def record_line(rec):
+    for rec in records:
         row = {"iter": rec.iter, "jvals": [float(x) for x in rec.jvals],
                "minmax": rec.minmax, "fairness": rec.fairness}
         if args.algo == EPO_AL:
             row["p"] = [float(x) for x in rec.p_snapshot]
         if args.algo == SUBGRADIENT:
             row["active"] = rec.active_index
-        return json.dumps(row)
-
-    try:
-        records = run(args.algo, problem, r, w0, config)
-    except DivergenceError as err:
-        lines.extend(record_line(rec) for rec in err.records)
-        lines.append(json.dumps({"type": "error", "error": "divergence",
-                                 "iteration": err.iteration, "message": str(err)}))
-        return lines, EXIT_DIVERGED
-    lines.extend(record_line(rec) for rec in records)
-    return lines, EXIT_OK
+        lines.append(json.dumps(row))
+    if error is None:
+        return lines, EXIT_OK
+    lines.append(json.dumps({"type": "error", "error": "divergence",
+                             "iteration": error.iteration, "message": str(error)}))
+    return lines, EXIT_DIVERGED
 
 
 def cmd_trace(args) -> int:
@@ -185,26 +169,16 @@ def cmd_bench(args) -> int:
         kinds = [_SHORT_KINDS[k] for k in args.kinds.split(",") if k]
     except KeyError as err:
         raise UsageError(f"unknown kind {err.args[0]!r}; choose from convex,nonconvex")
-    K_values = _int_list(args.K)
+    K_values = _number_list(args.K, int)
     algos = [a for a in args.algos.split(",") if a]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {algo!r}")
-    if args.trials < 3:
-        raise UsageError("--trials must be at least 3")
-    if args.jobs < 1 or args.timing_reps < 1:
-        raise UsageError("--jobs and --timing-reps must be at least 1")
     try:
         grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
-        for kind in kinds:
-            for K in K_values:
-                make_problem(kind, args.d, K, args.seed)
+        aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
+                                    algorithms=algos, grid=grid, jobs=args.jobs,
+                                    timing_reps=args.timing_reps)
     except ValueError as err:
+        # run_experiment checks every argument before its first solver run.
         raise UsageError(str(err))
-
-    aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
-                                algorithms=algos, grid=grid, jobs=args.jobs,
-                                timing_reps=args.timing_reps)
 
     config = {"kinds": kinds, "K_values": K_values, "d": args.d,
               "trials": args.trials, "algorithms": algos, "master_seed": args.seed,
@@ -266,18 +240,13 @@ def cmd_certify(args) -> int:
     w = _read_model_file(args.model)
     if w.size != problem.d:
         raise DataError(f"model has {w.size} coordinates, problem has d={problem.d}")
-    r = _float_list(args.r)
-    if len(r) != problem.count:
-        raise UsageError(f"--r has {len(r)} entries, problem has K={problem.count}")
     try:
-        as_preference(r)
+        cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
+                           gap_tol=args.gap_tol)
     except ValueError as err:
         raise UsageError(str(err))
-    for name, tol in (("--fair-tol", args.fair_tol), ("--gap-tol", args.gap_tol)):
-        if tol is not None and not tol > 0:
-            raise UsageError(f"{name} must be positive")
-
-    cert = certify_epo(w, problem, r, fair_tol=args.fair_tol, gap_tol=args.gap_tol)
+    except DivergenceError:
+        raise DataError(f"{args.model}: the objectives are not finite at this model")
     print(json.dumps({"fairness": cert.fairness,
                       "stationarity_gap": cert.stationarity_gap,
                       "is_fair": cert.is_fair, "is_stationary": cert.is_stationary,

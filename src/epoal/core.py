@@ -46,6 +46,21 @@ def as_preference(r, min_size: int = 1) -> np.ndarray:
     return r
 
 
+class DivergenceError(RuntimeError):
+    """Objective values or gradients were not finite.
+
+    Carries the iteration index and the iterate at which evaluation failed
+    and, when raised from a solver run, the records collected so far.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None,
+                 iterate: np.ndarray | None = None, records: list | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.iterate = iterate
+        self.records = records if records is not None else []
+
+
 class ObjectiveSet(ABC):
     """A collection of K positive differentiable objectives.
 
@@ -62,6 +77,33 @@ class ObjectiveSet(ABC):
     @abstractmethod
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values, shape (K,), and gradient matrix, shape (d, K), column k for J_k."""
+
+
+def _preference_for(r, obj: ObjectiveSet) -> np.ndarray:
+    """``as_preference(r)``, also rejecting a length other than ``obj.count``."""
+    r = as_preference(r)
+    if r.size != obj.count:
+        raise ValueError(f"preference has {r.size} weights, objective set has K={obj.count}")
+    return r
+
+
+def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None,
+              records: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and jacobian at ``w``, the gate every evaluation of the package passes.
+
+    ValueError unless the shapes are (K,) and (d, K) with d the size of ``w``
+    (an O(1) check that catches a ``w`` the objectives silently broadcast);
+    DivergenceError if not every entry is finite.
+    """
+    jvals, jac = obj.values_and_jacobian(w)
+    K, d = obj.count, len(w)
+    if jvals.shape != (K,) or jac.shape != (d, K):
+        raise ValueError(f"objectives returned shapes {jvals.shape} and {jac.shape} at a "
+                         f"model of size {d}, expected ({K},) and ({d}, {K})")
+    if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
+        raise DivergenceError("objective evaluation produced non-finite values",
+                              iteration=iteration, iterate=w, records=records)
+    return jvals, jac
 
 
 def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:

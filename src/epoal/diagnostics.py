@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_model_vector, as_preference, fairness_residual, minmax_value
-from .core import ObjectiveSet
+from .core import (ObjectiveSet, _evaluate, _preference_for, as_model_vector,
+                   fairness_residual, minmax_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +91,16 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     Default tolerances are scale-relative: the fairness threshold is
     1e-8 * (max_k r_k J_k)^2 and the gap threshold 1e-4 * max_k ||grad J_k||.
     On convex problems a certificate with both verdicts true witnesses
-    min-max optimality of ``w``.
+    min-max optimality of ``w``.  Raises ValueError for bad arguments and
+    DivergenceError when the objectives are not finite at ``w``.
     """
     if fair_tol is not None and not (fair_tol > 0):
         raise ValueError("fair_tol must be positive")
     if gap_tol is not None and not (gap_tol > 0):
         raise ValueError("gap_tol must be positive")
-    r = as_preference(r)
+    r = _preference_for(r, obj)
     w = as_model_vector(w)
-    jvals, jac = obj.values_and_jacobian(w)
+    jvals, jac = _evaluate(obj, w)
     fairness = fairness_residual(r, jvals)
     mm = minmax_value(r, jvals)
     if fair_tol is None:

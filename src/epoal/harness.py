@@ -18,9 +18,9 @@ the protocol is:
      once one has entered the band, every later run is capped at the best
      i_o so far (minus one for a combination that would lose the tie),
      since a capped run's records are a prefix of the full run's.  The
-     subgradient grid is the target scan's grid with the same seed, so the
-     subgradient i_o is read off the target-scan runs instead of being
-     run again.
+     subgradient grid is the target scan's grid with the same seed, so
+     subgradient's capped runs are prefixes of the target-scan runs and
+     are read off them instead of being run again.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -74,6 +74,9 @@ class GridSpec:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        for name in ("mu_grid", "eta_grid", "tau_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 0:
@@ -204,37 +207,27 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
     return float(np.median(samples))
 
 
-def _best_of_scan(scan, target: float, epsilon: float):
-    """(i_o, config) over full-length ``(config, records)`` runs in grid order."""
-    best_i, best_cfg = None, None
-    for cfg, records in scan:
-        if not records:
-            continue
-        i = iteration_complexity(records, target, epsilon)
-        if i is not None and (best_i is None or i < best_i):
-            best_i, best_cfg = i, cfg
-    return best_i, best_cfg
+def _branch_and_bound(configs, records, target: float, epsilon: float, max_iter: int):
+    """(i_o, config) equal to the exhaustive minimum over ``configs``.
 
-
-def _branch_and_bound(algorithm, problem, r, w0, grid: GridSpec, seed: int,
-                      target: float):
-    """(i_o, config) equal to the exhaustive grid minimum, with capped runs."""
-    configs = _grid_configs(algorithm, grid, seed)
+    ``records(j, budget)`` returns the records of configuration j up to
+    iterate ``budget``; it is asked only for budgets that can still beat
+    or tie the best so far.
+    """
     best_i, best_j = None, None
     for j in sorted(range(len(configs)), key=lambda idx: -configs[idx].mu):
         if best_i is None:
-            budget = grid.max_iter
+            budget = max_iter
         else:
             # An earlier combination in grid order wins a tie, a later one
             # must be strictly faster.
             budget = best_i if j < best_j else best_i - 1
         if budget < 0:
             continue
-        records = _run_allowing_divergence(algorithm, problem, r, w0,
-                                           replace(configs[j], max_iter=budget))
-        if not records:
+        recs = records(j, budget)
+        if not recs:
             continue
-        i = iteration_complexity(records, target, grid.epsilon)
+        i = iteration_complexity(recs, target, epsilon)
         if i is not None and (best_i is None or i < best_i
                               or (i == best_i and j < best_j)):
             best_i, best_j = i, j
@@ -259,8 +252,14 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0,
     """
     if target is None:
         target = compute_target(problem, r, w0, grid, seed=seed)
-    best_i, best_cfg = _branch_and_bound(algorithm, problem, r, w0, grid, seed, target)
+    configs = _grid_configs(algorithm, grid, seed)
 
+    def capped_run(j, budget):
+        return _run_allowing_divergence(algorithm, problem, r, w0,
+                                        replace(configs[j], max_iter=budget))
+
+    best_i, best_cfg = _branch_and_bound(configs, capped_run, target, grid.epsilon,
+                                         grid.max_iter)
     t_o = None
     if measure and best_i is not None:
         t_o = measure_time(algorithm, problem, r, w0, best_cfg, best_i,
@@ -284,19 +283,25 @@ def trimmed_mean_ci(samples, level: float = CI_LEVEL) -> tuple[float, float, flo
     return mean, mean - half, mean + half
 
 
+def _trial_inputs(kind, K, d, seed):
+    """The trial's (problem, r, w0), a pure function of its arguments."""
+    return make_problem(kind, d, K, seed), sample_preference(K, seed), sample_initial(d, seed)
+
+
 def _tune_trial(task):
     """Tuning phase of one trial (no timing); picklable for worker pools."""
     kind, K, d, seed, algorithms, grid = task
-    problem = make_problem(kind, d, K, seed)
-    r = sample_preference(K, seed)
-    w0 = sample_initial(d, seed)
+    problem, r, w0 = _trial_inputs(kind, K, d, seed)
     scan = []
     target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
     trials = []
     for algo in algorithms:
         if algo == SUBGRADIENT:
-            # The target scan already ran the subgradient grid with this seed.
-            best_i, best_cfg = _best_of_scan(scan, target, grid.epsilon)
+            # The target scan already ran the subgradient grid with this seed,
+            # and a capped run's records are a prefix of the full run's.
+            best_i, best_cfg = _branch_and_bound(
+                [cfg for cfg, _ in scan], lambda j, budget: scan[j][1][:budget + 1],
+                target, grid.epsilon, grid.max_iter)
             trials.append(_trial_record(algo, problem, w0, seed, target, best_i, best_cfg))
         else:
             trials.append(tune_and_measure(algo, problem, r, w0, grid, seed=seed,
@@ -332,6 +337,10 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     always runs sequentially in this process so measurements never contend.
     The result list is ordered by (kind, K, algorithm) in input order and is
     a pure function of the arguments (timing fields aside).
+
+    Every argument is checked before the first solver run, so a ValueError
+    always means a bad argument; a failure inside the protocol raises
+    HarnessError.
     """
     if n_trials < 3:
         raise ValueError(f"need n_trials >= 3, got {n_trials}")
@@ -342,6 +351,11 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     kinds = list(kinds)
     K_values = [int(K) for K in K_values]
     algorithms = list(algorithms)
+    for algo in algorithms:
+        _grid_configs(algo, grid, master_seed)
+    for kind in kinds:
+        for K in K_values:
+            make_problem(kind, d, K, master_seed)
 
     tasks = [(kind, K, d, trial_seed(master_seed, kind, K, t), algorithms, grid)
              for kind in kinds for K in K_values for t in range(n_trials)]
@@ -356,9 +370,7 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     for task, trial_results in zip(tasks, tuned):
         kind, K, d_task, seed = task[0], task[1], task[2], task[3]
         if measure:
-            problem = make_problem(kind, d_task, K, seed)
-            r = sample_preference(K, seed)
-            w0 = sample_initial(d_task, seed)
+            problem, r, w0 = _trial_inputs(kind, K, d_task, seed)
         for rec in trial_results:
             if measure and rec.i_o is not None:
                 t_o = measure_time(rec.algorithm, problem, r, w0,

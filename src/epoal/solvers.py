@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_model_vector, as_preference, fairness_residual, lr_apply, minmax_value
-from .core import ObjectiveSet
+# DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
+from .core import (DivergenceError, ObjectiveSet, _evaluate, _preference_for, as_model_vector,
+                   fairness_residual, lr_apply, minmax_value)
 from .diagnostics import pareto_stationarity_gap
 
 EPO_AL = "epo-al"
@@ -38,21 +39,6 @@ ALGORITHMS = (EPO_AL, SUBGRADIENT, SMOOTH_MAX)
 
 # Relative tolerance used to detect ties among weighted objective values.
 ACTIVE_TIE_RTOL = 1e-9
-
-
-class DivergenceError(RuntimeError):
-    """A solver produced non-finite objective values or gradients.
-
-    Carries the offending iterate, the iteration index at which evaluation
-    failed, and (when raised from :func:`run`) the trace collected so far.
-    """
-
-    def __init__(self, message: str, iteration: int | None = None,
-                 iterate: np.ndarray | None = None, records: list | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.iterate = iterate
-        self.records = records if records is not None else []
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +106,6 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _evaluate(obj: ObjectiveSet, w: np.ndarray, iteration: int | None = None,
-              records: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Objective values and jacobian at ``w``; DivergenceError if not all finite."""
-    jvals, jac = obj.values_and_jacobian(w)
-    if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
-        raise DivergenceError("objective evaluation produced non-finite values",
-                              iteration=iteration, iterate=w, records=records)
-    return jvals, jac
-
-
 def _update(algorithm, w, p, jvals, jac, r, config: SolverConfig, rng):
     """One step from an evaluated iterate: (w+, p+, active index or None)."""
     mu = config.mu
@@ -148,13 +124,18 @@ def _update(algorithm, w, p, jvals, jac, r, config: SolverConfig, rng):
     return w - (mu / config.tau) * (jac @ (weights * r)), p, None
 
 
+def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
+    """One public step: the checks and the evaluation ``run`` makes, then ``_update``."""
+    r = _preference_for(r, obj)
+    jvals, jac = _evaluate(obj, w, iteration)
+    return _update(algorithm, w, p, jvals, jac, r, config, rng)
+
+
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
                 mu: float, eta: float) -> EpoAlState:
     """One primal-dual step from ``state``; both updates use the incoming w."""
-    config = SolverConfig(mu=mu, eta=eta)
-    r = as_preference(r)
-    jvals, jac = _evaluate(obj, state.w, state.iter)
-    w_new, p_new, _ = _update(EPO_AL, state.w, state.p, jvals, jac, r, config, None)
+    w_new, p_new, _ = _step(EPO_AL, obj, r, state.w, state.p, SolverConfig(mu=mu, eta=eta),
+                            iteration=state.iter)
     return EpoAlState(w=w_new, p=p_new, iter=state.iter + 1)
 
 
@@ -166,10 +147,7 @@ def subgradient_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray, mu: float,
     relative tolerance of the maximum; the step index is sampled uniformly
     from it.
     """
-    config = SolverConfig(mu=mu)
-    r = as_preference(r)
-    jvals, jac = _evaluate(obj, w)
-    w_new, _, k = _update(SUBGRADIENT, w, None, jvals, jac, r, config, rng)
+    w_new, _, k = _step(SUBGRADIENT, obj, r, w, None, SolverConfig(mu=mu), rng)
     return w_new, k
 
 
@@ -181,10 +159,7 @@ def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     length scales like mu / tau; softmax weights are computed with
     max-subtraction for stability.
     """
-    config = SolverConfig(mu=mu, tau=tau)
-    r = as_preference(r)
-    jvals, jac = _evaluate(obj, w)
-    return _update(SMOOTH_MAX, w, None, jvals, jac, r, config, None)[0]
+    return _step(SMOOTH_MAX, obj, r, w, None, SolverConfig(mu=mu, tau=tau))[0]
 
 
 def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
@@ -207,7 +182,7 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
         raise ValueError("smooth-max requires config.tau")
     early_stop = stop_fairness_tol is not None and stop_gap_tol is not None
 
-    r = as_preference(r)
+    r = _preference_for(r, obj)
     w = as_model_vector(w0)
     p = np.full(obj.count, 1.0 / obj.count) if algorithm == EPO_AL else None
     rng = np.random.default_rng(config.seed)

@@ -45,6 +45,12 @@ def test_trace_requires_k_without_fig1(capsys):
     assert code == 64
 
 
+BENCH = ["bench", "--kinds", "convex", "--K", "2", "--d", "3", "--trials", "3",
+         "--out", "unused.csv"]
+# {problem} and {model} stand for files written by certified_fixture.
+CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--kind", "convex", "--d", "3", "--K", "1", "--algo", "subgradient",
      "--mu", "0.1"],
@@ -58,9 +64,24 @@ def test_trace_requires_k_without_fig1(capsys):
      "--epsilon", "-1", "--out", "unused.csv"],
     ["bench", "--kinds", "convex", "--K", "2", "--d", "3", "--trials", "3",
      "--max-iter", "-1", "--out", "unused.csv"],
+    BENCH + ["--algos", "foo"],
+    BENCH + ["--trials", "2"],
+    BENCH + ["--jobs", "0"],
+    BENCH + ["--timing-reps", "0"],
+    ["trace", "--fig1", "--K", "3", "--d", "3", "--algo", "subgradient", "--mu", "0.1"],
+    ["trace", "--kind", "convex", "--d", "3", "--K", "3", "--r", "1,1", "--algo",
+     "subgradient", "--mu", "0.1"],
+    ["trace", "--kind", "convex", "--d", "3", "--K", "0", "--algo", "subgradient",
+     "--mu", "0.1"],
+    CERTIFY + ["--fair-tol", "0"],
+    CERTIFY + ["--gap-tol", "-1"],
 ], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0", "bench-epsilon-negative",
-        "bench-max-iter-negative"])
-def test_invalid_problem_or_preference_exits_64(argv, capsys):
+        "bench-max-iter-negative", "bench-algos-unknown", "bench-trials-2", "bench-jobs-0",
+        "bench-timing-reps-0", "trace-fig1-K3", "trace-r-length", "trace-K0", "certify-fair-tol-0",
+        "certify-gap-tol-negative"])
+def test_invalid_problem_or_preference_exits_64(argv, tmp_path, capsys):
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    argv = [arg.format(problem=problem_path, model=model_path) for arg in argv]
     assert main(argv) == 64
     assert "epoal: error:" in capsys.readouterr().err
 
@@ -258,3 +279,16 @@ def test_certify_wrong_r_length_exits_64(tmp_path, capsys):
     code = main(["certify", "--problem", str(problem_path), "--model",
                  str(model_path), "--r", "1,1,1"])
     assert code == 64
+
+
+def test_certify_non_finite_objectives_exits_65(tmp_path, capsys):
+    # ||w - w_k||^2 overflows, so the convex values are inf; nothing is printed.
+    problem_path, model_path = tmp_path / "problem.txt", tmp_path / "model.txt"
+    save_problem(make_problem("convex-distance", 2, 2, seed=0), problem_path)
+    model_path.write_text("1e200\n0\n")
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert str(model_path) in captured.err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epoal import (certify_epo, epo_al_step, fairness_residual, fig1_problem,
+from epoal import (DivergenceError, certify_epo, epo_al_step, fairness_residual, fig1_problem,
                    initial_state, make_problem, minmax_value, pareto_stationarity_gap,
                    sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
@@ -93,6 +93,22 @@ def test_certify_rejects_nonpositive_tolerances():
         certify_epo(np.zeros(3), problem, [1.0, 1.0], fair_tol=0.0)
     with pytest.raises(ValueError):
         certify_epo(np.zeros(3), problem, [1.0, 1.0], gap_tol=-1.0)
+
+
+def test_certify_rejects_mismatched_model_and_preference_lengths():
+    problem = make_problem("convex-distance", 5, 4, seed=1)
+    r = sample_preference(4, 1)
+    with pytest.raises(ValueError, match="model of size 1"):
+        certify_epo([0.3], problem, r)
+    with pytest.raises(ValueError, match="preference has 2 weights, objective set has K=4"):
+        certify_epo(np.zeros(5), problem, [1.0, 1.0])
+
+
+def test_certify_raises_divergence_where_objectives_are_not_finite():
+    # ||w - w_k||^2 overflows: the values are inf while the gradients round to 0.
+    problem = make_problem("convex-distance", 2, 2, seed=0)
+    with pytest.raises(DivergenceError):
+        certify_epo([1e200, 0.0], problem, [1.0, 1.0])
 
 
 def converged_epo_point(problem, r, w0, steps=20_000, mu=0.1, eta=1.0):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
-                   iteration_complexity, log_grid, make_problem, minmax_value,
+                   iteration_complexity, log_grid, make_problem, minmax_value, run,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
-from epoal.harness import (_best_of_scan, _grid_configs, _run_allowing_divergence,
+import epoal.harness as harness
+from epoal.harness import (_branch_and_bound, _grid_configs, _run_allowing_divergence,
                            _tune_trial, trial_seed)
 from epoal.solvers import ALGORITHMS, IterationRecord
 
@@ -42,6 +43,9 @@ def test_log_grid_validation():
             GridSpec(epsilon=bad)
     with pytest.raises(ValueError):
         GridSpec(max_iter=-1)
+    for empty in ("mu_grid", "eta_grid", "tau_grid"):
+        with pytest.raises(ValueError, match=empty):
+            GridSpec(**{empty: ()})
 
 
 def test_default_grids_follow_protocol():
@@ -234,7 +238,9 @@ def test_target_scan_reuse_ties_go_to_first_step_size():
     scan = []
     compute_target(problem, r, w0, grid, seed=4, _scan=scan)
     target = minmax_value(r, problem.values_and_jacobian(w0)[0])
-    assert _best_of_scan(scan, target, grid.epsilon) == (
+    assert _branch_and_bound([cfg for cfg, _ in scan],
+                             lambda j, budget: scan[j][1][:budget + 1],
+                             target, grid.epsilon, grid.max_iter) == (
         0, _grid_configs("subgradient", grid, seed=4)[0])
 
 
@@ -303,6 +309,30 @@ def test_run_experiment_trial_count_floor():
         with pytest.raises(ValueError):
             run_experiment(["convex-distance"], [2], d=3, n_trials=3, master_seed=0,
                            **bad)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(algorithms=["epo-al", "foo"]),
+    dict(kinds=["spherical"]),
+    dict(K_values=[2, 1]),
+    dict(d=0),
+    dict(grid=GridSpec(mu_grid=(0.1, -0.1))),
+    dict(grid=GridSpec(eta_grid=(-1.0,))),
+], ids=["algorithm", "kind", "K", "d", "mu", "eta"])
+def test_run_experiment_checks_arguments_before_any_run(monkeypatch, bad):
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    kwargs = dict(kinds=["convex-distance"], K_values=[2], d=3, n_trials=3,
+                  master_seed=0, algorithms=["epo-al", "subgradient"],
+                  grid=small_grid(max_iter=20))
+    with pytest.raises(ValueError):
+        run_experiment(**{**kwargs, **bad})
+    assert calls == []
 
 
 def test_run_experiment_parallel_matches_serial():

@@ -276,6 +276,20 @@ def test_run_requires_algorithm_specific_parameters():
         run("newton", problem, r, w0, SolverConfig(mu=0.1, max_iter=5))
 
 
+def test_run_rejects_mismatched_model_and_preference_lengths():
+    problem, r, w0 = small_problem(d=5, K=4)
+    counter = CountingObjectives(problem)
+    cfg = SolverConfig(mu=0.1, max_iter=5)
+    # A length-1 model would broadcast against the d=5 anchors; the gate's
+    # shape check rejects it at the first evaluation, before any update.
+    with pytest.raises(ValueError, match="model of size 1"):
+        run("subgradient", counter, r, [0.3], cfg)
+    assert counter.evaluations == 1
+    with pytest.raises(ValueError, match="preference has 3 weights, objective set has K=4"):
+        run("subgradient", counter, r[:3], w0, cfg)
+    assert counter.evaluations == 1
+
+
 def test_divergence_error_carries_iteration_and_partial_trace():
     obj = ExplodingObjectives()
     with pytest.raises(DivergenceError) as excinfo:
