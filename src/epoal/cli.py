@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import certify_epo
 from .harness import GridSpec, HarnessError, run_experiment
-from .problems import CONVEX, FIG1, NONCONVEX, load_problem, make_problem, sample_initial
+from .problems import (CONVEX, FIG1, NONCONVEX, _decimal_matrix, _read_lines, load_problem,
+                       make_problem, sample_initial)
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,
                       SolverConfig, run)
 
@@ -212,21 +213,16 @@ def cmd_bench(args) -> int:
 
 def _read_model_file(path) -> np.ndarray:
     try:
-        raw = Path(path).read_text()
-    except OSError as err:
+        w = _decimal_matrix(path, _read_lines(path))
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read model file: {err}")
-    entries = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            entries.append(float(text))
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: not a decimal coordinate: {text!r}")
-    if not entries:
+    except ValueError as err:
+        raise DataError(str(err))
+    if w.size == 0:
         raise DataError(f"{path}: empty model file")
-    w = np.asarray(entries)
+    if w.shape[1] != 1:
+        raise DataError(f"{path}: expected one coordinate per line")
+    w = w[:, 0]
     if not np.all(np.isfinite(w)):
         raise DataError(f"{path}: model coordinates must be finite")
     return w

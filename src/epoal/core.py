@@ -31,16 +31,15 @@ def as_model_vector(w) -> np.ndarray:
     return w
 
 
-def as_preference(r, min_size: int = 1) -> np.ndarray:
-    """Validate preference weights: 1-d, strictly positive, finite.
+def as_preference(r) -> np.ndarray:
+    """Validate preference weights: 1-d, non-empty, strictly positive, finite.
 
-    Benchmark-facing generators require K >= 2; solver-level functions
-    accept a single weight so degenerate single-objective problems stay
-    usable (pass ``min_size=2`` to enforce the stricter contract).
+    A single weight is accepted, so degenerate single-objective problems
+    stay usable; benchmark-facing generators require K >= 2 themselves.
     """
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 1 or r.size < min_size:
-        raise ValueError(f"preference must be 1-d with K >= {min_size}, got shape {r.shape}")
+    if r.ndim != 1 or r.size < 1:
+        raise ValueError(f"preference must be 1-d with K >= 1, got shape {r.shape}")
     if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
         raise ValueError("preference weights must be strictly positive and finite")
     return r

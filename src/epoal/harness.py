@@ -17,10 +17,10 @@ the protocol is:
      tried in descending step-size order, so a small i_o appears early;
      once one has entered the band, every later run is capped at the best
      i_o so far (minus one for a combination that would lose the tie),
-     since a capped run's records are a prefix of the full run's.  The
-     subgradient grid is the target scan's grid with the same seed, so
-     subgradient's capped runs are prefixes of the target-scan runs and
-     are read off them instead of being run again.
+     since a capped run's records are a prefix of the full run's.  One
+     call, ``tune_and_measure``, tunes every algorithm; for subgradient
+     (the target scan's grid and seed) the capped runs are prefixes of the
+     target-scan runs and are read off them instead of being run again.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -129,18 +129,13 @@ def trial_seed(master_seed: int, kind: str, K: int, trial: int) -> int:
 def _grid_configs(algorithm: str, grid: GridSpec, seed: int) -> list[SolverConfig]:
     # Enumeration order is lexicographic (mu, then eta/tau), so the first
     # combination attaining the minimal i_o is the deterministic tie-break.
-    if algorithm == SUBGRADIENT:
-        return [SolverConfig(mu=float(m), max_iter=grid.max_iter, seed=seed)
-                for m in grid.mu_grid]
-    if algorithm == EPO_AL:
-        return [SolverConfig(mu=float(m), eta=float(e), max_iter=grid.max_iter,
-                             seed=seed)
-                for m in grid.mu_grid for e in grid.eta_grid]
-    if algorithm == SMOOTH_MAX:
-        return [SolverConfig(mu=float(m), tau=float(t), max_iter=grid.max_iter,
-                             seed=seed)
-                for m in grid.mu_grid for t in grid.tau_grid]
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    second = {SUBGRADIENT: [{}],
+              EPO_AL: [{"eta": float(e)} for e in grid.eta_grid],
+              SMOOTH_MAX: [{"tau": float(t)} for t in grid.tau_grid]}.get(algorithm)
+    if second is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return [SolverConfig(mu=float(m), max_iter=grid.max_iter, seed=seed, **extra)
+            for m in grid.mu_grid for extra in second]
 
 
 def _run_allowing_divergence(algorithm, problem, r, w0, config) -> list[IterationRecord]:
@@ -234,37 +229,36 @@ def _branch_and_bound(configs, records, target: float, epsilon: float, max_iter:
     return best_i, (None if best_j is None else configs[best_j])
 
 
-def _trial_record(algorithm, problem, w0, seed, target, best_i, best_cfg,
-                  t_o=None) -> TrialRecord:
-    return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
-                       K=problem.count, d=np.asarray(w0).size, seed=seed,
-                       target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)
-
-
-def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0,
-                     target: float | None = None, timing_reps: int = 3,
-                     measure: bool = True) -> TrialRecord:
+def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *,
+                     target: float, timing_reps: int = 3, measure: bool = True,
+                     _scan: list | None = None) -> TrialRecord:
     """Full per-trial protocol for one algorithm: tune i_o, then time t_o.
 
-    ``target`` may be passed in when already computed for this trial (it is
-    shared by all algorithms); otherwise the subgradient sweep runs here.
-    ``measure=False`` skips the timing runs, leaving t_o None.
+    ``target`` is the trial's J* from :func:`compute_target`, shared by all
+    algorithms.  ``measure=False`` skips the timing runs, leaving t_o None.
+
+    ``_scan`` is for the protocol's own use: the trial's target-scan
+    ``(config, records)`` pairs (the subgradient grid, this seed), whose
+    prefixes are subgradient's capped runs; other algorithms ignore it.
     """
-    if target is None:
-        target = compute_target(problem, r, w0, grid, seed=seed)
     configs = _grid_configs(algorithm, grid, seed)
+    if algorithm == SUBGRADIENT and _scan is not None:
+        def records(j, budget):
+            return _scan[j][1][:budget + 1]
+    else:
+        def records(j, budget):
+            return _run_allowing_divergence(algorithm, problem, r, w0,
+                                            replace(configs[j], max_iter=budget))
 
-    def capped_run(j, budget):
-        return _run_allowing_divergence(algorithm, problem, r, w0,
-                                        replace(configs[j], max_iter=budget))
-
-    best_i, best_cfg = _branch_and_bound(configs, capped_run, target, grid.epsilon,
+    best_i, best_cfg = _branch_and_bound(configs, records, target, grid.epsilon,
                                          grid.max_iter)
     t_o = None
     if measure and best_i is not None:
         t_o = measure_time(algorithm, problem, r, w0, best_cfg, best_i,
                            reps=timing_reps)
-    return _trial_record(algorithm, problem, w0, seed, target, best_i, best_cfg, t_o)
+    return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
+                       K=problem.count, d=np.asarray(w0).size, seed=seed,
+                       target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)
 
 
 def trimmed_mean_ci(samples, level: float = CI_LEVEL) -> tuple[float, float, float]:
@@ -294,29 +288,17 @@ def _tune_trial(task):
     problem, r, w0 = _trial_inputs(kind, K, d, seed)
     scan = []
     target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
-    trials = []
-    for algo in algorithms:
-        if algo == SUBGRADIENT:
-            # The target scan already ran the subgradient grid with this seed,
-            # and a capped run's records are a prefix of the full run's.
-            best_i, best_cfg = _branch_and_bound(
-                [cfg for cfg, _ in scan], lambda j, budget: scan[j][1][:budget + 1],
-                target, grid.epsilon, grid.max_iter)
-            trials.append(_trial_record(algo, problem, w0, seed, target, best_i, best_cfg))
-        else:
-            trials.append(tune_and_measure(algo, problem, r, w0, grid, seed=seed,
-                                           target=target, measure=False))
-    return trials
+    return [tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
+                             measure=False, _scan=scan)
+            for algo in algorithms]
 
 
 def _aggregate(kind, algorithm, K, d, trials: list[TrialRecord]) -> AggregateRecord:
     i_samples = [t.i_o for t in trials if t.i_o is not None]
     t_samples = [t.t_o for t in trials if t.t_o is not None]
-    if len(i_samples) >= 3:
-        i_stats = trimmed_mean_ci(i_samples)
-        t_stats = trimmed_mean_ci(t_samples) if len(t_samples) >= 3 else (np.nan,) * 3
-    else:
-        i_stats = t_stats = (np.nan,) * 3
+    # t_o exists only where i_o does, so fewer than 3 i_o also means NaN t_o.
+    i_stats = trimmed_mean_ci(i_samples) if len(i_samples) >= 3 else (np.nan,) * 3
+    t_stats = trimmed_mean_ci(t_samples) if len(t_samples) >= 3 else (np.nan,) * 3
     return AggregateRecord(kind=kind, algorithm=algorithm, K=K, d=d,
                            n_trials=len(trials),
                            n_censored=len(trials) - len(i_samples),
@@ -351,14 +333,20 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     kinds = list(kinds)
     K_values = [int(K) for K in K_values]
     algorithms = list(algorithms)
+    for name, values in (("kinds", kinds), ("K_values", K_values),
+                         ("algorithms", algorithms)):
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"{name} must be non-empty without repeats, got {values}")
     for algo in algorithms:
         _grid_configs(algo, grid, master_seed)
-    for kind in kinds:
-        for K in K_values:
-            make_problem(kind, d, K, master_seed)
+    cells = [(kind, K) for kind in kinds for K in K_values]
+    for kind, K in cells:
+        make_problem(kind, d, K, master_seed)
 
+    # Task c * n_trials + t is trial t of cell c; entry a of a task's
+    # result list is algorithms[a].
     tasks = [(kind, K, d, trial_seed(master_seed, kind, K, t), algorithms, grid)
-             for kind in kinds for K in K_values for t in range(n_trials)]
+             for kind, K in cells for t in range(n_trials)]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -366,23 +354,15 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     else:
         tuned = [_tune_trial(task) for task in tasks]
 
-    trials: list[TrialRecord] = []
-    for task, trial_results in zip(tasks, tuned):
-        kind, K, d_task, seed = task[0], task[1], task[2], task[3]
-        if measure:
-            problem, r, w0 = _trial_inputs(kind, K, d_task, seed)
-        for rec in trial_results:
-            if measure and rec.i_o is not None:
-                t_o = measure_time(rec.algorithm, problem, r, w0,
-                                   rec.best_config, rec.i_o, reps=timing_reps)
-                rec = replace(rec, t_o=t_o)
-            trials.append(rec)
+    if measure:
+        for task, trial in zip(tasks, tuned):
+            problem, r, w0 = _trial_inputs(*task[:4])
+            for a, rec in enumerate(trial):
+                if rec.i_o is not None:
+                    trial[a] = replace(rec, t_o=measure_time(
+                        algorithms[a], problem, r, w0, rec.best_config, rec.i_o,
+                        reps=timing_reps))
 
-    aggregates = []
-    for kind in kinds:
-        for K in K_values:
-            for algo in algorithms:
-                cell = [t for t in trials
-                        if t.kind == kind and t.K == K and t.algorithm == algo]
-                aggregates.append(_aggregate(kind, algo, K, d, cell))
-    return aggregates
+    return [_aggregate(kind, algo, K, d,
+                       [trial[a] for trial in tuned[c * n_trials:(c + 1) * n_trials]])
+            for c, (kind, K) in enumerate(cells) for a, algo in enumerate(algorithms)]

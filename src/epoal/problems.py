@@ -16,7 +16,6 @@ seed, so the three sources can be reproduced independently.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,25 +177,50 @@ def save_problem(problem: SyntheticProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _token_error(path, line_no: int, tokens, parse, what: str) -> ValueError:
-    """ValueError naming ``path:line_no`` and the first token ``parse`` rejects."""
+def _bad_token(tokens, parse):
+    """The first of ``tokens`` that ``parse`` rejects, or None."""
     for token in tokens:
         try:
             parse(token)
-        except (ValueError, DeprecationWarning):
-            return ValueError(f"{path}:{line_no}: {token!r} is not {what}")
-    return ValueError(f"{path}:{line_no}: malformed line")
+        except ValueError:
+            return token
+    return None
 
 
-def _parse_row(text: str) -> np.ndarray:
-    return np.fromstring(text, sep=" ")
+def _read_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every non-blank line, numbered from 1."""
+    with open(path) as fh:
+        return [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), start=1)
+                if ln]
+
+
+def _decimal_matrix(path, lines) -> np.ndarray:
+    """The decimals of ``(line number, text)`` lines of ``path``, one row per line.
+
+    All rows are parsed in one ``np.loadtxt`` call.  On failure the
+    ValueError names ``path:line`` and the first token that is not a decimal
+    number, or the first line whose length differs from the first line's.
+    """
+    if not lines:
+        return np.empty((0, 0))
+    try:
+        return np.loadtxt([text for _, text in lines], ndmin=2, comments=None)
+    except ValueError as err:
+        width = len(lines[0][1].split())
+        for no, text in lines:
+            tokens = text.split()
+            bad = _bad_token(tokens, lambda token: np.loadtxt([token], comments=None))
+            if bad is not None:
+                raise ValueError(f"{path}:{no}: {bad!r} is not a decimal number") from None
+            if len(tokens) != width:
+                raise ValueError(f"{path}:{no}: row length {len(tokens)}, "
+                                 f"line {lines[0][0]} has {width}") from None
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_problem(path) -> SyntheticProblem:
     """Read a problem record written by :func:`save_problem`."""
-    with open(path) as fh:
-        lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), start=1)
-                 if ln]
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"empty problem file: {path}")
     head_no, head_text = lines[0]
@@ -207,18 +231,9 @@ def load_problem(path) -> SyntheticProblem:
         kind, d, K = head[0], int(head[1]), int(head[2])
         seed = None if head[3] == "-" else int(head[3])
     except ValueError:
-        raise _token_error(path, head_no, head[1:], int, "an integer") from None
-    rows = []
-    with warnings.catch_warnings():
-        # Older numpy releases only warn on a row they cannot read to its end.
-        warnings.simplefilter("error", DeprecationWarning)
-        for no, ln in lines[1:]:
-            try:
-                rows.append(_parse_row(ln))
-            except (ValueError, DeprecationWarning):
-                raise _token_error(path, no, ln.split(), _parse_row,
-                                   "a decimal number") from None
-    anchors = np.vstack(rows) if rows else np.empty((0, d))
+        bad = _bad_token(head[1:], int)
+        raise ValueError(f"{path}:{head_no}: {bad!r} is not an integer") from None
+    anchors = _decimal_matrix(path, lines[1:])
     if anchors.shape != (K, d):
         raise ValueError(f"anchor block has shape {anchors.shape}, header says ({K}, {d})")
     return SyntheticProblem(kind=kind, anchors=anchors, seed=seed)

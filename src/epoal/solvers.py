@@ -169,7 +169,8 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 
     There is no early stopping by default; passing both ``stop_fairness_tol``
     and ``stop_gap_tol`` enables an optional certificate-based termination
-    (fairness residual and Pareto stationarity gap both under tolerance).
+    (fairness residual and Pareto stationarity gap both under tolerance),
+    and passing only one is a ValueError.
     Traces are deterministic given ``config.seed``.  On divergence the
     raised :class:`DivergenceError` carries the iteration index and the
     records collected so far.
@@ -180,7 +181,9 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
         raise ValueError("epo-al requires config.eta")
     if algorithm == SMOOTH_MAX and config.tau is None:
         raise ValueError("smooth-max requires config.tau")
-    early_stop = stop_fairness_tol is not None and stop_gap_tol is not None
+    if (stop_fairness_tol is None) != (stop_gap_tol is None):
+        raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
+    early_stop = stop_fairness_tol is not None
 
     r = _preference_for(r, obj)
     w = as_model_vector(w0)

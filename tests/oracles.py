@@ -13,7 +13,9 @@ class InfeasibilityError(RuntimeError):
 
 def lr_dense(r):
     """Explicit dense matrix diag(r) (I - (1/K) 1 1^T) diag(r), for ``lr_apply``."""
-    r = as_preference(r, min_size=2)
+    r = as_preference(r)
+    if r.size < 2:
+        raise ValueError(f"need K >= 2 weights, got {r.size}")
     k = r.size
     centering = np.eye(k) - np.ones((k, k)) / k
     return np.diag(r) @ centering @ np.diag(r)
@@ -70,7 +72,7 @@ def two_objective_epo_oracle(r, problem, tol=1e-10):
     weighted residual |r_1 J_1 - r_2 J_2| drops to ``tol``.  Returns the
     root coordinate t and the objective pair there.
     """
-    r = as_preference(r, min_size=2)
+    r = as_preference(r)
     if r.size != 2 or problem.count != 2:
         raise ValueError("oracle requires exactly two objectives")
     anchors = np.asarray(problem.anchors)

@@ -75,10 +75,14 @@ CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,
      "--mu", "0.1"],
     CERTIFY + ["--fair-tol", "0"],
     CERTIFY + ["--gap-tol", "-1"],
+    BENCH + ["--algos", "subgradient,subgradient"],
+    BENCH + ["--K", "2,2"],
+    BENCH + ["--algos", ""],
 ], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0", "bench-epsilon-negative",
         "bench-max-iter-negative", "bench-algos-unknown", "bench-trials-2", "bench-jobs-0",
         "bench-timing-reps-0", "trace-fig1-K3", "trace-r-length", "trace-K0", "certify-fair-tol-0",
-        "certify-gap-tol-negative"])
+        "certify-gap-tol-negative", "bench-algos-repeated", "bench-K-repeated",
+        "bench-algos-empty"])
 def test_invalid_problem_or_preference_exits_64(argv, tmp_path, capsys):
     _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
     argv = [arg.format(problem=problem_path, model=model_path) for arg in argv]
@@ -245,6 +249,20 @@ def test_certify_malformed_model_exits_65(tmp_path, capsys):
                  str(model_path), "--r", "1,1"])
     assert code == 65
     assert "not a decimal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe0.1\n", "cannot read model file"),
+    (b"0.1 0.2\n0.3 0.4\n", "one coordinate per line"),
+    (b"0.1\n\n0.2 0.3\n", "model.txt:3: row length 2, line 1 has 1"),
+], ids=["undecodable", "two-per-line", "ragged"])
+def test_certify_unreadable_model_exits_65(tmp_path, capsys, content, message):
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    model_path.write_bytes(content)
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", "1,1"])
+    assert code == 65
+    assert message in capsys.readouterr().err
 
 
 def test_certify_missing_problem_exits_65(tmp_path, capsys):

@@ -158,8 +158,8 @@ def test_preference_validation():
     with pytest.raises(ValueError):
         as_preference([1.0, 0.0])
     with pytest.raises(ValueError):
-        as_preference([1.0], min_size=2)
-    np.testing.assert_allclose(as_preference([2.0], min_size=1), [2.0])
+        as_preference([])
+    np.testing.assert_allclose(as_preference([2.0]), [2.0])
 
 
 class ConstantObjectives(ObjectiveSet):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,56 @@ def test_target_scan_reuse_ties_go_to_first_step_size():
         0, _grid_configs("subgradient", grid, seed=4)[0])
 
 
+def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
+    calls = []
+
+    def counting_tune(algorithm, *args, **kwargs):
+        calls.append(algorithm)
+        return tune_and_measure(algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "tune_and_measure", counting_tune)
+    _tune_trial(("convex-distance", 3, 6, 4, ALGORITHMS, small_grid(max_iter=40)))
+    assert calls == list(ALGORITHMS)
+
+
+def test_subgradient_tuning_reads_the_scan_without_running(monkeypatch):
+    problem, r, w0 = trial_inputs()
+    grid = small_grid(max_iter=40)
+    scan = []
+    target = compute_target(problem, r, w0, grid, seed=4, _scan=scan)
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    record = tune_and_measure("subgradient", problem, r, w0, grid, seed=4, target=target,
+                              measure=False, _scan=scan)
+    assert calls == []
+    assert (record.i_o, record.best_config) == exhaustive_tune(
+        "subgradient", problem, r, w0, grid, 4, target)
+
+
+def test_benchmark_tracer_patches_and_restores_harness_names():
+    # The benchmark's tracer replaces epoal functions by name; a renamed
+    # function must fail here, not only in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    names = ("run", "run_experiment", "compute_target", "measure_time",
+             "tune_and_measure", "iteration_complexity")
+    originals = {name: getattr(harness, name) for name in names}
+    tracer = tracer_module.Tracer()
+    tracer.traced(_tune_trial, ("convex-distance", 3, 6, 4, ALGORITHMS,
+                                small_grid(max_iter=40)))
+    assert {name: getattr(harness, name) for name in names} == originals
+    for algo in ALGORITHMS:
+        assert tracer.calls[f"harness.tune_and_measure[{algo}]"] == 1
+    assert tracer.layer_metrics()["harness.tune_s.subgradient"][0] > 0
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_tuning_unreachable_target_censors_every_config(algorithm):
     problem, r, w0 = trial_inputs()
@@ -318,7 +371,14 @@ def test_run_experiment_trial_count_floor():
     dict(d=0),
     dict(grid=GridSpec(mu_grid=(0.1, -0.1))),
     dict(grid=GridSpec(eta_grid=(-1.0,))),
-], ids=["algorithm", "kind", "K", "d", "mu", "eta"])
+    dict(algorithms=["subgradient", "subgradient"]),
+    dict(kinds=["convex-distance", "convex-distance"]),
+    dict(K_values=[2, 2]),
+    dict(algorithms=[]),
+    dict(kinds=[]),
+    dict(K_values=[]),
+], ids=["algorithm", "kind", "K", "d", "mu", "eta", "algorithm-repeated", "kind-repeated",
+        "K-repeated", "algorithms-empty", "kinds-empty", "K-empty"])
 def test_run_experiment_checks_arguments_before_any_run(monkeypatch, bad):
     calls = []
 

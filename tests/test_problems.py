@@ -199,6 +199,9 @@ def test_load_problem_rejects_malformed_records(tmp_path):
     bad.write_text("convex-distance 3 2x 7\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}:1: '2x'")):
         load_problem(bad)
+    bad.write_text("convex-distance 3 2 7\n1.0 0.0 0.0\n\n0.0 1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:4: row length 2, line 2 has 3")):
+        load_problem(bad)
     bad.write_text("")
     with pytest.raises(ValueError):
         load_problem(bad)

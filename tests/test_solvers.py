@@ -308,6 +308,9 @@ def test_run_early_stop_requires_both_tolerances_and_fires():
                   stop_fairness_tol=1e-16, stop_gap_tol=1e-6)
     assert len(records) < 100_001
     assert records[-1].fairness <= 1e-16
+    for half in (dict(stop_fairness_tol=1.0), dict(stop_gap_tol=1.0)):
+        with pytest.raises(ValueError, match="both"):
+            run("epo-al", problem, r, w0, cfg, **half)
 
 
 def test_fixed_point_implies_fair_and_stationary():
