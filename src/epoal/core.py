@@ -53,11 +53,11 @@ class DivergenceError(RuntimeError):
     """
 
     def __init__(self, message: str, iteration: int | None = None,
-                 iterate: np.ndarray | None = None, records: list | None = None):
+                 iterate: np.ndarray | None = None):
         super().__init__(message)
         self.iteration = iteration
         self.iterate = iterate
-        self.records = records if records is not None else []
+        self.records: list = []
 
 
 class ObjectiveSet(ABC):
@@ -86,8 +86,7 @@ def _preference_for(r, obj: ObjectiveSet) -> np.ndarray:
     return r
 
 
-def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None,
-              records: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Values and jacobian at ``w``, the gate every evaluation of the package passes.
 
     ValueError unless the shapes are (K,) and (d, K) with d the size of ``w``
@@ -101,7 +100,7 @@ def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None,
                          f"model of size {d}, expected ({K},) and ({d}, {K})")
     if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
         raise DivergenceError("objective evaluation produced non-finite values",
-                              iteration=iteration, iterate=w, records=records)
+                              iteration=iteration, iterate=w)
     return jvals, jac
 
 

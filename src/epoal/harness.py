@@ -13,14 +13,13 @@ the protocol is:
      to the combination first in lexicographic grid order, and the winning
      combination is re-run for exactly i_o iterations under a monotonic
      clock to measure the wall-clock complexity t_o.
-     The minimum is found by exact branch and bound.  Combinations are
-     tried in descending step-size order, so a small i_o appears early;
-     once one has entered the band, every later run is capped at the best
-     i_o so far (minus one for a combination that would lose the tie),
-     since a capped run's records are a prefix of the full run's.  One
-     call, ``tune_and_measure``, tunes every algorithm; for subgradient
-     (the target scan's grid and seed) the capped runs are prefixes of the
-     target-scan runs and are read off them instead of being run again.
+     The minimum is found by a lockstep race: every combination advances
+     one iterate per round, in grid order, and the first record inside the
+     band ends the race, so the winner is exact by construction and no
+     combination runs past the winning iterate.  One call,
+     ``tune_and_measure``, tunes every algorithm; for subgradient (the
+     target scan's grid and seed) the race reads the target-scan records
+     instead of running them again.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .problems import CONVEX, FIG1, NONCONVEX, make_problem, sample_initial, sample_preference
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,
-                      IterationRecord, SolverConfig, run)
+                      IterationRecord, SolverConfig, _iterates, run)
 
 CI_LEVEL = 0.99
 
@@ -180,10 +179,30 @@ def iteration_complexity(trace: list[IterationRecord], target: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not trace:
         raise ValueError("empty trace")
-    for rec in trace:
-        if abs(rec.minmax - target) <= epsilon:
-            return rec.iter
-    return None
+    return _race([iter(trace)], target, epsilon)[0]
+
+
+def _race(streams, target: float, epsilon: float):
+    """(i_o, j): the first record within ``epsilon`` of ``target`` over ``streams``.
+
+    Each round takes one record from every live stream, in order, so the
+    winner is the lowest iterate and, among streams entering the band at
+    that iterate, the lowest index j.  A stream that ends or diverges drops
+    out; (None, None) when every stream drops out without entering the band.
+    """
+    live = list(enumerate(streams))
+    while live:
+        still = []
+        for j, stream in live:
+            try:
+                rec = next(stream)
+            except (StopIteration, DivergenceError):
+                continue
+            if abs(rec.minmax - target) <= epsilon:
+                return rec.iter, j
+            still.append((j, stream))
+        live = still
+    return None, None
 
 
 def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
@@ -202,33 +221,6 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
     return float(np.median(samples))
 
 
-def _branch_and_bound(configs, records, target: float, epsilon: float, max_iter: int):
-    """(i_o, config) equal to the exhaustive minimum over ``configs``.
-
-    ``records(j, budget)`` returns the records of configuration j up to
-    iterate ``budget``; it is asked only for budgets that can still beat
-    or tie the best so far.
-    """
-    best_i, best_j = None, None
-    for j in sorted(range(len(configs)), key=lambda idx: -configs[idx].mu):
-        if best_i is None:
-            budget = max_iter
-        else:
-            # An earlier combination in grid order wins a tie, a later one
-            # must be strictly faster.
-            budget = best_i if j < best_j else best_i - 1
-        if budget < 0:
-            continue
-        recs = records(j, budget)
-        if not recs:
-            continue
-        i = iteration_complexity(recs, target, epsilon)
-        if i is not None and (best_i is None or i < best_i
-                              or (i == best_i and j < best_j)):
-            best_i, best_j = i, j
-    return best_i, (None if best_j is None else configs[best_j])
-
-
 def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *,
                      target: float, timing_reps: int = 3, measure: bool = True,
                      _scan: list | None = None) -> TrialRecord:
@@ -238,20 +230,16 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
     algorithms.  ``measure=False`` skips the timing runs, leaving t_o None.
 
     ``_scan`` is for the protocol's own use: the trial's target-scan
-    ``(config, records)`` pairs (the subgradient grid, this seed), whose
-    prefixes are subgradient's capped runs; other algorithms ignore it.
+    ``(config, records)`` pairs (the subgradient grid, this seed), which
+    subgradient's race reads instead of running; other algorithms ignore it.
     """
     configs = _grid_configs(algorithm, grid, seed)
     if algorithm == SUBGRADIENT and _scan is not None:
-        def records(j, budget):
-            return _scan[j][1][:budget + 1]
+        streams = [iter(records) for _, records in _scan]
     else:
-        def records(j, budget):
-            return _run_allowing_divergence(algorithm, problem, r, w0,
-                                            replace(configs[j], max_iter=budget))
-
-    best_i, best_cfg = _branch_and_bound(configs, records, target, grid.epsilon,
-                                         grid.max_iter)
+        streams = [_iterates(algorithm, problem, r, w0, cfg) for cfg in configs]
+    best_i, j = _race(streams, target, grid.epsilon)
+    best_cfg = None if j is None else configs[j]
     t_o = None
     if measure and best_i is not None:
         t_o = measure_time(algorithm, problem, r, w0, best_cfg, best_i,
@@ -349,7 +337,8 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
              for kind, K in cells for t in range(n_trials)]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Fork-based pools start all their workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             tuned = list(pool.map(_tune_trial, tasks))
     else:
         tuned = [_tune_trial(task) for task in tasks]

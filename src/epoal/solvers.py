@@ -172,9 +172,22 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     (fairness residual and Pareto stationarity gap both under tolerance),
     and passing only one is a ValueError.
     Traces are deterministic given ``config.seed``.  On divergence the
-    raised :class:`DivergenceError` carries the iteration index and the
-    records collected so far.
+    raised :class:`DivergenceError` carries the iteration index and, as
+    ``records``, the partial trace: every record before the failed iterate.
     """
+    records: list[IterationRecord] = []
+    try:
+        records.extend(_iterates(algorithm, obj, r, w0, config, stop_fairness_tol,
+                                 stop_gap_tol))
+    except DivergenceError as err:
+        err.records = records
+        raise
+    return records
+
+
+def _iterates(algorithm, obj, r, w0, config: SolverConfig, stop_fairness_tol=None,
+              stop_gap_tol=None):
+    """The records of :func:`run`, one evaluation per ``next``; checks run at the first."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == EPO_AL and config.eta is None:
@@ -190,9 +203,8 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     p = np.full(obj.count, 1.0 / obj.count) if algorithm == EPO_AL else None
     rng = np.random.default_rng(config.seed)
 
-    records: list[IterationRecord] = []
     for i in range(config.max_iter + 1):
-        jvals, jac = _evaluate(obj, w, i, records)
+        jvals, jac = _evaluate(obj, w, i)
         fairness = fairness_residual(r, jvals)
 
         stop = i == config.max_iter
@@ -202,11 +214,8 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
         active = None
         if not stop:
             w_next, p_next, active = _update(algorithm, w, p, jvals, jac, r, config, rng)
-        records.append(IterationRecord(
-            iter=i, jvals=jvals, minmax=minmax_value(r, jvals),
-            fairness=fairness, p_snapshot=p, active_index=active))
+        yield IterationRecord(iter=i, jvals=jvals, minmax=minmax_value(r, jvals),
+                              fairness=fairness, p_snapshot=p, active_index=active)
         if stop:
             break
         w, p = w_next, p_next
-
-    return records

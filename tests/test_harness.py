@@ -3,14 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    iteration_complexity, log_grid, make_problem, minmax_value, run,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
 import epoal.harness as harness
-from epoal.harness import (_branch_and_bound, _grid_configs, _run_allowing_divergence,
-                           _tune_trial, trial_seed)
+from epoal.harness import (_grid_configs, _race, _run_allowing_divergence, _tune_trial,
+                           trial_seed)
 from epoal.solvers import ALGORITHMS, IterationRecord
 
 from oracles import exhaustive_target, exhaustive_tune, two_objective_epo_oracle
@@ -174,14 +176,27 @@ def test_tune_run_accounting():
     n_configs = len(_grid_configs("epo-al", grid, seed=4))
     assert n_configs == 9
     assert record.i_o == 0
-    # Branch and bound visits mu descending.  The first configuration (mu_3,
-    # eta_1) has no bound yet and records all 21 iterates; it sets i_o = 0.
-    # (mu_2, eta_1) and (mu_1, eta_1) come earlier in grid order and win a
-    # tie, so each gets a budget of 0 iterations (1 evaluation); every other
-    # configuration would need i_o < 0 and is skipped.  The 3 timing reps
-    # see only iterate 0: 21 + 2 * 1 + 3 * 1 = 26.
-    assert counter.evaluations == 21 + 2 * 1 + 3 * 1
+    # The race's first round evaluates iterate 0 of the first configuration
+    # in grid order, which is in the band, so the race ends after 1
+    # evaluation and the other 8 configurations never start.  The 3 timing
+    # reps see only iterate 0: 1 + 3 * 1 = 4.
+    assert counter.evaluations == 1 + 3 * 1
     assert record.t_o > 0
+
+
+def test_race_evaluates_every_config_up_to_the_winning_iterate():
+    problem, r, w0 = trial_inputs(seed=15)
+    grid = small_grid()
+    target = compute_target(problem, r, w0, grid, seed=15)
+    counter = CountingObjectives(problem)
+    record = tune_and_measure("epo-al", counter, r, w0, grid, seed=15, target=target,
+                              measure=False)
+    configs = _grid_configs("epo-al", grid, seed=15)
+    j = configs.index(record.best_config)
+    assert record.i_o > 0
+    # Rounds 0 .. i_o - 1 evaluate all C configurations (none diverges here);
+    # round i_o stops at the winner, the (j + 1)-th configuration.
+    assert counter.evaluations == len(configs) * record.i_o + j + 1
 
 
 def test_tune_best_is_minimum_over_configs():
@@ -241,10 +256,28 @@ def test_target_scan_reuse_ties_go_to_first_step_size():
     scan = []
     compute_target(problem, r, w0, grid, seed=4, _scan=scan)
     target = minmax_value(r, problem.values_and_jacobian(w0)[0])
-    assert _branch_and_bound([cfg for cfg, _ in scan],
-                             lambda j, budget: scan[j][1][:budget + 1],
-                             target, grid.epsilon, grid.max_iter) == (
+    record = tune_and_measure("subgradient", problem, r, w0, grid, seed=4, target=target,
+                              measure=False, _scan=scan)
+    assert (record.i_o, record.best_config) == (
         0, _grid_configs("subgradient", grid, seed=4)[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=8),
+                max_size=6),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_race_matches_exhaustive_minimum(traces, target):
+    # An empty trace models a configuration that diverged at iterate 0.  The
+    # values and epsilon are exact binary fractions, so some records lie on
+    # the band's edge, which is inside the band.
+    epsilon = 0.25
+    firsts = [next((i for i, v in enumerate(t) if abs(v - target) <= epsilon), None)
+              for t in traces]
+    assert firsts == [iteration_complexity(fake_trace(t), target, epsilon) if t else None
+                      for t in traces]
+    entered = [(i, j) for j, i in enumerate(firsts) if i is not None]
+    expected = min(entered) if entered else (None, None)
+    assert _race([iter(fake_trace(t)) for t in traces], target, epsilon) == expected
 
 
 def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
@@ -393,6 +426,29 @@ def test_run_experiment_checks_arguments_before_any_run(monkeypatch, bad):
     with pytest.raises(ValueError):
         run_experiment(**{**kwargs, **bad})
     assert calls == []
+
+
+def test_run_experiment_pool_has_no_more_workers_than_trials(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    run_experiment(["convex-distance"], [2], d=3, n_trials=3, master_seed=0,
+                   algorithms=["subgradient"], grid=small_grid(max_iter=20), jobs=64,
+                   measure=False)
+    assert sizes == [3]
 
 
 def test_run_experiment_parallel_matches_serial():
