@@ -52,8 +52,8 @@ class DivergenceError(RuntimeError):
     and, when raised from a solver run, the records collected so far.
     """
 
-    def __init__(self, message: str, iteration: int | None = None,
-                 iterate: np.ndarray | None = None):
+    def __init__(self, message: str = "objective evaluation produced non-finite values",
+                 iteration: int | None = None, iterate: np.ndarray | None = None):
         super().__init__(message)
         self.iteration = iteration
         self.iterate = iterate
@@ -99,8 +99,7 @@ def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None) -> tuple[np.nd
         raise ValueError(f"objectives returned shapes {jvals.shape} and {jac.shape} at a "
                          f"model of size {d}, expected ({K},) and ({d}, {K})")
     if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
-        raise DivergenceError("objective evaluation produced non-finite values",
-                              iteration=iteration, iterate=w)
+        raise DivergenceError(iteration=iteration, iterate=w)
     return jvals, jac
 
 

@@ -13,13 +13,10 @@ the protocol is:
      to the combination first in lexicographic grid order, and the winning
      combination is re-run for exactly i_o iterations under a monotonic
      clock to measure the wall-clock complexity t_o.
-     The minimum is found by a lockstep race: every combination advances
-     one iterate per round, in grid order, and the first record inside the
-     band ends the race, so the winner is exact by construction and no
-     combination runs past the winning iterate.  One call,
-     ``tune_and_measure``, tunes every algorithm; for subgradient (the
-     target scan's grid and seed) the race reads the target-scan records
-     instead of running them again.
+     The minimum is found by a lockstep race: the solver kernel advances
+     every combination one iterate per round as one array pass, and the
+     first round with a value in the band ends it, so the winner is exact.
+     Subgradient's race reads the target scan's min-max array instead.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -38,8 +35,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .problems import CONVEX, FIG1, NONCONVEX, make_problem, sample_initial, sample_preference
-from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,
-                      IterationRecord, SolverConfig, _iterates, run)
+from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationRecord,
+                      SolverConfig, _lockstep, run)
 
 CI_LEVEL = 0.99
 
@@ -137,14 +134,6 @@ def _grid_configs(algorithm: str, grid: GridSpec, seed: int) -> list[SolverConfi
             for m in grid.mu_grid for extra in second]
 
 
-def _run_allowing_divergence(algorithm, problem, r, w0, config) -> list[IterationRecord]:
-    # A diverged run still attained its pre-divergence values; keep them.
-    try:
-        return run(algorithm, problem, r, w0, config)
-    except DivergenceError as err:
-        return err.records
-
-
 def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
                    _scan: list | None = None) -> float:
     """Target J*: best min-max value the subgradient algorithm ever attains.
@@ -153,20 +142,19 @@ def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
     so tie-breaking noise does not differ across step sizes; the minimum is
     taken over every iterate of every run, iterate 0 included.
 
-    ``_scan`` is for the protocol's own use: when given, it receives one
-    ``(config, records)`` pair per step size, in grid order, so the same
-    runs can serve as the subgradient tuning runs.
+    ``_scan`` is for the protocol's own use: when given, it receives the
+    (step sizes, max_iter + 1) min-max array, NaN from the iterate at which a
+    run diverged, so the same runs can serve as the subgradient tuning runs.
     """
-    best = np.inf
-    for cfg in _grid_configs(SUBGRADIENT, grid, seed):
-        records = _run_allowing_divergence(SUBGRADIENT, problem, r, w0, cfg)
-        if records:
-            best = min(best, min(rec.minmax for rec in records))
-        if _scan is not None:
-            _scan.append((cfg, records))
-    if not np.isfinite(best):
+    configs = _grid_configs(SUBGRADIENT, grid, seed)
+    minmax = np.full((len(configs), grid.max_iter + 1), np.nan)
+    for block in _lockstep(SUBGRADIENT, problem, r, w0, configs):
+        minmax[block.rows, block.i] = block.minmax
+    if np.isnan(minmax[:, 0]).all():
         raise HarnessError("every target-scan run diverged before its first iterate")
-    return float(best)
+    if _scan is not None:
+        _scan.append(minmax)
+    return float(np.nanmin(minmax))
 
 
 def iteration_complexity(trace: list[IterationRecord], target: float,
@@ -179,29 +167,27 @@ def iteration_complexity(trace: list[IterationRecord], target: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not trace:
         raise ValueError("empty trace")
-    return _race([iter(trace)], target, epsilon)[0]
+    return _race(_scan_rounds(np.array([[rec.minmax for rec in trace]])), target, epsilon)[0]
 
 
-def _race(streams, target: float, epsilon: float):
-    """(i_o, j): the first record within ``epsilon`` of ``target`` over ``streams``.
+def _scan_rounds(minmax):
+    """The race rounds ``(i, rows, minmax)`` of a (rows, iterates) min-max array."""
+    return ((i, np.arange(len(minmax)), column) for i, column in enumerate(minmax.T))
 
-    Each round takes one record from every live stream, in order, so the
-    winner is the lowest iterate and, among streams entering the band at
-    that iterate, the lowest index j.  A stream that ends or diverges drops
-    out; (None, None) when every stream drops out without entering the band.
+
+def _race(rounds, target: float, epsilon: float):
+    """(i_o, j): the first row within ``epsilon`` of ``target`` over lockstep ``rounds``.
+
+    ``rounds`` yields tuples starting ``(i, rows, minmax)``, as the kernel's blocks
+    do, by ascending i, then ascending rows: the winner is the lowest iterate, then
+    the lowest row j, else (None, None).  NaN (a row that has left) is never in band.
     """
-    live = list(enumerate(streams))
-    while live:
-        still = []
-        for j, stream in live:
-            try:
-                rec = next(stream)
-            except (StopIteration, DivergenceError):
-                continue
-            if abs(rec.minmax - target) <= epsilon:
-                return rec.iter, j
-            still.append((j, stream))
-        live = still
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    for i, rows, minmax, *_ in rounds:
+        hits = np.flatnonzero(np.abs(minmax - target) <= epsilon)
+        if hits.size:
+            return i, int(rows[hits[0]])
     return None, None
 
 
@@ -212,6 +198,8 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
     Repetitions use a monotonic clock and exclude all tuning work; callers
     are responsible for running this without concurrent load.
     """
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
     timed_cfg = replace(config, max_iter=iters)
     samples = []
     for _ in range(reps):
@@ -229,16 +217,14 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
     ``target`` is the trial's J* from :func:`compute_target`, shared by all
     algorithms.  ``measure=False`` skips the timing runs, leaving t_o None.
 
-    ``_scan`` is for the protocol's own use: the trial's target-scan
-    ``(config, records)`` pairs (the subgradient grid, this seed), which
+    ``_scan`` is for the protocol's own use: the list that received the
+    trial's target-scan array (the subgradient grid, this seed), which
     subgradient's race reads instead of running; other algorithms ignore it.
     """
     configs = _grid_configs(algorithm, grid, seed)
-    if algorithm == SUBGRADIENT and _scan is not None:
-        streams = [iter(records) for _, records in _scan]
-    else:
-        streams = [_iterates(algorithm, problem, r, w0, cfg) for cfg in configs]
-    best_i, j = _race(streams, target, grid.epsilon)
+    rounds = (_scan_rounds(_scan[0]) if algorithm == SUBGRADIENT and _scan is not None
+              else _lockstep(algorithm, problem, r, w0, configs))
+    best_i, j = _race(rounds, target, grid.epsilon)
     best_cfg = None if j is None else configs[j]
     t_o = None
     if measure and best_i is not None:

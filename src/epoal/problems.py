@@ -82,21 +82,18 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
 
 
 def eval_convex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and (d, K) jacobian of J_k(w) = sqrt(1 + ||w - w_k||^2) - 1."""
-    diffs = w[None, :] - anchors                     # (K, d)
-    root = np.sqrt(1.0 + np.einsum("kd,kd->k", diffs, diffs))
-    jvals = root - 1.0
-    jac = (diffs / root[:, None]).T
-    return jvals, jac
+    """Values and (d, K) jacobian of J_k(w) = sqrt(1 + ||w - w_k||^2) - 1;
+    a (B, d) stack of models gives (B, K) values and (B, d, K) jacobians."""
+    diffs = w[..., None, :] - anchors                # (..., K, d)
+    root = np.sqrt(1.0 + np.einsum("...kd,...kd->...k", diffs, diffs))
+    return root - 1.0, (diffs / root[..., None]).swapaxes(-1, -2)
 
 
 def eval_nonconvex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and (d, K) jacobian of J_k(w) = 1 - exp(-||w - w_k||^2)."""
-    diffs = w[None, :] - anchors
-    expo = np.exp(-np.einsum("kd,kd->k", diffs, diffs))
-    jvals = 1.0 - expo
-    jac = (2.0 * expo[:, None] * diffs).T
-    return jvals, jac
+    """Values and (d, K) jacobian of J_k(w) = 1 - exp(-||w - w_k||^2), stacks as above."""
+    diffs = w[..., None, :] - anchors
+    expo = np.exp(-np.einsum("...kd,...kd->...k", diffs, diffs))
+    return 1.0 - expo, (2.0 * expo[..., None] * diffs).swapaxes(-1, -2)
 
 
 _EVALUATORS = {CONVEX: eval_convex, NONCONVEX: eval_nonconvex, FIG1: eval_nonconvex}
@@ -137,7 +134,8 @@ class SyntheticProblem(ObjectiveSet):
         return self.anchors.shape[0]
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One shared pass: both formulas reuse the same ||w - w_k||^2 term.
+        # One shared pass: both formulas reuse the same ||w - w_k||^2 term.  A
+        # (B, d) stack of models is evaluated at once, as in eval_convex.
         return _EVALUATORS[self.kind](self.anchors, np.asarray(w, dtype=np.float64))
 
 

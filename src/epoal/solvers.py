@@ -1,6 +1,6 @@
 """Iterative steppers for the weighted min-max problem min_w max_k r_k J_k(w).
 
-Three algorithms behind one driver loop:
+Three algorithms behind one lockstep kernel:
 
   epo-al      primal-dual update on the augmented Lagrangian of the
               fairness-constrained reformulation:
@@ -15,22 +15,26 @@ Three algorithms behind one driver loop:
   smooth-max  gradient descent on the soft maximum log sum_k e^{v_k / tau}
               of the weighted objectives v = r * J(w).
 
-Each stepper consumes exactly one objective/jacobian evaluation per
-iteration, and the driver shares that evaluation with the per-iteration
-trace record.
+The kernel advances C configurations of one algorithm together as a (C, d)
+iterate stack, one objective/jacobian evaluation per configuration and
+iteration; ``run`` is the kernel on one configuration and shares each
+evaluation with that iterate's trace record.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
+# lr_apply is re-exported too: the benchmark tracer patches solvers.lr_apply by name.
 from .core import (DivergenceError, ObjectiveSet, _evaluate, _preference_for, as_model_vector,
-                   fairness_residual, lr_apply, minmax_value)
+                   fairness_residual, lr_apply)  # noqa: F401
 from .diagnostics import pareto_stationarity_gap
+from .problems import SyntheticProblem
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -39,6 +43,9 @@ ALGORITHMS = (EPO_AL, SUBGRADIENT, SMOOTH_MAX)
 
 # Relative tolerance used to detect ties among weighted objective values.
 ACTIVE_TIE_RTOL = 1e-9
+
+# Byte budget of one row block's (rows, K, d) gradient stack in the lockstep kernel.
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,29 +113,42 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _update(algorithm, w, p, jvals, jac, r, config: SolverConfig, rng):
-    """One step from an evaluated iterate: (w+, p+, active index or None)."""
-    mu = config.mu
+def _update(algorithm, r, W, P, J, G, H, rngs):
+    """One step of each row b of a block: (W+, P+, subgradient indices or None).
+
+    Row b is iterate W[b] with dual P[b], values J[b], gradients G[b] (row k
+    that of J_k), H[b] = (mu, eta, tau) and generator rngs[b]; it gets the
+    scalar step's operations in the scalar order, so it is bit-identical to it.
+    """
+    mu = H[:, :1]
     if algorithm == EPO_AL:
-        fairness_grad = lr_apply(r, jvals)
-        w_new = w - mu * (jac @ (np.maximum(p, 0.0) + config.eta * fairness_grad))
-        return w_new, p + mu * fairness_grad, None
+        U = r * J
+        fairness_grad = r * (U - U.sum(axis=1, keepdims=True) / U.shape[1])
+        Y = np.maximum(P, 0.0) + H[:, 1:2] * fairness_grad
+        return W - mu * np.matmul(Y[:, None, :], G)[:, 0], P + mu * fairness_grad, None
     if algorithm == SUBGRADIENT:
-        v = r * jvals
-        active = np.flatnonzero(v >= (1.0 - ACTIVE_TIE_RTOL) * v.max())
-        k = int(active[rng.integers(active.size)])
-        return w - mu * r[k] * jac[:, k], p, k
-    v = (r * jvals) / config.tau
-    weights = np.exp(v - v.max())
-    weights /= weights.sum()
-    return w - (mu / config.tau) * (jac @ (weights * r)), p, None
+        V = r * J
+        tied = V >= (1.0 - ACTIVE_TIE_RTOL) * V.max(axis=1, keepdims=True)
+        k = V.argmax(axis=1)
+        # Generator.integers(1) draws nothing, so only rows with a tie use their stream.
+        for b in (tied.sum(axis=1) != 1).nonzero()[0]:
+            active = np.flatnonzero(tied[b])
+            k[b] = active[rngs[b].integers(active.size)]
+        return W - mu * r[k][:, None] * G[np.arange(k.size), k], P, k
+    V = (r * J) / H[:, 2:]
+    weights = np.exp(V - V.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return W - (mu / H[:, 2:]) * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
     """One public step: the checks and the evaluation ``run`` makes, then ``_update``."""
     r = _preference_for(r, obj)
     jvals, jac = _evaluate(obj, w, iteration)
-    return _update(algorithm, w, p, jvals, jac, r, config, rng)
+    H = np.array([(config.mu, config.eta, config.tau)], dtype=np.float64)
+    P = np.empty((1, 0)) if p is None else p[None]
+    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], jac.T[None], H, [rng])
+    return W[0], None if p is None else P[0], None if k is None else int(k[0])
 
 
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
@@ -168,54 +188,91 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     """Run ``config.max_iter`` steps and return one record per iterate, 0 included.
 
     There is no early stopping by default; passing both ``stop_fairness_tol``
-    and ``stop_gap_tol`` enables an optional certificate-based termination
-    (fairness residual and Pareto stationarity gap both under tolerance),
-    and passing only one is a ValueError.
-    Traces are deterministic given ``config.seed``.  On divergence the
-    raised :class:`DivergenceError` carries the iteration index and, as
-    ``records``, the partial trace: every record before the failed iterate.
+    and ``stop_gap_tol`` stops once the fairness residual and the Pareto
+    stationarity gap are both under tolerance (passing one is a ValueError).
+    Traces are deterministic given ``config.seed``.  On divergence the raised
+    :class:`DivergenceError` carries the iteration index and, as ``records``,
+    every record before the failed iterate.
     """
+    if (stop_fairness_tol is None) != (stop_gap_tol is None):
+        raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
+    r = _preference_for(r, obj)
     records: list[IterationRecord] = []
-    try:
-        records.extend(_iterates(algorithm, obj, r, w0, config, stop_fairness_tol,
-                                 stop_gap_tol))
-    except DivergenceError as err:
-        err.records = records
-        raise
+    for block in _lockstep(algorithm, obj, r, w0, [config]):
+        if block.diverged:
+            block.diverged[0].records = records
+            raise block.diverged[0]
+        fairness = fairness_residual(r, block.J[0])
+        stop = block.i == config.max_iter
+        if not stop and stop_fairness_tol is not None and fairness <= stop_fairness_tol:
+            stop = pareto_stationarity_gap(block.G[0].T).gap <= stop_gap_tol
+        records.append(IterationRecord(
+            iter=block.i, jvals=block.J[0], minmax=float(block.minmax[0]), fairness=fairness,
+            p_snapshot=block.P[0] if algorithm == EPO_AL else None,
+            active_index=None if stop or block.active is None else int(block.active[0])))
+        if stop:
+            break
     return records
 
 
-def _iterates(algorithm, obj, r, w0, config: SolverConfig, stop_fairness_tol=None,
-              stop_gap_tol=None):
-    """The records of :func:`run`, one evaluation per ``next``; checks run at the first."""
+# Iterate i of the configurations ``rows`` (ascending grid indices): min-max (B,), values
+# J (B, K), gradients G (B, K, d), epo-al duals P (B, K) ((B, 0) otherwise), subgradient
+# steps ``active`` (None at the last iterate), a DivergenceError per row that left at i.
+_Block = namedtuple("_Block", "i rows minmax J G P active diverged")
+
+
+def _evaluate_block(obj, W, iteration):
+    """Values (B, K), gradients (B, K, d) and the rows the ``core._evaluate`` gate passes."""
+    if isinstance(obj, SyntheticProblem):
+        if W.shape[1] != obj.d:
+            raise ValueError(f"model of size {W.shape[1]}, objective set has d={obj.d}")
+        J, jacs = obj.values_and_jacobian(W)      # the whole block as stacks
+        ok = np.isfinite(J).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
+    else:
+        J, jacs = np.empty((len(W), obj.count)), np.empty((len(W), W.shape[1], obj.count))
+        ok = np.ones(len(W), dtype=bool)
+        for b, w in enumerate(W):
+            try:
+                J[b], jacs[b] = _evaluate(obj, w, iteration)
+            except DivergenceError:
+                ok[b] = False
+    return J, jacs.swapaxes(1, 2), ok
+
+
+def _lockstep(algorithm, obj, r, w0, configs):
+    """Advance ``configs`` (one shared max_iter) of ``algorithm`` together from ``w0``.
+
+    Round i evaluates and steps iterate i of every live configuration, a row of
+    the (C, d) iterate stack with its own generator, in row blocks whose gradient
+    stack fits in ``_BLOCK_BYTES``, yielding a _Block for each.  A row whose
+    evaluation is not finite leaves at that iterate.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == EPO_AL and config.eta is None:
-        raise ValueError("epo-al requires config.eta")
-    if algorithm == SMOOTH_MAX and config.tau is None:
-        raise ValueError("smooth-max requires config.tau")
-    if (stop_fairness_tol is None) != (stop_gap_tol is None):
-        raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
-    early_stop = stop_fairness_tol is not None
-
-    r = _preference_for(r, obj)
-    w = as_model_vector(w0)
-    p = np.full(obj.count, 1.0 / obj.count) if algorithm == EPO_AL else None
-    rng = np.random.default_rng(config.seed)
-
-    for i in range(config.max_iter + 1):
-        jvals, jac = _evaluate(obj, w, i)
-        fairness = fairness_residual(r, jvals)
-
-        stop = i == config.max_iter
-        if not stop and early_stop and fairness <= stop_fairness_tol:
-            stop = pareto_stationarity_gap(jac).gap <= stop_gap_tol
-
-        active = None
-        if not stop:
-            w_next, p_next, active = _update(algorithm, w, p, jvals, jac, r, config, rng)
-        yield IterationRecord(iter=i, jvals=jvals, minmax=minmax_value(r, jvals),
-                              fairness=fairness, p_snapshot=p, active_index=active)
-        if stop:
-            break
-        w, p = w_next, p_next
+    needs = {EPO_AL: "eta", SMOOTH_MAX: "tau"}.get(algorithm)
+    if needs and any(getattr(c, needs) is None for c in configs):
+        raise ValueError(f"{algorithm} requires config.{needs}")
+    r, w0 = _preference_for(r, obj), as_model_vector(w0)
+    C, K, last = len(configs), obj.count, configs[0].max_iter
+    # Row state: grid index, iterate, epo-al dual (no columns otherwise), (mu, eta, tau).
+    state = (np.arange(C), np.tile(w0, (C, 1)),
+             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K),
+             np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64))
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    size = max(1, _BLOCK_BYTES // (8 * K * w0.size))
+    blocks = [([a[s:s + size] for a in state], rngs[s:s + size]) for s in range(0, C, size)]
+    for i in range(last + 1):
+        for n, ((rows, W, P, H), gens) in enumerate(blocks):
+            J, G, ok = _evaluate_block(obj, W, i)
+            diverged = []
+            if not ok.all():
+                diverged = [DivergenceError(iteration=i, iterate=w) for w in W[~ok]]
+                rows, W, P, H, J, G = (a[ok] for a in (rows, W, P, H, J, G))
+                gens = [g for g, keep in zip(gens, ok) if keep]
+            W_next, P_next, active = ((W, P, None) if i == last
+                                      else _update(algorithm, r, W, P, J, G, H, gens))
+            blocks[n] = ([rows, W_next, P_next, H], gens)
+            yield _Block(i, rows, (r * J).max(axis=1), J, G, P, active, diverged)
+        blocks = [block for block in blocks if block[1]]
+        if not blocks:
+            return

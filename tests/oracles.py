@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from epoal import as_model_vector, as_preference
-from epoal.harness import (SUBGRADIENT, _grid_configs, _run_allowing_divergence,
-                           iteration_complexity)
+from epoal import DivergenceError, as_model_vector, as_preference, lr_apply, run
+from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
+from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL
 
 
 class InfeasibilityError(RuntimeError):
@@ -117,7 +117,7 @@ def exhaustive_target(problem, r, w0, grid, seed):
     """J*: minimum over every iterate of a full subgradient run per step size."""
     values = [rec.minmax
               for cfg in _grid_configs(SUBGRADIENT, grid, seed)
-              for rec in _run_allowing_divergence(SUBGRADIENT, problem, r, w0, cfg)]
+              for rec in run_allowing_divergence(SUBGRADIENT, problem, r, w0, cfg)]
     return float(np.min(values))
 
 
@@ -129,10 +129,62 @@ def exhaustive_tune(algorithm, problem, r, w0, grid, seed, target):
     """
     best_i, best_cfg = None, None
     for cfg in _grid_configs(algorithm, grid, seed):
-        records = _run_allowing_divergence(algorithm, problem, r, w0, cfg)
+        records = run_allowing_divergence(algorithm, problem, r, w0, cfg)
         if not records:
             continue
         i_o = iteration_complexity(records, target, grid.epsilon)
         if i_o is not None and (best_i is None or i_o < best_i):
             best_i, best_cfg = i_o, cfg
     return best_i, best_cfg
+
+
+def run_allowing_divergence(algorithm, problem, r, w0, config):
+    """``run``'s records; a diverged run keeps the records before its failed iterate."""
+    try:
+        return run(algorithm, problem, r, w0, config)
+    except DivergenceError as err:
+        return err.records
+
+
+def scalar_update(algorithm, w, p, jvals, jac, r, config, rng):
+    """One step of one configuration from its evaluated iterate: (w+, p+, active or None).
+
+    The per-configuration arithmetic the lockstep kernel batches; the
+    subgradient step draws from ``rng`` at every step, ties or not.
+    """
+    mu = config.mu
+    if algorithm == EPO_AL:
+        fairness_grad = lr_apply(r, jvals)
+        w_new = w - mu * (jac @ (np.maximum(p, 0.0) + config.eta * fairness_grad))
+        return w_new, p + mu * fairness_grad, None
+    if algorithm == SUBGRADIENT:
+        v = r * jvals
+        active = np.flatnonzero(v >= (1.0 - ACTIVE_TIE_RTOL) * v.max())
+        k = int(active[rng.integers(active.size)])
+        return w - mu * r[k] * jac[:, k], p, k
+    v = (r * jvals) / config.tau
+    weights = np.exp(v - v.max())
+    weights /= weights.sum()
+    return w - (mu / config.tau) * (jac @ (weights * r)), p, None
+
+
+def scalar_trace(algorithm, obj, r, w0, config):
+    """(minmax, p, active index) per iterate of one configuration, one scalar step at a time.
+
+    Stops before the first iterate whose evaluation is not finite, as a
+    diverged run does.
+    """
+    r = as_preference(r)
+    w = as_model_vector(w0)
+    p = np.full(obj.count, 1.0 / obj.count) if algorithm == EPO_AL else None
+    rng = np.random.default_rng(config.seed)
+    out = []
+    for i in range(config.max_iter + 1):
+        jvals, jac = obj.values_and_jacobian(w)
+        if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
+            break
+        w_next, p_next, active = (scalar_update(algorithm, w, p, jvals, jac, r, config, rng)
+                                  if i < config.max_iter else (w, p, None))
+        out.append((float(np.max(r * jvals)), p, active))
+        w, p = w_next, p_next
+    return out

@@ -11,11 +11,11 @@ from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
 import epoal.harness as harness
-from epoal.harness import (_grid_configs, _race, _run_allowing_divergence, _tune_trial,
-                           trial_seed)
+from epoal.harness import _grid_configs, _race, _scan_rounds, _tune_trial, trial_seed
 from epoal.solvers import ALGORITHMS, IterationRecord
 
-from oracles import exhaustive_target, exhaustive_tune, two_objective_epo_oracle
+from oracles import (exhaustive_target, exhaustive_tune, run_allowing_divergence,
+                     two_objective_epo_oracle)
 from test_solvers import CountingObjectives
 
 
@@ -109,6 +109,29 @@ def test_iteration_complexity_validation():
         iteration_complexity(fake_trace([1.0]), target=0.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+def test_non_finite_target_is_rejected(target):
+    # A NaN target would censor every configuration without a word.
+    problem, r, w0 = trial_inputs()
+    with pytest.raises(ValueError, match="target must be finite"):
+        iteration_complexity(fake_trace([1.0, 0.5]), target, epsilon=0.01)
+    with pytest.raises(ValueError, match="target must be finite"):
+        tune_and_measure("epo-al", problem, r, w0, small_grid(max_iter=20), seed=4,
+                         target=target, measure=False)
+
+
+def test_zero_timing_repetitions_are_rejected():
+    problem, r, w0 = trial_inputs()
+    grid = small_grid(max_iter=20)
+    config = _grid_configs("epo-al", grid, seed=4)[0]
+    target = minmax_value(r, problem.values_and_jacobian(w0)[0])
+    with pytest.raises(ValueError, match="reps >= 1"):
+        harness.measure_time("epo-al", problem, r, w0, config, 5, reps=0)
+    with pytest.raises(ValueError, match="reps >= 1"):
+        tune_and_measure("epo-al", problem, r, w0, grid, seed=4, target=target,
+                         timing_reps=0)
+
+
 def test_trimmed_mean_drops_extremes():
     mean, lo, hi = trimmed_mean_ci(np.arange(1, 31))
     assert mean == pytest.approx(15.5)
@@ -176,11 +199,11 @@ def test_tune_run_accounting():
     n_configs = len(_grid_configs("epo-al", grid, seed=4))
     assert n_configs == 9
     assert record.i_o == 0
-    # The race's first round evaluates iterate 0 of the first configuration
-    # in grid order, which is in the band, so the race ends after 1
-    # evaluation and the other 8 configurations never start.  The 3 timing
-    # reps see only iterate 0: 1 + 3 * 1 = 4.
-    assert counter.evaluations == 1 + 3 * 1
+    # A kernel round evaluates every live configuration before the race
+    # tests the band, so round 0 evaluates iterate 0 of all 9; the first in
+    # grid order is in the band and the race ends there.  The 3 timing reps
+    # see only iterate 0: 9 + 3 * 1 = 12.
+    assert counter.evaluations == 9 + 3 * 1
     assert record.t_o > 0
 
 
@@ -194,9 +217,10 @@ def test_race_evaluates_every_config_up_to_the_winning_iterate():
     configs = _grid_configs("epo-al", grid, seed=15)
     j = configs.index(record.best_config)
     assert record.i_o > 0
-    # Rounds 0 .. i_o - 1 evaluate all C configurations (none diverges here);
-    # round i_o stops at the winner, the (j + 1)-th configuration.
-    assert counter.evaluations == len(configs) * record.i_o + j + 1
+    # Rounds 0 .. i_o each evaluate all C configurations (none diverges
+    # here) before the race tests the band, and round i_o holds the winner,
+    # the configuration at grid index j: C * (i_o + 1) evaluations.
+    assert counter.evaluations == len(configs) * (record.i_o + 1)
 
 
 def test_tune_best_is_minimum_over_configs():
@@ -206,9 +230,8 @@ def test_tune_best_is_minimum_over_configs():
     record = tune_and_measure("epo-al", problem, r, w0, grid, seed=15,
                               target=target, measure=False)
     assert record.i_o is not None
-    from epoal.harness import _run_allowing_divergence
     for cfg in _grid_configs("epo-al", grid, seed=15):
-        recs = _run_allowing_divergence("epo-al", problem, r, w0, cfg)
+        recs = run_allowing_divergence("epo-al", problem, r, w0, cfg)
         i_cfg = iteration_complexity(recs, target, grid.epsilon) if recs else None
         assert i_cfg is None or record.i_o <= i_cfg
 
@@ -277,7 +300,11 @@ def test_race_matches_exhaustive_minimum(traces, target):
                       for t in traces]
     entered = [(i, j) for j, i in enumerate(firsts) if i is not None]
     expected = min(entered) if entered else (None, None)
-    assert _race([iter(fake_trace(t)) for t in traces], target, epsilon) == expected
+    # The race reads the traces as a scan array: NaN after a trace ends.
+    minmax = np.full((len(traces), max(map(len, traces), default=0)), np.nan)
+    for j, t in enumerate(traces):
+        minmax[j, :len(t)] = t
+    assert _race(_scan_rounds(minmax), target, epsilon) == expected
 
 
 def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
@@ -349,7 +376,7 @@ def test_tuning_with_diverging_config_matches_oracle():
     problem, r, w0 = trial_inputs()
     for algorithm in ALGORITHMS:
         diverging = _grid_configs(algorithm, grid, seed=4)[-1]
-        assert len(_run_allowing_divergence(algorithm, problem, r, w0, diverging)) == 1
+        assert len(run_allowing_divergence(algorithm, problem, r, w0, diverging)) == 1
     assert_trial_matches_oracle(("convex-distance", 3, 6, 4, ALGORITHMS, grid))
 
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import epoal.solvers as solvers
 from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual_mass,
-                   epo_al_step, fairness_residual, initial_state, log_grid,
+                   epo_al_step, fairness_residual, fig1_problem, initial_state, log_grid,
                    make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference, smoothmax_step, subgradient_step)
+from epoal.solvers import _lockstep
+
+from oracles import scalar_trace
 
 
 class FixedObjectives(ObjectiveSet):
@@ -39,6 +43,19 @@ class ExplodingObjectives(ObjectiveSet):
             jac[0, 0] = self.c * vals[0]
             jac[0, 1] = -self.c * vals[1]
         return vals, jac
+
+
+class TwinObjectives(ObjectiveSet):
+    """J_1 = J_2 = 1 + ||w||^2: every subgradient step is a tie, and a long step overflows."""
+
+    @property
+    def count(self):
+        return 2
+
+    def values_and_jacobian(self, w):
+        with np.errstate(over="ignore"):
+            value = 1.0 + w @ w
+        return np.array([value, value]), np.column_stack([2.0 * w, 2.0 * w])
 
 
 class CountingObjectives(ObjectiveSet):
@@ -285,6 +302,10 @@ def test_run_rejects_mismatched_model_and_preference_lengths():
     with pytest.raises(ValueError, match="model of size 1"):
         run("subgradient", counter, r, [0.3], cfg)
     assert counter.evaluations == 1
+    # A synthetic problem evaluates whole blocks of models at once; it
+    # rejects the length-1 model as well.
+    with pytest.raises(ValueError, match="model of size 1"):
+        run("subgradient", problem, r, [0.3], cfg)
     with pytest.raises(ValueError, match="preference has 3 weights, objective set has K=4"):
         run("subgradient", counter, r[:3], w0, cfg)
     assert counter.evaluations == 1
@@ -329,3 +350,99 @@ def test_fixed_point_implies_fair_and_stationary():
     jvals, jac = problem.values_and_jacobian(state.w)
     assert fairness_residual(r, jvals) <= 1e-8 * float(jvals @ jvals)
     assert pareto_stationarity_gap(jac).gap <= 1e-4
+
+
+def kernel_traces(algorithm, obj, r, w0, configs):
+    """Per configuration, (minmax, p, active index) of every iterate the kernel yields."""
+    traces = [[] for _ in configs]
+    for block in _lockstep(algorithm, obj, r, w0, configs):
+        for b, j in enumerate(block.rows):
+            traces[j].append((float(block.minmax[b]),
+                              block.P[b] if algorithm == "epo-al" else None,
+                              None if block.active is None else int(block.active[b])))
+    return traces
+
+
+def assert_traces_equal(kernel, oracle):
+    # Bit-exact: a row's stream must not depend on the rows beside it.
+    assert len(kernel) == len(oracle)
+    for (m, p, k), (m_ref, p_ref, k_ref) in zip(kernel, oracle):
+        assert m == m_ref and k == k_ref
+        if p_ref is None:
+            assert p is None
+        else:
+            np.testing.assert_array_equal(p, p_ref)
+
+
+def grid_configs(algorithm, max_iter, seeds=(0, 1, 2, 3, 4)):
+    mus = log_grid(1e-2, 2e-1, len(seeds))
+    return [SolverConfig(mu=float(mu), eta=float(eta) if algorithm == "epo-al" else None,
+                         tau=0.3 if algorithm == "smooth-max" else None,
+                         max_iter=max_iter, seed=seed)
+            for mu, eta, seed in zip(mus, log_grid(0.1, 10.0, len(seeds)), seeds)]
+
+
+@pytest.mark.parametrize("K", [2, 16, 64])
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_lockstep_matches_scalar_oracle(algorithm, kind, K):
+    problem, r, w0 = small_problem(kind=kind, d=12, K=K, seed=K)
+    configs = grid_configs(algorithm, max_iter=60)
+    kernel = kernel_traces(algorithm, problem, r, w0, configs)
+    for cfg, trace in zip(configs, kernel):
+        assert len(trace) == 61
+        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+
+
+def test_lockstep_subgradient_ties_use_each_rows_generator():
+    # Far out on the bisector of the fig1 anchors both values round to 1.0
+    # and stay there, so every step is a tie drawn from the row's generator.
+    d = 4
+    problem = fig1_problem(d)
+    w0 = 10.0 * np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+    r = np.array([0.5, 0.5])
+    configs = grid_configs("subgradient", max_iter=80)
+    kernel = kernel_traces("subgradient", problem, r, w0, configs)
+    for cfg, trace in zip(configs, kernel):
+        assert {k for _, _, k in trace[:-1]} == {0, 1}
+        assert_traces_equal(trace, scalar_trace("subgradient", problem, r, w0, cfg))
+    assert len({tuple(k for _, _, k in trace) for trace in kernel}) == len(configs)
+
+
+@pytest.mark.parametrize("objectives", ["synthetic", "twin"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives):
+    # mu = 1e200 overflows the values at iterate 1 of the middle row.  The
+    # twin objectives go row by row through the gate and tie at every step,
+    # so the rows after the diverged one must keep their own generators.
+    if objectives == "synthetic":
+        problem, r, w0 = small_problem(d=6, K=3, seed=4)
+    else:
+        problem, r, w0 = TwinObjectives(), np.array([0.5, 0.5]), np.array([0.3, -0.2, 0.1])
+    configs = grid_configs(algorithm, max_iter=40, seeds=(0, 1, 2))
+    configs[1] = SolverConfig(mu=1e200, eta=configs[1].eta, tau=configs[1].tau, max_iter=40)
+    diverged = []
+    for block in _lockstep(algorithm, problem, r, w0, configs):
+        diverged += [(block.i, err.iteration) for err in block.diverged]
+        if block.i >= 1:
+            assert list(block.rows) == [0, 2]
+    assert diverged == [(1, 1)]
+    kernel = kernel_traces(algorithm, problem, r, w0, configs)
+    assert [len(trace) for trace in kernel] == [41, 1, 41]
+    for cfg, trace in zip(configs, kernel):
+        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_lockstep_row_blocks_of_one_give_identical_results(monkeypatch, algorithm):
+    problem, r, w0 = small_problem(kind="nonconvex-gaussian", d=8, K=5, seed=7)
+    configs = grid_configs(algorithm, max_iter=50)
+    whole = kernel_traces(algorithm, problem, r, w0, configs)
+    monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
+    blocks = list(_lockstep(algorithm, problem, r, w0, configs))
+    assert {len(block.rows) for block in blocks} == {1}
+    # The race relies on this order: ascending iterate, then ascending row.
+    order = [(block.i, int(block.rows[0])) for block in blocks]
+    assert order == sorted(order) == [(i, j) for i in range(51) for j in range(len(configs))]
+    for single, full in zip(kernel_traces(algorithm, problem, r, w0, configs), whole):
+        assert_traces_equal(single, full)
