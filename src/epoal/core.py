@@ -104,17 +104,17 @@ def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None) -> tuple[np.nd
 
 
 def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-free product L_r v in O(K) arithmetic.
+    """Matrix-free product L_r v in O(K) arithmetic, for each row of a (..., K) stack v.
 
     Uses the identity L_r v = r * (u - mean(u)) with u = r * v, so no
-    K x K matrix is ever formed.
+    K x K matrix is ever formed; the mean is taken as sum / K, as ``np.mean`` does.
     """
     r = np.asarray(r, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != r.shape:
+    if v.shape[-1:] != r.shape:
         raise ValueError(f"length mismatch: r has shape {r.shape}, v has shape {v.shape}")
     u = r * v
-    return r * (u - u.mean())
+    return r * (u - u.sum(axis=-1, keepdims=True) / u.shape[-1])
 
 
 def fairness_residual(r: np.ndarray, jvals: np.ndarray) -> float:

@@ -159,7 +159,7 @@ def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
 
 def iteration_complexity(trace: list[IterationRecord], target: float,
                          epsilon: float) -> int | None:
-    """First iterate index whose min-max value is within epsilon of target.
+    """The ``iter`` of the first record whose min-max value is within epsilon of target.
 
     Returns None (censored) when the trace never enters the band.
     """
@@ -167,7 +167,8 @@ def iteration_complexity(trace: list[IterationRecord], target: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not trace:
         raise ValueError("empty trace")
-    return _race(_scan_rounds(np.array([[rec.minmax for rec in trace]])), target, epsilon)[0]
+    i = _race(_scan_rounds(np.array([[rec.minmax for rec in trace]])), target, epsilon)[0]
+    return None if i is None else trace[i].iter
 
 
 def _scan_rounds(minmax):
@@ -226,10 +227,8 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
               else _lockstep(algorithm, problem, r, w0, configs))
     best_i, j = _race(rounds, target, grid.epsilon)
     best_cfg = None if j is None else configs[j]
-    t_o = None
-    if measure and best_i is not None:
-        t_o = measure_time(algorithm, problem, r, w0, best_cfg, best_i,
-                           reps=timing_reps)
+    t_o = (measure_time(algorithm, problem, r, w0, best_cfg, best_i, reps=timing_reps)
+           if measure and best_i is not None else None)
     return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
                        K=problem.count, d=np.asarray(w0).size, seed=seed,
                        target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)

@@ -134,8 +134,7 @@ class SyntheticProblem(ObjectiveSet):
         return self.anchors.shape[0]
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One shared pass: both formulas reuse the same ||w - w_k||^2 term.  A
-        # (B, d) stack of models is evaluated at once, as in eval_convex.
+        # One shared pass over ||w - w_k||^2 for both formulas; a (B, d) stack in one call.
         return _EVALUATORS[self.kind](self.anchors, np.asarray(w, dtype=np.float64))
 
 

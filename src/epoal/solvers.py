@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
-# lr_apply is re-exported too: the benchmark tracer patches solvers.lr_apply by name.
-from .core import (DivergenceError, ObjectiveSet, _evaluate, _preference_for, as_model_vector,
-                   fairness_residual, lr_apply)  # noqa: F401
+from .core import (DivergenceError, ObjectiveSet, _evaluate, _preference_for,  # noqa: F401
+                   as_model_vector, fairness_residual, lr_apply)
 from .diagnostics import pareto_stationarity_gap
 from .problems import SyntheticProblem
 
@@ -44,8 +43,9 @@ ALGORITHMS = (EPO_AL, SUBGRADIENT, SMOOTH_MAX)
 # Relative tolerance used to detect ties among weighted objective values.
 ACTIVE_TIE_RTOL = 1e-9
 
-# Byte budget of one row block's (rows, K, d) gradient stack in the lockstep kernel.
-_BLOCK_BYTES = 1 << 22
+# Byte budget of one row block's (rows, K, d) array in the lockstep kernel; a round holds
+# about four.  Blocks this small measured no slower than larger ones, in far less memory.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,41 +113,43 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _update(algorithm, r, W, P, J, G, H, rngs):
+def _update(algorithm, r, W, P, J, U, G, H, rngs):
     """One step of each row b of a block: (W+, P+, subgradient indices or None).
 
-    Row b is iterate W[b] with dual P[b], values J[b], gradients G[b] (row k
-    that of J_k), H[b] = (mu, eta, tau) and generator rngs[b]; it gets the
-    scalar step's operations in the scalar order, so it is bit-identical to it.
+    Row b: iterate W[b], dual P[b], values J[b], U[b] = r * J[b], gradients G[b] (row k
+    that of J_k), H[b] = (mu, eta, tau), rngs[b]; the scalar step's operations, bit for bit.
     """
-    mu = H[:, :1]
     if algorithm == EPO_AL:
-        U = r * J
-        fairness_grad = r * (U - U.sum(axis=1, keepdims=True) / U.shape[1])
-        Y = np.maximum(P, 0.0) + H[:, 1:2] * fairness_grad
-        return W - mu * np.matmul(Y[:, None, :], G)[:, 0], P + mu * fairness_grad, None
+        fairness_grad = lr_apply(r, J)
+        Y = np.maximum(P, 0.0) + H[:, 1] * fairness_grad
+        return W - H[:, 0] * np.matmul(Y[:, None, :], G)[:, 0], P + H[:, 0] * fairness_grad, None
     if algorithm == SUBGRADIENT:
-        V = r * J
-        tied = V >= (1.0 - ACTIVE_TIE_RTOL) * V.max(axis=1, keepdims=True)
-        k = V.argmax(axis=1)
+        tied = U >= (1.0 - ACTIVE_TIE_RTOL) * np.maximum.reduce(U, axis=1, keepdims=True)
+        k = U.argmax(axis=1)
         # Generator.integers(1) draws nothing, so only rows with a tie use their stream.
-        for b in (tied.sum(axis=1) != 1).nonzero()[0]:
-            active = np.flatnonzero(tied[b])
-            k[b] = active[rngs[b].integers(active.size)]
-        return W - mu * r[k][:, None] * G[np.arange(k.size), k], P, k
-    V = (r * J) / H[:, 2:]
-    weights = np.exp(V - V.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return W - (mu / H[:, 2:]) * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
+        if np.count_nonzero(tied) > k.size:
+            for b in np.flatnonzero(tied.sum(axis=1) > 1):
+                active = np.flatnonzero(tied[b])
+                k[b] = active[rngs[b].integers(active.size)]
+        return W - H[:, 0] * r[k][:, None] * G[np.arange(k.size), k], P, k
+    V = U / H[:, 2]
+    weights = np.exp(V - np.maximum.reduce(V, axis=1, keepdims=True))
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    return W - (H[:, 0] / H[:, 2]) * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
+
+
+def _columns(configs):
+    """The (C, 3, 1) hyperparameter columns (mu, eta, tau), NaN for None."""
+    return np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64)[:, :, None]
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
     """One public step: the checks and the evaluation ``run`` makes, then ``_update``."""
     r = _preference_for(r, obj)
     jvals, jac = _evaluate(obj, w, iteration)
-    H = np.array([(config.mu, config.eta, config.tau)], dtype=np.float64)
     P = np.empty((1, 0)) if p is None else p[None]
-    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], jac.T[None], H, [rng])
+    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], (r * jvals)[None],
+                      jac.T[None], _columns([config]), [rng])
     return W[0], None if p is None else P[0], None if k is None else int(k[0])
 
 
@@ -196,7 +198,6 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     """
     if (stop_fairness_tol is None) != (stop_gap_tol is None):
         raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
-    r = _preference_for(r, obj)
     records: list[IterationRecord] = []
     for block in _lockstep(algorithm, obj, r, w0, [config]):
         if block.diverged:
@@ -215,18 +216,17 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     return records
 
 
-# Iterate i of the configurations ``rows`` (ascending grid indices): min-max (B,), values
-# J (B, K), gradients G (B, K, d), epo-al duals P (B, K) ((B, 0) otherwise), subgradient
-# steps ``active`` (None at the last iterate), a DivergenceError per row that left at i.
+# Iterate i of grid rows ``rows``: min-max (B,), values J (B, K), gradients G (B, K, d), duals
+# P ((B, 0) unless epo-al), subgradient steps (None at the end), errors of rows that left at i.
 _Block = namedtuple("_Block", "i rows minmax J G P active diverged")
 
 
 def _evaluate_block(obj, W, iteration):
-    """Values (B, K), gradients (B, K, d) and the rows the ``core._evaluate`` gate passes."""
+    """Values (B, K), gradients (B, K, d), mask of rows the ``core._evaluate`` gate passes."""
     if isinstance(obj, SyntheticProblem):
-        if W.shape[1] != obj.d:
-            raise ValueError(f"model of size {W.shape[1]}, objective set has d={obj.d}")
         J, jacs = obj.values_and_jacobian(W)      # the whole block as stacks
+        if np.isfinite(J).all() and np.isfinite(jacs).all():
+            return J, jacs.swapaxes(1, 2), None       # None: the gate passes every row
         ok = np.isfinite(J).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
     else:
         J, jacs = np.empty((len(W), obj.count)), np.empty((len(W), W.shape[1], obj.count))
@@ -236,15 +236,15 @@ def _evaluate_block(obj, W, iteration):
                 J[b], jacs[b] = _evaluate(obj, w, iteration)
             except DivergenceError:
                 ok[b] = False
-    return J, jacs.swapaxes(1, 2), ok
+    return J, jacs.swapaxes(1, 2), None if ok.all() else ok
 
 
 def _lockstep(algorithm, obj, r, w0, configs):
     """Advance ``configs`` (one shared max_iter) of ``algorithm`` together from ``w0``.
 
     Round i evaluates and steps iterate i of every live configuration, a row of
-    the (C, d) iterate stack with its own generator, in row blocks whose gradient
-    stack fits in ``_BLOCK_BYTES``, yielding a _Block for each.  A row whose
+    the (C, d) iterate stack with its own generator, in row blocks whose (rows, K, d)
+    arrays fit in ``_BLOCK_BYTES``, yielding a _Block for each.  A row whose
     evaluation is not finite leaves at that iterate.
     """
     if algorithm not in ALGORITHMS:
@@ -253,26 +253,28 @@ def _lockstep(algorithm, obj, r, w0, configs):
     if needs and any(getattr(c, needs) is None for c in configs):
         raise ValueError(f"{algorithm} requires config.{needs}")
     r, w0 = _preference_for(r, obj), as_model_vector(w0)
+    if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
+        raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
     C, K, last = len(configs), obj.count, configs[0].max_iter
-    # Row state: grid index, iterate, epo-al dual (no columns otherwise), (mu, eta, tau).
+    # Row state: grid index, iterate, epo-al dual (no columns otherwise), hyperparameters, rng.
     state = (np.arange(C), np.tile(w0, (C, 1)),
-             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K),
-             np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64))
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), _columns(configs),
+             [np.random.default_rng(c.seed) for c in configs])
     size = max(1, _BLOCK_BYTES // (8 * K * w0.size))
-    blocks = [([a[s:s + size] for a in state], rngs[s:s + size]) for s in range(0, C, size)]
+    blocks = [[a[s:s + size] for a in state] for s in range(0, C, size)]
     for i in range(last + 1):
-        for n, ((rows, W, P, H), gens) in enumerate(blocks):
+        for n, (rows, W, P, H, gens) in enumerate(blocks):
             J, G, ok = _evaluate_block(obj, W, i)
             diverged = []
-            if not ok.all():
+            if ok is not None:
                 diverged = [DivergenceError(iteration=i, iterate=w) for w in W[~ok]]
                 rows, W, P, H, J, G = (a[ok] for a in (rows, W, P, H, J, G))
                 gens = [g for g, keep in zip(gens, ok) if keep]
+            U = r * J
             W_next, P_next, active = ((W, P, None) if i == last
-                                      else _update(algorithm, r, W, P, J, G, H, gens))
-            blocks[n] = ([rows, W_next, P_next, H], gens)
-            yield _Block(i, rows, (r * J).max(axis=1), J, G, P, active, diverged)
-        blocks = [block for block in blocks if block[1]]
+                                      else _update(algorithm, r, W, P, J, U, G, H, gens))
+            blocks[n] = [rows, W_next, P_next, H, gens]
+            yield _Block(i, rows, np.maximum.reduce(U, axis=1), J, G, P, active, diverged)
+        blocks = [block for block in blocks if block[4]]
         if not blocks:
             return

@@ -111,6 +111,21 @@ def test_lr_quadratic_form_variance_identity(pair):
 def test_lr_apply_length_mismatch():
     with pytest.raises(ValueError):
         lr_apply([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        lr_apply([1.0, 2.0], np.ones((2, 3)))
+
+
+def test_lr_apply_stack_is_bit_identical_to_each_row():
+    # The solver kernel applies L_r to a (C, K) stack at once; each row must equal
+    # the single-vector product to the last bit, as np.mean is sum / K too.
+    rng = np.random.default_rng(3)
+    for K in (2, 16, 64):
+        r = rng.uniform(0.1, 5.0, K)
+        V = rng.standard_normal((7, K)) * 10.0 ** rng.integers(-3, 4, (7, 1))
+        out = lr_apply(r, V)
+        for v, row in zip(V, out):
+            assert np.array_equal(row, r * (r * v - (r * v).mean()))
+            assert np.array_equal(row, lr_apply(r, v))
 
 
 def test_fairness_residual_zero_when_weighted_values_equal():

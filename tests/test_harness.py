@@ -74,6 +74,12 @@ def test_iteration_complexity_first_entry_into_band():
     assert iteration_complexity(trace, target=0.5, epsilon=0.01) == 2
 
 
+def test_iteration_complexity_reads_the_record_iterate():
+    # A trace that does not start at iterate 0, such as a slice, answers in iterates.
+    trace = fake_trace([1.0, 0.6, 0.8, 0.505, 0.52])[2:]
+    assert iteration_complexity(trace, target=0.5, epsilon=0.01) == 3
+
+
 def test_iteration_complexity_censored_when_band_never_reached():
     trace = fake_trace([1.0, 0.9, 0.8])
     assert iteration_complexity(trace, target=0.5, epsilon=0.01) is None

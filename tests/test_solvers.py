@@ -406,6 +406,8 @@ def test_lockstep_subgradient_ties_use_each_rows_generator():
     for cfg, trace in zip(configs, kernel):
         assert {k for _, _, k in trace[:-1]} == {0, 1}
         assert_traces_equal(trace, scalar_trace("subgradient", problem, r, w0, cfg))
+        # Alone (C = 1, as in run) a single two-way tie must draw from the generator too.
+        assert_traces_equal(kernel_traces("subgradient", problem, r, w0, [cfg])[0], trace)
     assert len({tuple(k for _, _, k in trace) for trace in kernel}) == len(configs)
 
 
