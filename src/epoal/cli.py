@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,8 +29,7 @@ from .diagnostics import certify_epo
 from .harness import GridSpec, HarnessError, run_experiment
 from .problems import (CONVEX, FIG1, NONCONVEX, _decimal_matrix, _read_lines, load_problem,
                        make_problem, sample_initial)
-from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,
-                      SolverConfig, run)
+from .solvers import ALGORITHMS, EPO_AL, SUBGRADIENT, DivergenceError, SolverConfig, run
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -112,14 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser unchanged and building one costs about 1 ms, so main reuses one.
+_parser = functools.cache(build_parser)
+
+
 def _trace_lines(args) -> tuple[list[str], int]:
     K = 2 if args.fig1 and args.K is None else args.K
     if K is None:
         raise UsageError("--K is required unless --fig1 is given")
-    if args.algo == EPO_AL and args.eta is None:
-        raise UsageError("--eta is required for --algo epo-al")
-    if args.algo == SMOOTH_MAX and args.tau is None:
-        raise UsageError("--tau is required for --algo smooth-max")
     kind = FIG1 if args.fig1 else _SHORT_KINDS[args.kind]
 
     error = None
@@ -251,7 +251,7 @@ def cmd_certify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {"trace": cmd_trace, "bench": cmd_bench, "certify": cmd_certify}
     try:
         return handler[args.command](args)

@@ -2,11 +2,12 @@
 
 A model is Pareto stationary when some convex combination of the K
 objective gradients vanishes, i.e. min_{p in simplex} ||G(w) p|| = 0.
-That min-norm problem is solved here by Frank-Wolfe with exact line
-search, keeping every iteration at O(Kd).  Combined with the fairness
-residual from :mod:`epoal.core` this yields a checkable certificate of
-exact Pareto optimality; on convex problems a passing certificate
-witnesses min-max optimality.
+That min-norm problem is solved exactly, up to rounding, by Wolfe's
+min-norm-point algorithm on the K x K Gram matrix (O(K^2 d) time, O(K^2)
+memory), with no dependence on an iteration budget.  Combined with the
+fairness residual from :mod:`epoal.core` this yields a checkable
+certificate of exact Pareto optimality; on convex problems a passing
+certificate witnesses min-max optimality.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import (ObjectiveSet, _evaluate, _preference_for, as_model_vector,
 
 @dataclass(frozen=True, eq=False)
 class StationarityResult:
-    """Outcome of the min-norm-point subproblem min_{p in simplex} ||G p||."""
+    """Outcome of min_{p in simplex} ||G p||; ``fw_iterations`` counts Wolfe's major cycles."""
 
     gap: float
     weights: np.ndarray
@@ -39,15 +40,19 @@ class EpoCertificate:
     minmax: float
 
 
-def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-10,
+def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-12,
                             max_fw_iter: int = 500) -> StationarityResult:
-    """Minimize ||G p|| over the simplex by Frank-Wolfe with exact line search.
+    """Minimize ||G p|| over the simplex exactly by Wolfe's min-norm-point algorithm.
 
-    Starts from the uniform weights.  Each iteration computes the gradient
-    q = G^T (G p) in O(Kd), moves toward the vertex with the smallest
-    gradient entry (lowest index on ties, for deterministic certificates),
-    and stops once the Frank-Wolfe duality gap <p - e_k, q> drops to
-    ``tol`` or after ``max_fw_iter`` updates.
+    Forms M = G^T G once, in O(K^2 d); each step then costs O(K^2).  A major
+    cycle adds to the active set S the vertex k minimizing q = M p (lowest
+    index on ties); minor cycles move p to the affine minimizer of S, dropping
+    vertices whose weight reaches zero, through the inverse of M_SS + c 11^T,
+    bordered per added vertex and inverted afresh after a drop (a downdated
+    inverse loses accuracy), plus one refinement step.  A vertex on the
+    affine hull of S, to rounding, takes the place of one in S.  Stops once
+    p.q - min q <= tol * max_k ||g_k||^2, which bounds ||G p||^2 - min^2 by
+    twice that; ``max_fw_iter`` caps the major cycles as a guard.
     """
     if not (tol > 0) or max_fw_iter < 1:
         raise ValueError("need tol > 0 and max_fw_iter >= 1")
@@ -57,28 +62,52 @@ def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-10,
     if not np.all(np.isfinite(G)):
         raise ValueError("G contains non-finite entries")
 
-    K = G.shape[1]
-    p = np.full(K, 1.0 / K)
-    Gp = G @ p
-    iterations = 0
-    while iterations < max_fw_iter:
-        q = G.T @ Gp
-        k = int(np.argmin(q))
-        if float(p @ q - q[k]) <= tol:
+    # Scaled by a power of two, which is exact, M neither overflows nor underflows.
+    G_unit = np.ldexp(G, -np.frexp(np.abs(G).max())[1])
+    M = G_unit.T @ G_unit
+    scale = float(M.diagonal().max()) or 1.0        # all-zero G: the test passes at once
+    # M + c 1 1^T with c = min_k ||g_k||^2 (>= ||x*||^2); max_k would ill-condition A_SS.
+    A = M + max(float(M.diagonal().min()), 1e-30 * scale)
+    p = np.eye(1, G.shape[1], M.diagonal().argmin())[0]  # start at the shortest column
+    active = p > 0                                  # S; p is zero off S
+    B = np.diag(p / A.diagonal())                   # inverse of A_SS, zero off S x S
+    for iterations in range(max_fw_iter + 1):
+        q = M @ p
+        k = int(q.argmin())
+        if float(p @ q) - q[k] <= tol * scale or active[k] or iterations == max_fw_iter:
             break
-        step_dir = G[:, k] - Gp
-        denom = float(step_dir @ step_dir)
-        if denom == 0.0:
-            break
-        gamma = min(1.0, max(0.0, -float(Gp @ step_dir) / denom))
-        if gamma == 0.0:
-            break
-        p *= 1.0 - gamma
-        p[k] += gamma
-        Gp += gamma * step_dir
-        iterations += 1
+        # Border B with vertex k: s is the Schur complement of A_SS in A_{S+k}.
+        u = B @ A[:, k]
+        s = float(A[k, k] - A[:, k] @ u)
+        active[k] = True
+        if s > 1e-12 * A[k, k]:
+            v = u / s
+            B += np.outer(u, v)
+            B[:, k] = B[k] = -v
+            B[k, k] = 1.0 / s
+            cap = 1.0
+        else:
+            # g_k = G_S u is on aff(S) to rounding: shift weight from S to k along u; G p stays.
+            alpha, step, cap = p, np.eye(1, p.size, k)[0] - u, np.inf
+        while True:
+            if cap == 1.0:                          # toward aff(S)'s least-norm point
+                y = B.sum(axis=1)
+                y += B @ np.where(active, 1.0 - A @ y, 0.0)   # refines A_SS y = 1 once
+                alpha = y / y.sum()
+                step = alpha - p
+            # Step toward alpha until it is reached or a weight hits zero; drop those.
+            out = np.flatnonzero(active & (step < 0))
+            ratios = p[out] / -step[out]
+            if ratios.min(initial=np.inf) >= cap:
+                p = np.maximum(alpha, 0.0)          # alpha >= 0 up to rounding here
+                break
+            p += ratios.min() * step
+            p[out[ratios.argmin()]] = 0.0
+            active &= p > 0
+            p[~active], B[:] = 0.0, 0.0
+            B[np.ix_(active, active)] = np.linalg.inv(A[np.ix_(active, active)])
+            cap = 1.0
 
-    p /= p.sum()
     return StationarityResult(gap=float(np.linalg.norm(G @ p)), weights=p,
                               fw_iterations=iterations)
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from epoal import DivergenceError, as_model_vector, as_preference, lr_apply, run
+from epoal import (DivergenceError, StationarityResult, as_model_vector, as_preference,
+                   lr_apply, run)
 from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
 from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL
 
@@ -59,6 +60,41 @@ def min_norm_grid_search(G, step=1e-3):
         raise ValueError("grid oracle only supports K <= 3")
     images = G @ points.T
     return float(np.sqrt(np.min(np.einsum("dn,dn->n", images, images))))
+
+
+def frank_wolfe_gap(G, tol=1e-10, max_fw_iter=500):
+    """min_{p in simplex} ||G p|| by Frank-Wolfe with exact line search, O(Kd) per step.
+
+    Starts from the uniform weights.  Each iteration computes the gradient
+    q = G^T (G p), moves toward the vertex with the smallest gradient entry
+    (lowest index on ties), and stops once the Frank-Wolfe duality gap
+    <p - e_k, q> drops to ``tol`` or after ``max_fw_iter`` updates.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    K = G.shape[1]
+    p = np.full(K, 1.0 / K)
+    Gp = G @ p
+    iterations = 0
+    while iterations < max_fw_iter:
+        q = G.T @ Gp
+        k = int(np.argmin(q))
+        if float(p @ q - q[k]) <= tol:
+            break
+        step_dir = G[:, k] - Gp
+        denom = float(step_dir @ step_dir)
+        if denom == 0.0:
+            break
+        gamma = min(1.0, max(0.0, -float(Gp @ step_dir) / denom))
+        if gamma == 0.0:
+            break
+        p *= 1.0 - gamma
+        p[k] += gamma
+        Gp += gamma * step_dir
+        iterations += 1
+
+    p /= p.sum()
+    return StationarityResult(gap=float(np.linalg.norm(G @ p)), weights=p,
+                              fw_iterations=iterations)
 
 
 def two_objective_epo_oracle(r, problem, tol=1e-10):

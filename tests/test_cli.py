@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from epoal import (epo_al_step, fig1_problem, initial_state, make_problem,
+from epoal import (certify_epo, epo_al_step, fig1_problem, initial_state, make_problem,
                    sample_initial, sample_preference, save_problem)
-from epoal.cli import CSV_COLUMNS, build_parser, main
+from epoal.cli import CSV_COLUMNS, _parser, build_parser, main
 
 from oracles import two_objective_epo_oracle
 
@@ -34,9 +34,16 @@ def test_missing_subcommand_exits_64():
 
 
 def test_trace_requires_eta_for_epo_al(capsys):
+    # The solver kernel owns the rule; the CLI maps its ValueError to exit 64.
     code = main(["trace", "--fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1"])
     assert code == 64
-    assert "--eta" in capsys.readouterr().err
+    assert "epo-al requires config.eta" in capsys.readouterr().err
+
+
+def test_trace_requires_tau_for_smooth_max(capsys):
+    code = main(["trace", "--fig1", "--d", "3", "--algo", "smooth-max", "--mu", "0.1"])
+    assert code == 64
+    assert "smooth-max requires config.tau" in capsys.readouterr().err
 
 
 def test_trace_requires_k_without_fig1(capsys):
@@ -310,3 +317,32 @@ def test_certify_non_finite_objectives_exits_65(tmp_path, capsys):
     assert code == 65
     assert captured.out == ""
     assert str(model_path) in captured.err
+
+
+def test_main_reuses_one_parser_without_carrying_state(tmp_path, capsys):
+    problem, r, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    out = tmp_path / "trace.jsonl"
+    trace = ["trace", "--kind", "convex", "--d", "3", "--K", "2", "--algo", "epo-al",
+             "--mu", "0.1", "--eta", "1", "--iters", "5", "--out", str(out)]
+    certify = ["certify", "--problem", str(problem_path), "--model", str(model_path),
+               "--r", f"{r[0]},{r[1]}", "--gap-tol", "1e-3"]
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(trace + ["--bogus", "1"])
+    assert excinfo.value.code == 64
+    assert main(trace) == 0
+    first = out.read_bytes()
+    assert read_jsonl(out)[0]["config"]["eta"] == 1.0
+    capsys.readouterr()
+
+    w = np.array([float(x) for x in model_path.read_text().split()])
+    expected = certify_epo(w, problem, r, gap_tol=1e-3)
+    assert main(certify) == (0 if expected.is_fair and expected.is_stationary else 3)
+    assert json.loads(capsys.readouterr().out)["stationarity_gap"] == expected.stationarity_gap
+
+    out.unlink()
+    assert main(trace) == 0
+    assert out.read_bytes() == first
+    # A parse through the shared parser matches one through a fresh parser.
+    assert vars(_parser().parse_args(trace)) == vars(build_parser().parse_args(trace))
+    assert _parser() is _parser() and build_parser() is not build_parser()

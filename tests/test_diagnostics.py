@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epoal import (DivergenceError, certify_epo, epo_al_step, fairness_residual, fig1_problem,
                    initial_state, make_problem, minmax_value, pareto_stationarity_gap,
                    sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
 
-from oracles import InfeasibilityError, min_norm_grid_search, two_objective_epo_oracle
+from oracles import (InfeasibilityError, frank_wolfe_gap, min_norm_grid_search,
+                     two_objective_epo_oracle)
 
 
 def test_gap_single_column_is_its_norm():
@@ -51,6 +57,46 @@ def test_gap_objective_non_increasing_in_iteration_budget():
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
+def kkt_residual(G, weights):
+    """Wolfe's optimality residual p.q - min_k q_k, q = G^T G p."""
+    q = G.T @ (G @ weights)
+    return float(weights @ q - q.min())
+
+
+def max_sq_norm(G):
+    return float(np.max(np.sum(G * G, axis=0)))
+
+
+@pytest.mark.parametrize("K", [2, 16, 32, 64])
+@pytest.mark.parametrize("d", [3, 50, 500])
+def test_gap_is_exact_against_frank_wolfe_oracle(K, d):
+    problem = make_problem("convex-distance", d, K, seed=K + d)
+    G = problem.values_and_jacobian(sample_initial(d, K + d))[1]
+    scale = max_sq_norm(G)
+    res = pareto_stationarity_gap(G)
+    assert res.fw_iterations < 500      # the max_fw_iter default is a guard, never reached
+    assert kkt_residual(G, res.weights) <= 1e-12 * scale
+    oracle = frank_wolfe_gap(G, max_fw_iter=50_000)
+    # The minimum lies between the duality bound at any simplex point and ||G p|| there.
+    q = G.T @ (G @ oracle.weights)
+    lower_sq = oracle.gap ** 2 - 2.0 * float(oracle.weights @ q - q.min())
+    rounding = 1e-14 * np.sqrt(scale)
+    assert res.gap <= oracle.gap + rounding
+    assert res.gap >= np.sqrt(max(lower_sq, 0.0)) - rounding
+
+
+def test_gap_is_exact_at_converged_epo_point():
+    # 500 Frank-Wolfe steps leave a gap of about 1e-2 here and 50_000 about 1e-3;
+    # the point is stationary, and the exact gap is zero up to rounding.
+    problem = make_problem("nonconvex-gaussian", 20, 16, seed=4)
+    r = sample_preference(16, 4)
+    w = converged_epo_point(problem, r, sample_initial(20, 4), steps=2000, mu=0.05, eta=10.0)
+    G = problem.values_and_jacobian(w)[1]
+    res = pareto_stationarity_gap(G)
+    assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
+    assert res.gap <= 1e-12
+
+
 def test_gap_input_validation():
     with pytest.raises(ValueError):
         pareto_stationarity_gap(np.array([[np.inf, 1.0]]))
@@ -69,6 +115,74 @@ def duplicated_anchor_problem():
     anchor = np.array([[0.6, 0.8]])
     return SyntheticProblem(kind="convex-distance",
                             anchors=np.vstack([anchor, anchor]))
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small (d, K) matrices with repeated, zero, opposing and affinely dependent columns."""
+    d = draw(st.integers(1, 3))
+    entries = st.one_of(st.integers(-2, 2).map(float),
+                        st.floats(-2.0, 2.0, allow_subnormal=False))
+    cols = draw(st.lists(arrays(np.float64, d, elements=entries), min_size=1, max_size=6))
+    for op, i in draw(st.lists(st.tuples(st.sampled_from(["repeat", "zero", "oppose"]),
+                                         st.integers(0, 5)), max_size=4)):
+        g = cols[i % len(cols)]
+        cols.append({"repeat": g, "zero": 0.0 * g, "oppose": -g}[op])
+    order = draw(st.permutations(range(len(cols))))
+    return np.column_stack([cols[i] for i in order])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(degenerate_matrices())
+@example(np.array([[3.0], [4.0]]))                                  # K = 1
+@example(np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]]))              # a zero column
+@example(np.array([[1.0, -1.0, 0.5], [2.0, -2.0, 0.0]]))            # opposing columns
+@example(duplicated_anchor_problem().values_and_jacobian(np.array([0.1, -0.3]))[1])
+@example(np.array([[1.0, 2.0, 3.0, 0.0, -1.0, 5.0],
+                   [1.0, 1.0, 1.0, 2.0, 0.5, -3.0]]))               # K > d + 1
+@example(np.array([[4.4e-160, 0.0]]))                               # G^T G underflows
+@example(np.array([[0.0, -0.484375, 2.0],
+                   [-0.46875, -0.484375, 2.0]]))                    # alpha rounds below 0
+@example(np.array([[2.0, 0.0, 2.0, 0.0, -1.5],
+                   [0.015625, 2.0, 0.0, 2.0, 0.0]]))                # a thin active set
+@example(np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 1e-5]]))            # a thin active set
+def test_gap_on_degenerate_inputs(G):
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise",
+                                                over="raise"):
+        warnings.simplefilter("error")
+        res = pareto_stationarity_gap(G)
+    assert np.isfinite(res.gap) and res.gap >= 0.0
+    assert np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert res.fw_iterations < 500
+    assert res.gap <= np.sqrt(np.min(np.sum(G * G, axis=0))) + 1e-12
+    assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
+
+
+def test_gap_is_exact_when_column_norms_differ():
+    # The affine-minimizer system is shifted by the shortest column's squared norm;
+    # a shift by the longest one misses the 1e-12 test on every one of these instances.
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        d, K = int(rng.integers(20, 50)), int(rng.integers(30, 64))
+        G = rng.standard_normal((d, K)) * 10.0 ** rng.uniform(-2.0, 2.0, K)
+        res = pareto_stationarity_gap(G)
+        assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
+
+
+def test_gap_on_nearly_repeated_columns():
+    # Columns 1e-10 to 1e-5 apart: an entering vertex can lie on the affine hull of the
+    # active set to rounding, where bordering the inverse would blow up; it is swapped in.
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        base = rng.standard_normal((5, 6))
+        noise = 10.0 ** -rng.integers(5, 11) * rng.standard_normal((5, 24))
+        G = base[:, rng.integers(0, 6, 24)] + noise
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            res = pareto_stationarity_gap(G)
+        assert np.all(res.weights >= 0.0) and res.fw_iterations < 500
+        assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
+        assert res.gap <= frank_wolfe_gap(G).gap + 1e-14 * np.sqrt(max_sq_norm(G))
 
 
 def test_certify_passes_at_common_minimizer_of_identical_objectives():
