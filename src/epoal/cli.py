@@ -6,29 +6,31 @@ Subcommands and exit codes:
   bench    CSV of aggregated benchmark results + JSON sidecar 0 ok, 1 harness error
   certify  JSON certificate for a stored model                0 certified, 3 not
 
-Usage errors exit 64; malformed data files, and a model at which the
-objectives are not finite, exit 65.  Every output file
-starts with a metadata header carrying the tool version, the fully
-resolved configuration and the seed; apart from wall-clock columns,
-outputs are a pure function of that header.
+Usage errors exit 64; malformed data files, an output path that cannot be
+written (``bench`` checks its own before any work), and a model at which the
+objectives are not finite exit 65.  No JSON output holds NaN or Infinity.  Every
+output file starts with a metadata header carrying the tool version, the fully
+resolved configuration and the seed; apart from wall-clock columns, outputs
+are a pure function of that header.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import os
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .diagnostics import certify_epo
 from .harness import GridSpec, HarnessError, run_experiment
-from .problems import (CONVEX, FIG1, NONCONVEX, _decimal_matrix, _read_lines, load_problem,
-                       make_problem, sample_initial)
+from .problems import (CONVEX, FIG1, NONCONVEX, load_model, load_problem, make_problem,
+                       sample_initial)
 from .solvers import ALGORITHMS, EPO_AL, SUBGRADIENT, DivergenceError, SolverConfig, run
 
 EXIT_OK = 0
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _trace_lines(args) -> tuple[list[str], int]:
+def cmd_trace(args) -> int:
     K = 2 if args.fig1 and args.K is None else args.K
     if K is None:
         raise UsageError("--K is required unless --fig1 is given")
@@ -139,30 +141,20 @@ def _trace_lines(args) -> tuple[list[str], int]:
               "config": {"algorithm": args.algo, "kind": kind, "d": args.d, "K": K,
                          "r": r, "mu": args.mu, "eta": args.eta, "tau": args.tau,
                          "iters": args.iters, "seed": args.seed}}
-    lines = [json.dumps(header)]
-    for rec in records:
-        row = {"iter": rec.iter, "jvals": [float(x) for x in rec.jvals],
-               "minmax": rec.minmax, "fairness": rec.fairness}
-        if args.algo == EPO_AL:
-            row["p"] = [float(x) for x in rec.p_snapshot]
-        if args.algo == SUBGRADIENT:
-            row["active"] = rec.active_index
-        lines.append(json.dumps(row))
-    if error is None:
-        return lines, EXIT_OK
-    lines.append(json.dumps({"type": "error", "error": "divergence",
-                             "iteration": error.iteration, "message": str(error)}))
-    return lines, EXIT_DIVERGED
-
-
-def cmd_trace(args) -> int:
-    lines, code = _trace_lines(args)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        print(json.dumps(header), file=fh)
+        for rec in records:
+            row = {"iter": rec.iter, "jvals": rec.jvals.tolist(),
+                   "minmax": rec.minmax, "fairness": rec.fairness}
+            if args.algo == EPO_AL:
+                row["p"] = rec.p_snapshot.tolist()
+            if args.algo == SUBGRADIENT:
+                row["active"] = rec.active_index
+            print(json.dumps(row), file=fh)
+        if error is not None:
+            print(json.dumps({"type": "error", "error": "divergence",
+                              "iteration": error.iteration, "message": str(error)}), file=fh)
+    return EXIT_OK if error is None else EXIT_DIVERGED
 
 
 def cmd_bench(args) -> int:
@@ -172,6 +164,11 @@ def cmd_bench(args) -> int:
         raise UsageError(f"unknown kind {err.args[0]!r}; choose from convex,nonconvex")
     K_values = _number_list(args.K, int)
     algos = [a for a in args.algos.split(",") if a]
+    out = Path(args.out)
+    # Checked before the run, whose work a path that cannot be written would lose.
+    writable = os.access(out if out.exists() else out.parent, os.W_OK)
+    if out.is_dir() or not out.parent.is_dir() or not writable:
+        raise DataError(f"cannot write output file {out}")
     try:
         grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
         aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
@@ -184,17 +181,12 @@ def cmd_bench(args) -> int:
     config = {"kinds": kinds, "K_values": K_values, "d": args.d,
               "trials": args.trials, "algorithms": algos, "master_seed": args.seed,
               "epsilon": grid.epsilon, "max_iter": grid.max_iter, "jobs": args.jobs}
-    out = Path(args.out)
     with open(out, "w", newline="") as fh:
         fh.write("# " + json.dumps({"tool": "epoal", "version": __version__,
                                     "command": "bench", "config": config}) + "\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for agg in aggregates:
-            writer.writerow([agg.kind, agg.algorithm, agg.K, agg.d, agg.n_trials,
-                             agg.n_censored, agg.i_o_mean, agg.i_o_ci_low,
-                             agg.i_o_ci_high, agg.t_o_mean, agg.t_o_ci_low,
-                             agg.t_o_ci_high, args.seed])
+        writer.writerows([*astuple(agg), args.seed] for agg in aggregates)
 
     sidecar = {"tool": "epoal", "version": __version__, "command": "bench",
                "config": config,
@@ -211,42 +203,25 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _read_model_file(path) -> np.ndarray:
-    try:
-        w = _decimal_matrix(path, _read_lines(path))
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read model file: {err}")
-    except ValueError as err:
-        raise DataError(str(err))
-    if w.size == 0:
-        raise DataError(f"{path}: empty model file")
-    if w.shape[1] != 1:
-        raise DataError(f"{path}: expected one coordinate per line")
-    w = w[:, 0]
-    if not np.all(np.isfinite(w)):
-        raise DataError(f"{path}: model coordinates must be finite")
-    return w
-
-
 def cmd_certify(args) -> int:
     try:
         problem = load_problem(args.problem)
     except (OSError, ValueError) as err:
         raise DataError(f"cannot load problem record: {err}")
-    w = _read_model_file(args.model)
+    try:
+        w = load_model(args.model)
+    except (OSError, ValueError) as err:
+        raise DataError(f"cannot read model file: {err}")
     if w.size != problem.d:
-        raise DataError(f"model has {w.size} coordinates, problem has d={problem.d}")
+        raise DataError(f"{args.model}: model has {w.size} coordinates, problem has d={problem.d}")
     try:
         cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
                            gap_tol=args.gap_tol)
     except ValueError as err:
         raise UsageError(str(err))
-    except DivergenceError:
-        raise DataError(f"{args.model}: the objectives are not finite at this model")
-    print(json.dumps({"fairness": cert.fairness,
-                      "stationarity_gap": cert.stationarity_gap,
-                      "is_fair": cert.is_fair, "is_stationary": cert.is_stationary,
-                      "minmax": cert.minmax}))
+    except DivergenceError as err:
+        raise DataError(f"{args.model}: {err}")
+    print(json.dumps(asdict(cert)))
     return EXIT_OK if cert.is_fair and cert.is_stationary else EXIT_NOT_CERTIFIED
 
 
@@ -255,15 +230,9 @@ def main(argv=None) -> int:
     handler = {"trace": cmd_trace, "bench": cmd_bench, "certify": cmd_certify}
     try:
         return handler[args.command](args)
-    except UsageError as err:
+    except (UsageError, DataError, OSError) as err:
         print(f"epoal: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as err:
-        print(f"epoal: error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as err:
-        print(f"epoal: error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(err, UsageError) else EXIT_DATA
     except HarnessError as err:
         print(f"epoal: harness error: {err}", file=sys.stderr)
         return EXIT_INTERNAL

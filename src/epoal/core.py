@@ -13,6 +13,7 @@ cost O(K) and never materialize the dense matrix.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -46,7 +47,7 @@ def as_preference(r) -> np.ndarray:
 
 
 class DivergenceError(RuntimeError):
-    """Objective values or gradients were not finite.
+    """Objective values or gradients, or a min-max or fairness score, were not finite.
 
     Carries the iteration index and the iterate at which evaluation failed
     and, when raised from a solver run, the records collected so far.
@@ -101,6 +102,13 @@ def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None) -> tuple[np.nd
     if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
         raise DivergenceError(iteration=iteration, iterate=w)
     return jvals, jac
+
+
+def _check_scores(minmax: float, fairness: float, iteration: int | None = None) -> None:
+    """DivergenceError unless both are finite; r * J can overflow where J is finite."""
+    if not (math.isfinite(minmax) and math.isfinite(fairness)):
+        raise DivergenceError("weighted min-max value or fairness residual is not finite",
+                              iteration=iteration)
 
 
 def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:

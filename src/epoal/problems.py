@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ObjectiveSet
+from .core import ObjectiveSet, as_model_vector
 
 CONVEX = "convex-distance"
 NONCONVEX = "nonconvex-gaussian"
@@ -151,8 +151,7 @@ def make_problem(kind: str, d: int, K: int, seed: int) -> SyntheticProblem:
     if kind == FIG1:
         if K != 2:
             raise ValueError("fig1-pair is a two-objective problem")
-        prob = fig1_problem(d)
-        return SyntheticProblem(kind=FIG1, anchors=prob.anchors, seed=seed)
+        return SyntheticProblem(kind=FIG1, anchors=fig1_problem(d).anchors, seed=seed)
     if kind not in (CONVEX, NONCONVEX):
         raise ValueError(f"unknown problem kind {kind!r}")
     return SyntheticProblem(kind=kind, anchors=gen_anchors(d, K, seed), seed=seed)
@@ -186,7 +185,7 @@ def _bad_token(tokens, parse):
 
 def _read_lines(path) -> list[tuple[int, str]]:
     """(line number, stripped text) of every non-blank line, numbered from 1."""
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:     # undecodable bytes fail as bad tokens
         return [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), start=1)
                 if ln]
 
@@ -212,6 +211,17 @@ def _decimal_matrix(path, lines) -> np.ndarray:
             if len(tokens) != width:
                 raise ValueError(f"{path}:{no}: row length {len(tokens)}, "
                                  f"line {lines[0][0]} has {width}") from None
+        raise ValueError(f"{path}: {err}") from None
+
+
+def load_model(path) -> np.ndarray:
+    """Read a model vector file, one decimal per line; every ValueError names ``path``."""
+    w = _decimal_matrix(path, _read_lines(path))
+    if w.shape[1] > 1:
+        raise ValueError(f"{path}: expected one coordinate per line")
+    try:
+        return as_model_vector(w.ravel())
+    except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
 

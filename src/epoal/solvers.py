@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
-from .core import (DivergenceError, ObjectiveSet, _evaluate, _preference_for,  # noqa: F401
-                   as_model_vector, fairness_residual, lr_apply)
+from .core import (DivergenceError, ObjectiveSet, _check_scores, _evaluate,  # noqa: F401
+                   _preference_for, as_model_vector, fairness_residual, lr_apply)
 from .diagnostics import pareto_stationarity_gap
 from .problems import SyntheticProblem
 
@@ -192,27 +192,34 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     There is no early stopping by default; passing both ``stop_fairness_tol``
     and ``stop_gap_tol`` stops once the fairness residual and the Pareto
     stationarity gap are both under tolerance (passing one is a ValueError).
-    Traces are deterministic given ``config.seed``.  On divergence the raised
+    Traces are deterministic given ``config.seed``.  On divergence (an evaluation,
+    min-max value, fairness residual or epo-al dual that is not finite) the raised
     :class:`DivergenceError` carries the iteration index and, as ``records``,
     every record before the failed iterate.
     """
     if (stop_fairness_tol is None) != (stop_gap_tol is None):
         raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
     records: list[IterationRecord] = []
-    for block in _lockstep(algorithm, obj, r, w0, [config]):
-        if block.diverged:
-            block.diverged[0].records = records
-            raise block.diverged[0]
-        fairness = fairness_residual(r, block.J[0])
-        stop = block.i == config.max_iter
-        if not stop and stop_fairness_tol is not None and fairness <= stop_fairness_tol:
-            stop = pareto_stationarity_gap(block.G[0].T).gap <= stop_gap_tol
-        records.append(IterationRecord(
-            iter=block.i, jvals=block.J[0], minmax=float(block.minmax[0]), fairness=fairness,
-            p_snapshot=block.P[0] if algorithm == EPO_AL else None,
-            active_index=None if stop or block.active is None else int(block.active[0])))
-        if stop:
-            break
+    try:
+        for block in _lockstep(algorithm, obj, r, w0, [config]):
+            if block.diverged:
+                raise block.diverged[0]
+            minmax, fairness = float(block.minmax[0]), fairness_residual(r, block.J[0])
+            _check_scores(minmax, fairness, block.i)
+            if algorithm == EPO_AL and not np.isfinite(block.P[0]).all():
+                raise DivergenceError("epo-al dual weights are not finite", iteration=block.i)
+            stop = block.i == config.max_iter
+            if not stop and stop_fairness_tol is not None and fairness <= stop_fairness_tol:
+                stop = pareto_stationarity_gap(block.G[0].T).gap <= stop_gap_tol
+            records.append(IterationRecord(
+                iter=block.i, jvals=block.J[0], minmax=minmax, fairness=fairness,
+                p_snapshot=block.P[0] if algorithm == EPO_AL else None,
+                active_index=None if stop or block.active is None else int(block.active[0])))
+            if stop:
+                break
+    except DivergenceError as err:
+        err.records = records
+        raise
     return records
 
 

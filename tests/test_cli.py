@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epoal import (certify_epo, epo_al_step, fig1_problem, initial_state, make_problem,
-                   sample_initial, sample_preference, save_problem)
+import epoal.cli as cli
+from epoal import (AggregateRecord, certify_epo, epo_al_step, fig1_problem, initial_state,
+                   make_problem, sample_initial, sample_preference, save_problem)
 from epoal.cli import CSV_COLUMNS, _parser, build_parser, main
 
 from oracles import two_objective_epo_oracle
@@ -195,6 +201,36 @@ def test_bench_defaults_match_protocol():
     assert args.trials == 30
 
 
+def test_csv_columns_are_the_aggregate_fields_then_the_seed():
+    # Bench rows are written as astuple(record) + [seed], so the orders must agree.
+    names = [f.name for f in fields(AggregateRecord)]
+    assert CSV_COLUMNS == [{"n_trials": "trials"}.get(n, n) for n in names] + ["master_seed"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
+def test_bench_unwritable_out_exits_65_before_any_run(tmp_path, capsys, monkeypatch, where):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a) or [])
+    (tmp_path / "file.txt").write_text("")
+    out = {"missing-dir": tmp_path / "missing" / "b.csv", "directory": tmp_path,
+           "under-a-file": tmp_path / "file.txt" / "b.csv"}[where]
+    code = main(["bench", "--kinds", "convex", "--K", "2,16", "--d", "50", "--trials", "3",
+                 "--max-iter", "300", "--out", str(out)])
+    assert code == 65
+    assert calls == []
+    assert str(out) in capsys.readouterr().err
+
+
+def test_bench_usage_error_leaves_existing_out_untouched(tmp_path):
+    out = tmp_path / "b.csv"
+    out.write_text("earlier results\n")
+    code = main(["bench", "--kinds", "convex", "--K", "1", "--d", "3", "--trials", "3",
+                 "--out", str(out)])
+    assert code == 64
+    assert out.read_text() == "earlier results\n"
+    assert not out.with_suffix(".meta.json").exists()
+
+
 def test_bench_rejects_unknown_kind(capsys):
     code = main(["bench", "--kinds", "spherical", "--K", "2", "--d", "4",
                  "--trials", "3", "--out", "x.csv"])
@@ -270,6 +306,81 @@ def test_certify_unreadable_model_exits_65(tmp_path, capsys, content, message):
                  str(model_path), "--r", "1,1"])
     assert code == 65
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"", b"\n  \n\n", b"0.1\nnan\n0.3\n",
+                                     b"0.1\n1e400\n0.3\n"],
+                         ids=["empty", "blank-lines", "nan", "overflow"])
+def test_certify_empty_or_non_finite_model_exits_65_naming_it(tmp_path, capsys, content):
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    model_path.write_bytes(content)
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert str(model_path) in captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_overflowing_preference_writes_no_nan_or_infinity(tmp_path, capsys):
+    # r * J is finite but its fairness residual overflows at the start point.
+    _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
+    code = main(["certify", "--problem", str(problem_path), "--model",
+                 str(model_path), "--r", "1e300,1e300"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert str(model_path) in captured.err
+
+    out = tmp_path / "trace.jsonl"
+    code = main(["trace", "--fig1", "--d", "3", "--algo", "subgradient", "--mu", "0.1",
+                 "--r", "1e300,1e300", "--out", str(out)])
+    assert code == 2
+    lines = [json.loads(ln, parse_constant=_reject_constant)
+             for ln in out.read_text().splitlines()]
+    assert lines[0]["type"] == "header"
+    assert lines[-1]["type"] == "error" and lines[-1]["iteration"] == len(lines) - 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_problem(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "problem.txt"
+    save_problem(make_problem("convex-distance", 2, 2, 0), path)
+    return path
+
+
+VALID_R = ["1,1", "0.2,0.8", "1e300,1e300"]
+FINITE = ["0", "0.5", "1e150"]
+
+
+# Half the models are two finite coordinates, so that the certificate itself is reached.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(prefix=st.sampled_from([b"", b"\xff\xfe"]),
+       lines=st.lists(st.sampled_from(FINITE), min_size=2, max_size=2)
+       | st.lists(st.sampled_from(FINITE + ["1e400", "nan", "inf", "x", "0.1 0.2", "", "  "]),
+                  max_size=4),
+       r=st.sampled_from(VALID_R + ["nan,1", "1", ""]))
+def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, prefix, lines, r):
+    model = fuzz_problem.with_name("model.txt")
+    model.write_bytes(prefix + "".join(line + "\n" for line in lines).encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", "--problem", str(fuzz_problem), "--model", str(model),
+                     "--r", r])
+    assert code in (0, 3, 64, 65)
+    assert not (code == 64 and r in VALID_R)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 3):
+        cert = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert list(cert) == ["fairness", "stationarity_gap", "is_fair", "is_stationary",
+                              "minmax"]
+    else:
+        assert out.getvalue() == ""
+        assert str(model) in err.getvalue() or code == 64
 
 
 def test_certify_missing_problem_exits_65(tmp_path, capsys):

@@ -225,6 +225,13 @@ def test_certify_raises_divergence_where_objectives_are_not_finite():
         certify_epo([1e200, 0.0], problem, [1.0, 1.0])
 
 
+def test_certify_raises_divergence_where_weighted_scores_overflow():
+    # The values are finite, but r * J squared overflows the fairness residual.
+    problem = make_problem("convex-distance", 2, 2, seed=0)
+    with pytest.raises(DivergenceError, match="fairness residual is not finite"):
+        certify_epo([0.5, 0.0], problem, [1e300, 1e300])
+
+
 def converged_epo_point(problem, r, w0, steps=20_000, mu=0.1, eta=1.0):
     state = initial_state(w0, problem.count)
     for _ in range(steps):

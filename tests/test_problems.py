@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epoal import (SyntheticProblem, eval_convex, eval_nonconvex, fig1_problem,
-                   gen_anchors, load_problem, make_problem, sample_initial,
+                   gen_anchors, load_model, load_problem, make_problem, sample_initial,
                    sample_preference, save_problem)
 
 from oracles import finite_diff_jacobian
@@ -205,3 +205,29 @@ def test_load_problem_rejects_malformed_records(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError):
         load_problem(bad)
+
+
+def test_load_model_reads_one_coordinate_per_line(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("0.25\n\n-1e-3\n  7  \n")
+    w = load_model(path)
+    assert w.dtype == np.float64 and w.shape == (3,)
+    np.testing.assert_array_equal(w, [0.25, -1e-3, 7.0])
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "model vector must be 1-d with d >= 1"),
+    (b"\n  \n\n", "model vector must be 1-d with d >= 1"),
+    (b"0.1\nnan\n", "non-finite"),
+    (b"0.1\n1e400\n", "non-finite"),
+    (b"0.1 0.2\n0.3 0.4\n", "expected one coordinate per line"),
+    (b"0.1\n0.2 0.3\n", ":2: row length 2, line 1 has 1"),
+    (b"0.1\n2x\n", ":2: '2x' is not a decimal number"),
+    (b"\xff\xfe0.1\n", ":1: '\\udcff\\udcfe0.1' is not a decimal number"),
+], ids=["empty", "blank", "nan", "overflow", "two-per-line", "ragged", "token", "undecodable"])
+def test_load_model_errors_name_the_file(tmp_path, content, message):
+    path = tmp_path / "model.txt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{path}")) as excinfo:
+        load_model(path)
+    assert message in str(excinfo.value)

@@ -322,6 +322,30 @@ def test_divergence_error_carries_iteration_and_partial_trace():
     assert err.iterate is not None
 
 
+@pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
+                                               ("smooth-max", {"tau": 0.1})])
+def test_run_diverges_where_weighted_scores_overflow(algorithm, hyper):
+    # Finite values whose weighted fairness residual overflows end the run like a
+    # non-finite evaluation, before any record holds inf or NaN.
+    problem = fig1_problem(3)
+    with pytest.raises(DivergenceError, match="fairness residual is not finite") as excinfo:
+        run(algorithm, problem, [1e300, 1e300], sample_initial(3, 0),
+            SolverConfig(mu=0.1, max_iter=5, **hyper))
+    assert excinfo.value.iteration == 0 and excinfo.value.records == []
+
+
+def test_run_diverges_where_the_epo_al_dual_overflows():
+    # The values stay finite (the gaussian plateau), but the dual of the heavily
+    # weighted objective overflows a few iterates before the iterate does.
+    problem = make_problem("nonconvex-gaussian", 3, 2, seed=0)
+    with pytest.raises(DivergenceError, match="dual weights are not finite") as excinfo:
+        run("epo-al", problem, [1e153, 1.0], sample_initial(3, 0),
+            SolverConfig(mu=10.0, eta=1.0, max_iter=60))
+    records = excinfo.value.records
+    assert len(records) == excinfo.value.iteration > 0
+    assert all(np.isfinite(rec.p_snapshot).all() for rec in records)
+
+
 def test_run_early_stop_requires_both_tolerances_and_fires():
     problem, r, w0 = small_problem(d=2, K=2, seed=3)
     cfg = SolverConfig(mu=0.1, eta=1.0, max_iter=100_000)
