@@ -7,11 +7,14 @@ Subcommands and exit codes:
   certify  JSON certificate for a stored model                0 certified, 3 not
 
 Usage errors exit 64; malformed data files, an output path that cannot be
-written (``bench`` checks its own before any work), and a model at which the
-objectives are not finite exit 65.  No JSON output holds NaN or Infinity.  Every
-output file starts with a metadata header carrying the tool version, the fully
-resolved configuration and the seed; apart from wall-clock columns, outputs
-are a pure function of that header.
+written (checked before any solver work), and a model that breaks the
+divergence rule exit 65.  One rule, ``core._divergence``, decides divergence
+in ``trace``, ``certify`` and the tuning behind ``bench``, so no JSON output
+holds NaN or Infinity; ``trace`` and ``certify`` silence the floating-point
+warnings of a divergence, which their exit code reports.  Every output file
+starts with a metadata header carrying the tool version, the fully resolved
+configuration and the seed; apart from wall-clock columns, outputs are a
+pure function of that header.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .diagnostics import certify_epo
-from .harness import GridSpec, HarnessError, run_experiment
+from .harness import CI_LEVEL, GridSpec, HarnessError, run_experiment
 from .problems import (CONVEX, FIG1, NONCONVEX, load_model, load_problem, make_problem,
                        sample_initial)
 from .solvers import ALGORITHMS, EPO_AL, SUBGRADIENT, DivergenceError, SolverConfig, run
@@ -118,11 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _check_writable(out: Path) -> None:
+    """DataError unless ``out`` can be written; checked before the work a bad path would lose."""
+    writable = os.access(out if out.exists() else out.parent, os.W_OK)
+    if out.is_dir() or not out.parent.is_dir() or not writable:
+        raise DataError(f"cannot write output file {out}")
+
+
 def cmd_trace(args) -> int:
     K = 2 if args.fig1 and args.K is None else args.K
     if K is None:
         raise UsageError("--K is required unless --fig1 is given")
     kind = FIG1 if args.fig1 else _SHORT_KINDS[args.kind]
+    if args.out:
+        _check_writable(Path(args.out))
 
     error = None
     try:
@@ -131,7 +145,8 @@ def cmd_trace(args) -> int:
         r = _number_list(args.r) if args.r else [1.0 / K] * K
         config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
                               max_iter=args.iters, seed=args.seed)
-        records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
+        with np.errstate(all="ignore"):     # a divergence ends in an error record instead
+            records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
     except ValueError as err:
         raise UsageError(str(err))
     except DivergenceError as err:
@@ -165,10 +180,7 @@ def cmd_bench(args) -> int:
     K_values = _number_list(args.K, int)
     algos = [a for a in args.algos.split(",") if a]
     out = Path(args.out)
-    # Checked before the run, whose work a path that cannot be written would lose.
-    writable = os.access(out if out.exists() else out.parent, os.W_OK)
-    if out.is_dir() or not out.parent.is_dir() or not writable:
-        raise DataError(f"cannot write output file {out}")
+    _check_writable(out)
     try:
         grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
         aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
@@ -194,7 +206,7 @@ def cmd_bench(args) -> int:
                          "tau": list(grid.tau_grid)},
                "ci": {"method": "normal approximation on the trimmed sample "
                                 "(one min and one max removed)",
-                      "level": 0.99},
+                      "level": CI_LEVEL},
                "timing_note": "t_o_* columns are wall-clock measurements (median "
                               "of timing repetitions) and vary across reruns; all "
                               "other columns are a pure function of the config "
@@ -215,8 +227,9 @@ def cmd_certify(args) -> int:
     if w.size != problem.d:
         raise DataError(f"{args.model}: model has {w.size} coordinates, problem has d={problem.d}")
     try:
-        cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
-                           gap_tol=args.gap_tol)
+        with np.errstate(all="ignore"):     # a divergence exits 65 instead
+            cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
+                               gap_tol=args.gap_tol)
     except ValueError as err:
         raise UsageError(str(err))
     except DivergenceError as err:

@@ -47,14 +47,14 @@ def as_preference(r) -> np.ndarray:
 
 
 class DivergenceError(RuntimeError):
-    """Objective values or gradients, or a min-max or fairness score, were not finite.
+    """An evaluated iterate broke the divergence rule of :func:`_divergence`.
 
-    Carries the iteration index and the iterate at which evaluation failed
+    Carries the iteration index and the iterate at which the rule broke
     and, when raised from a solver run, the records collected so far.
     """
 
-    def __init__(self, message: str = "objective evaluation produced non-finite values",
-                 iteration: int | None = None, iterate: np.ndarray | None = None):
+    def __init__(self, message: str, iteration: int | None = None,
+                 iterate: np.ndarray | None = None):
         super().__init__(message)
         self.iteration = iteration
         self.iterate = iterate
@@ -87,28 +87,28 @@ def _preference_for(r, obj: ObjectiveSet) -> np.ndarray:
     return r
 
 
-def _evaluate(obj: ObjectiveSet, w, iteration: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Values and jacobian at ``w``, the gate every evaluation of the package passes.
-
-    ValueError unless the shapes are (K,) and (d, K) with d the size of ``w``
-    (an O(1) check that catches a ``w`` the objectives silently broadcast);
-    DivergenceError if not every entry is finite.
-    """
+def _evaluate(obj: ObjectiveSet, w) -> tuple[np.ndarray, np.ndarray]:
+    """Values and jacobian at ``w``; ValueError unless their shapes are (K,) and (d, K), d the
+    size of ``w`` (an O(1) check that catches a ``w`` the objectives silently broadcast)."""
     jvals, jac = obj.values_and_jacobian(w)
     K, d = obj.count, len(w)
     if jvals.shape != (K,) or jac.shape != (d, K):
         raise ValueError(f"objectives returned shapes {jvals.shape} and {jac.shape} at a "
                          f"model of size {d}, expected ({K},) and ({d}, {K})")
-    if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
-        raise DivergenceError(iteration=iteration, iterate=w)
     return jvals, jac
 
 
-def _check_scores(minmax: float, fairness: float, iteration: int | None = None) -> None:
-    """DivergenceError unless both are finite; r * J can overflow where J is finite."""
-    if not (math.isfinite(minmax) and math.isfinite(fairness)):
-        raise DivergenceError("weighted min-max value or fairness residual is not finite",
-                              iteration=iteration)
+def _divergence(r: np.ndarray, jvals, jac, p=()) -> str | None:
+    """The first divergence rule an evaluated iterate breaks, else None: values or gradients
+    not finite; min-max value or fairness residual not finite (r * J can overflow where J is
+    finite; the residual is finite only if every r_k J_k is); epo-al dual ``p`` not finite."""
+    if not (np.isfinite(jvals).all() and np.isfinite(jac).all()):
+        return "objective evaluation produced non-finite values"
+    if not math.isfinite(fairness_residual(r, jvals)):
+        return "weighted min-max value or fairness residual is not finite"
+    if not np.isfinite(p).all():
+        return "epo-al dual weights are not finite"
+    return None
 
 
 def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ObjectiveSet, _check_scores, _evaluate, _preference_for, as_model_vector,
-                   fairness_residual, minmax_value)
+from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate, _preference_for,
+                   as_model_vector, fairness_residual, minmax_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +121,7 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     1e-8 * (max_k r_k J_k)^2 and the gap threshold 1e-4 * max_k ||grad J_k||.
     On convex problems a certificate with both verdicts true witnesses
     min-max optimality of ``w``.  Raises ValueError for bad arguments and
-    DivergenceError when the objectives, their weighted min-max value or the
-    fairness residual are not finite at ``w``.
+    DivergenceError when ``w`` breaks the divergence rule ``core._divergence``.
     """
     if fair_tol is not None and not (fair_tol > 0):
         raise ValueError("fair_tol must be positive")
@@ -131,9 +130,9 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     r = _preference_for(r, obj)
     w = as_model_vector(w)
     jvals, jac = _evaluate(obj, w)
-    fairness = fairness_residual(r, jvals)
-    mm = minmax_value(r, jvals)
-    _check_scores(mm, fairness)
+    if broken := _divergence(r, jvals, jac):
+        raise DivergenceError(broken, iterate=w)
+    fairness, mm = fairness_residual(r, jvals), minmax_value(r, jvals)
     if fair_tol is None:
         fair_tol = 1e-8 * mm * mm
     if gap_tol is None:

@@ -18,7 +18,9 @@ Three algorithms behind one lockstep kernel:
 The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
 iteration; ``run`` is the kernel on one configuration and shares each
-evaluation with that iterate's trace record.
+evaluation with that iterate's trace record.  A configuration diverges at the
+first iterate that breaks ``core._divergence``: its kernel row leaves there,
+and there ``run`` and the public steps raise DivergenceError.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
-from .core import (DivergenceError, ObjectiveSet, _check_scores, _evaluate,  # noqa: F401
+from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noqa: F401
                    _preference_for, as_model_vector, fairness_residual, lr_apply)
 from .diagnostics import pareto_stationarity_gap
 from .problems import SyntheticProblem
@@ -113,18 +115,18 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _update(algorithm, r, W, P, J, U, G, H, rngs):
+def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
     """One step of each row b of a block: (W+, P+, subgradient indices or None).
 
-    Row b: iterate W[b], dual P[b], values J[b], U[b] = r * J[b], gradients G[b] (row k
-    that of J_k), H[b] = (mu, eta, tau), rngs[b]; the scalar step's operations, bit for bit.
+    Row b: iterate W[b], dual P[b], values J[b], U[b] = r * J[b], M[b] = max U[b], gradients
+    G[b] (row k that of J_k), H[b] = (mu, eta, tau), rngs[b]; the scalar step's ops, bit for bit.
     """
     if algorithm == EPO_AL:
         fairness_grad = lr_apply(r, J)
         Y = np.maximum(P, 0.0) + H[:, 1] * fairness_grad
         return W - H[:, 0] * np.matmul(Y[:, None, :], G)[:, 0], P + H[:, 0] * fairness_grad, None
     if algorithm == SUBGRADIENT:
-        tied = U >= (1.0 - ACTIVE_TIE_RTOL) * np.maximum.reduce(U, axis=1, keepdims=True)
+        tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[:, None]
         k = U.argmax(axis=1)
         # Generator.integers(1) draws nothing, so only rows with a tie use their stream.
         if np.count_nonzero(tied) > k.size:
@@ -133,7 +135,7 @@ def _update(algorithm, r, W, P, J, U, G, H, rngs):
                 k[b] = active[rngs[b].integers(active.size)]
         return W - H[:, 0] * r[k][:, None] * G[np.arange(k.size), k], P, k
     V = U / H[:, 2]
-    weights = np.exp(V - np.maximum.reduce(V, axis=1, keepdims=True))
+    weights = np.exp(V - M[:, None] / H[:, 2])    # M / tau is max V: rounding is monotonic
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
     return W - (H[:, 0] / H[:, 2]) * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
 
@@ -146,9 +148,12 @@ def _columns(configs):
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
     """One public step: the checks and the evaluation ``run`` makes, then ``_update``."""
     r = _preference_for(r, obj)
-    jvals, jac = _evaluate(obj, w, iteration)
+    jvals, jac = _evaluate(obj, w)
     P = np.empty((1, 0)) if p is None else p[None]
-    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], (r * jvals)[None],
+    if broken := _divergence(r, jvals, jac, P):
+        raise DivergenceError(broken, iteration=iteration, iterate=w)
+    U = (r * jvals)[None]
+    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], U, U.max(axis=1),
                       jac.T[None], _columns([config]), [rng])
     return W[0], None if p is None else P[0], None if k is None else int(k[0])
 
@@ -192,10 +197,9 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     There is no early stopping by default; passing both ``stop_fairness_tol``
     and ``stop_gap_tol`` stops once the fairness residual and the Pareto
     stationarity gap are both under tolerance (passing one is a ValueError).
-    Traces are deterministic given ``config.seed``.  On divergence (an evaluation,
-    min-max value, fairness residual or epo-al dual that is not finite) the raised
-    :class:`DivergenceError` carries the iteration index and, as ``records``,
-    every record before the failed iterate.
+    Traces are deterministic given ``config.seed``.  On divergence (the kernel's
+    rule, ``core._divergence``) the raised :class:`DivergenceError` carries the
+    iteration index, the iterate and, as ``records``, every record before it.
     """
     if (stop_fairness_tol is None) != (stop_gap_tol is None):
         raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
@@ -205,9 +209,6 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
             if block.diverged:
                 raise block.diverged[0]
             minmax, fairness = float(block.minmax[0]), fairness_residual(r, block.J[0])
-            _check_scores(minmax, fairness, block.i)
-            if algorithm == EPO_AL and not np.isfinite(block.P[0]).all():
-                raise DivergenceError("epo-al dual weights are not finite", iteration=block.i)
             stop = block.i == config.max_iter
             if not stop and stop_fairness_tol is not None and fairness <= stop_fairness_tol:
                 stop = pareto_stationarity_gap(block.G[0].T).gap <= stop_gap_tol
@@ -228,22 +229,15 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 _Block = namedtuple("_Block", "i rows minmax J G P active diverged")
 
 
-def _evaluate_block(obj, W, iteration):
-    """Values (B, K), gradients (B, K, d), mask of rows the ``core._evaluate`` gate passes."""
+def _evaluate_block(obj, W):
+    """Values (B, K) and gradients (B, K, d) of a block of iterates W (B, d)."""
     if isinstance(obj, SyntheticProblem):
         J, jacs = obj.values_and_jacobian(W)      # the whole block as stacks
-        if np.isfinite(J).all() and np.isfinite(jacs).all():
-            return J, jacs.swapaxes(1, 2), None       # None: the gate passes every row
-        ok = np.isfinite(J).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
     else:
         J, jacs = np.empty((len(W), obj.count)), np.empty((len(W), W.shape[1], obj.count))
-        ok = np.ones(len(W), dtype=bool)
         for b, w in enumerate(W):
-            try:
-                J[b], jacs[b] = _evaluate(obj, w, iteration)
-            except DivergenceError:
-                ok[b] = False
-    return J, jacs.swapaxes(1, 2), None if ok.all() else ok
+            J[b], jacs[b] = _evaluate(obj, w)
+    return J, jacs.swapaxes(1, 2)
 
 
 def _lockstep(algorithm, obj, r, w0, configs):
@@ -251,8 +245,9 @@ def _lockstep(algorithm, obj, r, w0, configs):
 
     Round i evaluates and steps iterate i of every live configuration, a row of
     the (C, d) iterate stack with its own generator, in row blocks whose (rows, K, d)
-    arrays fit in ``_BLOCK_BYTES``, yielding a _Block for each.  A row whose
-    evaluation is not finite leaves at that iterate.
+    arrays fit in ``_BLOCK_BYTES``, yielding a _Block for each.  A row leaves at the first
+    iterate that breaks ``core._divergence``, where ``run`` stops; only a block that fails
+    a whole-block screen (finite G and P, weighted values inside +-limit) is ruled by row.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -263,6 +258,8 @@ def _lockstep(algorithm, obj, r, w0, configs):
     if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
         raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
     C, K, last = len(configs), obj.count, configs[0].max_iter
+    # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
+    limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     # Row state: grid index, iterate, epo-al dual (no columns otherwise), hyperparameters, rng.
     state = (np.arange(C), np.tile(w0, (C, 1)),
              np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), _columns(configs),
@@ -271,17 +268,21 @@ def _lockstep(algorithm, obj, r, w0, configs):
     blocks = [[a[s:s + size] for a in state] for s in range(0, C, size)]
     for i in range(last + 1):
         for n, (rows, W, P, H, gens) in enumerate(blocks):
-            J, G, ok = _evaluate_block(obj, W, i)
-            diverged = []
-            if ok is not None:
-                diverged = [DivergenceError(iteration=i, iterate=w) for w in W[~ok]]
-                rows, W, P, H, J, G = (a[ok] for a in (rows, W, P, H, J, G))
-                gens = [g for g, keep in zip(gens, ok) if keep]
+            J, G = _evaluate_block(obj, W)
             U = r * J
+            M = np.maximum.reduce(U, axis=1)
+            diverged = []
+            if not (-limit < U.min() and M.max() < limit and np.isfinite(G).all()
+                    and (not P.size or np.isfinite(P).all())):
+                broken = [_divergence(r, *row) for row in zip(J, G, P)]
+                diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
+                ok = np.array([m is None for m in broken])
+                rows, W, P, H, J, G, U, M = (a[ok] for a in (rows, W, P, H, J, G, U, M))
+                gens = [g for g, keep in zip(gens, ok) if keep]
             W_next, P_next, active = ((W, P, None) if i == last
-                                      else _update(algorithm, r, W, P, J, U, G, H, gens))
+                                      else _update(algorithm, r, W, P, J, U, M, G, H, gens))
             blocks[n] = [rows, W_next, P_next, H, gens]
-            yield _Block(i, rows, np.maximum.reduce(U, axis=1), J, G, P, active, diverged)
+            yield _Block(i, rows, M, J, G, P, active, diverged)
         blocks = [block for block in blocks if block[4]]
         if not blocks:
             return

@@ -207,8 +207,8 @@ def scalar_update(algorithm, w, p, jvals, jac, r, config, rng):
 def scalar_trace(algorithm, obj, r, w0, config):
     """(minmax, p, active index) per iterate of one configuration, one scalar step at a time.
 
-    Stops before the first iterate whose evaluation is not finite, as a
-    diverged run does.
+    Stops before the first iterate whose values, gradients, weighted min-max value,
+    fairness residual or epo-al dual is not finite, as a diverged run does.
     """
     r = as_preference(r)
     w = as_model_vector(w0)
@@ -217,7 +217,10 @@ def scalar_trace(algorithm, obj, r, w0, config):
     out = []
     for i in range(config.max_iter + 1):
         jvals, jac = obj.values_and_jacobian(w)
-        if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))):
+        v = r * jvals
+        scores = (v.max(), np.sum((v - v.mean()) ** 2), *(() if p is None else p))
+        if not (np.all(np.isfinite(jvals)) and np.all(np.isfinite(jac))
+                and np.all(np.isfinite(scores))):
             break
         w_next, p_next, active = (scalar_update(algorithm, w, p, jvals, jac, r, config, rng)
                                   if i < config.max_iter else (w, p, None))

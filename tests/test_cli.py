@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -221,6 +222,29 @@ def test_bench_unwritable_out_exits_65_before_any_run(tmp_path, capsys, monkeypa
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
+def test_trace_unwritable_out_exits_65_before_any_run(tmp_path, capsys, monkeypatch, where):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a) or [])
+    (tmp_path / "file.txt").write_text("")
+    out = {"missing-dir": tmp_path / "missing" / "x.jsonl", "directory": tmp_path,
+           "under-a-file": tmp_path / "file.txt" / "x.jsonl"}[where]
+    code = main(["trace", "--kind", "convex", "--d", "200", "--K", "16", "--algo",
+                 "subgradient", "--mu", "0.01", "--iters", "20000", "--out", str(out)])
+    assert code == 65
+    assert calls == []
+    assert str(out) in capsys.readouterr().err
+
+
+def test_trace_usage_error_leaves_existing_out_untouched(tmp_path):
+    out = tmp_path / "x.jsonl"
+    out.write_text("earlier trace\n")
+    code = main(["trace", "--kind", "convex", "--d", "3", "--K", "2", "--algo", "epo-al",
+                 "--mu", "0.1", "--out", str(out)])
+    assert code == 64
+    assert out.read_text() == "earlier trace\n"
+
+
 def test_bench_usage_error_leaves_existing_out_untouched(tmp_path):
     out = tmp_path / "b.csv"
     out.write_text("earlier results\n")
@@ -344,6 +368,24 @@ def test_overflowing_preference_writes_no_nan_or_infinity(tmp_path, capsys):
              for ln in out.read_text().splitlines()]
     assert lines[0]["type"] == "header"
     assert lines[-1]["type"] == "error" and lines[-1]["iteration"] == len(lines) - 2
+
+
+def test_reported_divergences_print_no_numpy_warnings(tmp_path, capsys):
+    # The dual overflows at iterate 37 (the trace ends in an error record, exit 2), and
+    # the model's values or the fairness residual overflow (certify exits 65).
+    problem_path, model_path = tmp_path / "problem.txt", tmp_path / "model.txt"
+    save_problem(make_problem("convex-distance", 2, 2, seed=0), problem_path)
+    certify = ["certify", "--problem", str(problem_path), "--model", str(model_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["trace", "--kind", "nonconvex", "--d", "3", "--K", "2", "--algo",
+                     "epo-al", "--mu", "10", "--eta", "1", "--r", "1e153,1",
+                     "--iters", "60"]) == 2
+        for model, r in (("1e200\n0\n", "1,1"), ("0.5\n0\n", "1e300,1e300")):
+            model_path.write_text(model)
+            assert main(certify + ["--r", r]) == 65
+    assert [str(w.message) for w in caught] == []
+    assert "iteration\": 37" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

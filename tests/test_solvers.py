@@ -322,28 +322,57 @@ def test_divergence_error_carries_iteration_and_partial_trace():
     assert err.iterate is not None
 
 
+def assert_kernel_stops_where_run_does(algorithm, obj, r, w0, configs):
+    """Each kernel row leaves where ``run`` of its configuration stops, with its message."""
+    left = [(block.i, str(err)) for block in _lockstep(algorithm, obj, r, w0, configs)
+            for err in block.diverged]
+    stops = []
+    for cfg, trace in zip(configs, kernel_traces(algorithm, obj, r, w0, configs)):
+        try:
+            records = run(algorithm, obj, r, w0, cfg)
+        except DivergenceError as err:
+            assert err.iterate is not None
+            stops.append((err.iteration, str(err)))
+            records = err.records
+        assert [m for m, _, _ in trace] == [rec.minmax for rec in records]
+    assert left == sorted(stops, key=lambda stop: stop[0])   # by iterate, then row
+    return stops
+
+
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
                                                ("smooth-max", {"tau": 0.1})])
 def test_run_diverges_where_weighted_scores_overflow(algorithm, hyper):
     # Finite values whose weighted fairness residual overflows end the run like a
-    # non-finite evaluation, before any record holds inf or NaN.
-    problem = fig1_problem(3)
-    with pytest.raises(DivergenceError, match="fairness residual is not finite") as excinfo:
-        run(algorithm, problem, [1e300, 1e300], sample_initial(3, 0),
-            SolverConfig(mu=0.1, max_iter=5, **hyper))
-    assert excinfo.value.iteration == 0 and excinfo.value.records == []
+    # non-finite evaluation, before any record holds inf or NaN.  At (1e160, 1e150)
+    # the min-max value is finite and only the residual overflows.
+    problem, w0 = fig1_problem(3), sample_initial(3, 0)
+    cfg = SolverConfig(mu=0.1, max_iter=5, **hyper)
+    for r in ([1e300, 1e300], [1e160, 1e150]):
+        with pytest.raises(DivergenceError, match="fairness residual is not finite") as excinfo:
+            run(algorithm, problem, r, w0, cfg)
+        assert excinfo.value.iteration == 0 and excinfo.value.records == []
+        assert assert_kernel_stops_where_run_does(algorithm, problem, r, w0, [cfg]) == [
+            (0, "weighted min-max value or fairness residual is not finite")]
+    # Past the kernel's whole-block screen (max r * J = 9.1e153, K=2 limit 3.4e153)
+    # but with a finite residual: the row stays, as the run does.
+    assert len(run(algorithm, problem, [1e154, 1e154], w0, cfg)) == 6
+    assert assert_kernel_stops_where_run_does(algorithm, problem, [1e154, 1e154], w0,
+                                              [cfg]) == []
 
 
 def test_run_diverges_where_the_epo_al_dual_overflows():
     # The values stay finite (the gaussian plateau), but the dual of the heavily
     # weighted objective overflows a few iterates before the iterate does.
-    problem = make_problem("nonconvex-gaussian", 3, 2, seed=0)
+    problem, w0 = make_problem("nonconvex-gaussian", 3, 2, seed=0), sample_initial(3, 0)
     with pytest.raises(DivergenceError, match="dual weights are not finite") as excinfo:
-        run("epo-al", problem, [1e153, 1.0], sample_initial(3, 0),
-            SolverConfig(mu=10.0, eta=1.0, max_iter=60))
+        run("epo-al", problem, [1e153, 1.0], w0, SolverConfig(mu=10.0, eta=1.0, max_iter=60))
     records = excinfo.value.records
-    assert len(records) == excinfo.value.iteration > 0
+    assert len(records) == excinfo.value.iteration == 37
     assert all(np.isfinite(rec.p_snapshot).all() for rec in records)
+    # Rows of one kernel pass leave where their own runs stop; the others go on.
+    configs = [SolverConfig(mu=mu, eta=1.0, max_iter=60) for mu in (1.0, 10.0, 3.0, 30.0)]
+    assert assert_kernel_stops_where_run_does("epo-al", problem, [1e153, 1.0], w0, configs) == [
+        (37, "epo-al dual weights are not finite"), (13, "epo-al dual weights are not finite")]
 
 
 def test_run_early_stop_requires_both_tolerances_and_fires():
