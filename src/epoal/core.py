@@ -98,30 +98,30 @@ def _evaluate(obj: ObjectiveSet, w) -> tuple[np.ndarray, np.ndarray]:
     return jvals, jac
 
 
-def _divergence(r: np.ndarray, jvals, jac, p=()) -> str | None:
-    """The first divergence rule an evaluated iterate breaks, else None: values or gradients
-    not finite; min-max value or fairness residual not finite (r * J can overflow where J is
+def _divergence(r: np.ndarray, jvals, jac, p=()) -> tuple[str | None, float]:
+    """(First rule an evaluated iterate breaks or None, fairness residual or NaN): values or
+    gradients not finite; min-max value or residual not finite (r * J can overflow where J is
     finite; the residual is finite only if every r_k J_k is); epo-al dual ``p`` not finite."""
     if not (np.isfinite(jvals).all() and np.isfinite(jac).all()):
-        return "objective evaluation produced non-finite values"
-    if not math.isfinite(fairness_residual(r, jvals)):
-        return "weighted min-max value or fairness residual is not finite"
-    if not np.isfinite(p).all():
-        return "epo-al dual weights are not finite"
-    return None
+        return "objective evaluation produced non-finite values", math.nan
+    fairness = fairness_residual(r, jvals)
+    if not math.isfinite(fairness):
+        return "weighted min-max value or fairness residual is not finite", fairness
+    return (None if np.isfinite(p).all() else "epo-al dual weights are not finite"), fairness
 
 
-def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+def lr_apply(r: np.ndarray, v: np.ndarray, *, _u=None) -> np.ndarray:
     """Matrix-free product L_r v in O(K) arithmetic, for each row of a (..., K) stack v.
 
     Uses the identity L_r v = r * (u - mean(u)) with u = r * v, so no
     K x K matrix is ever formed; the mean is taken as sum / K, as ``np.mean`` does.
+    ``_u`` is for the solver kernel's own use: the product r * v it has already formed.
     """
     r = np.asarray(r, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1:] != r.shape:
         raise ValueError(f"length mismatch: r has shape {r.shape}, v has shape {v.shape}")
-    u = r * v
+    u = r * v if _u is None else _u
     return r * (u - u.sum(axis=-1, keepdims=True) / u.shape[-1])
 
 
@@ -136,7 +136,7 @@ def fairness_residual(r: np.ndarray, jvals: np.ndarray) -> float:
     if jvals.shape != r.shape:
         raise ValueError(f"length mismatch: r has shape {r.shape}, jvals has shape {jvals.shape}")
     u = r * jvals
-    centered = u - u.mean()
+    centered = u - np.add.reduce(u) / u.size
     return float(centered @ centered)
 
 

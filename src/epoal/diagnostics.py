@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate, _preference_for,
-                   as_model_vector, fairness_residual, minmax_value)
+                   as_model_vector, minmax_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +130,10 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     r = _preference_for(r, obj)
     w = as_model_vector(w)
     jvals, jac = _evaluate(obj, w)
-    if broken := _divergence(r, jvals, jac):
+    broken, fairness = _divergence(r, jvals, jac)
+    if broken:
         raise DivergenceError(broken, iterate=w)
-    fairness, mm = fairness_residual(r, jvals), minmax_value(r, jvals)
+    mm = minmax_value(r, jvals)
     if fair_tol is None:
         fair_tol = 1e-8 * mm * mm
     if gap_tol is None:

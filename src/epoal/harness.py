@@ -11,8 +11,8 @@ the protocol is:
      whose min-max value lies within ``epsilon`` of J*; the algorithm's
      iteration complexity i_o is the minimum over combinations, ties going
      to the combination first in lexicographic grid order, and the winning
-     combination is re-run for exactly i_o iterations under a monotonic
-     clock to measure the wall-clock complexity t_o.
+     combination is re-run in the solver kernel, without trace records, for
+     exactly i_o iterations under a monotonic clock to measure the wall-clock complexity t_o.
      The minimum is found by a lockstep race: the solver kernel advances
      every combination one iterate per round as one array pass, and the
      first round with a value in the band ends it, so the winner is exact.
@@ -35,7 +35,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .problems import CONVEX, FIG1, NONCONVEX, make_problem, sample_initial, sample_preference
-from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationRecord,
+# run is re-exported until the perfbench tracer wraps the kernel (ROADMAP item 1).
+from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationRecord,  # noqa: F401
                       SolverConfig, _lockstep, run)
 
 CI_LEVEL = 0.99
@@ -194,18 +195,20 @@ def _race(rounds, target: float, epsilon: float):
 
 def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
                  reps: int = 3) -> float:
-    """Median wall-clock seconds to run exactly ``iters`` iterations.
+    """Median seconds, on a monotonic clock, of the bare solver kernel for ``iters`` iterations.
 
-    Repetitions use a monotonic clock and exclude all tuning work; callers
-    are responsible for running this without concurrent load.
+    Each repetition makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
+    would, but builds no trace records; callers keep concurrent load away while it runs.
     """
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
-    timed_cfg = replace(config, max_iter=iters)
+    timed = [replace(config, max_iter=iters)]
     samples = []
     for _ in range(reps):
         start = time.perf_counter()
-        run(algorithm, problem, r, w0, timed_cfg)
+        for block in _lockstep(algorithm, problem, r, w0, timed):
+            if block.diverged:
+                raise block.diverged[0]
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
 

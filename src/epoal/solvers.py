@@ -122,7 +122,7 @@ def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
     G[b] (row k that of J_k), H[b] = (mu, eta, tau), rngs[b]; the scalar step's ops, bit for bit.
     """
     if algorithm == EPO_AL:
-        fairness_grad = lr_apply(r, J)
+        fairness_grad = lr_apply(r, J, _u=U)
         Y = np.maximum(P, 0.0) + H[:, 1] * fairness_grad
         return W - H[:, 0] * np.matmul(Y[:, None, :], G)[:, 0], P + H[:, 0] * fairness_grad, None
     if algorithm == SUBGRADIENT:
@@ -150,7 +150,7 @@ def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=Non
     r = _preference_for(r, obj)
     jvals, jac = _evaluate(obj, w)
     P = np.empty((1, 0)) if p is None else p[None]
-    if broken := _divergence(r, jvals, jac, P):
+    if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
     U = (r * jvals)[None]
     W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], U, U.max(axis=1),
@@ -274,7 +274,7 @@ def _lockstep(algorithm, obj, r, w0, configs):
             diverged = []
             if not (-limit < U.min() and M.max() < limit and np.isfinite(G).all()
                     and (not P.size or np.isfinite(P).all())):
-                broken = [_divergence(r, *row) for row in zip(J, G, P)]
+                broken = [_divergence(r, *row)[0] for row in zip(J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
                 rows, W, P, H, J, G, U, M = (a[ok] for a in (rows, W, P, H, J, G, U, M))

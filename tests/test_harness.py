@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
-                   iteration_complexity, log_grid, make_problem, minmax_value, run,
+                   iteration_complexity, log_grid, make_problem, minmax_value,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
 import epoal.harness as harness
 from epoal.harness import _grid_configs, _race, _scan_rounds, _tune_trial, trial_seed
-from epoal.solvers import ALGORITHMS, IterationRecord
+from epoal.solvers import ALGORITHMS, DivergenceError, IterationRecord, _lockstep
 
 from oracles import (exhaustive_target, exhaustive_tune, run_allowing_divergence,
                      two_objective_epo_oracle)
@@ -195,6 +196,34 @@ def test_compute_target_improves_with_more_step_sizes():
             <= compute_target(problem, r, w0, base, seed=13))
 
 
+@pytest.fixture
+def forbid_run(monkeypatch):
+    # measure_time times the kernel; run would add the trace records to t_o.
+    def no_run(*args, **kwargs):
+        raise AssertionError("measure_time called run")
+
+    monkeypatch.setattr(harness, "run", no_run)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_measure_time_evaluates_iters_plus_one_per_repetition(forbid_run, algorithm):
+    problem, r, w0 = trial_inputs()
+    config = _grid_configs(algorithm, small_grid(max_iter=20), seed=4)[0]
+    counter = CountingObjectives(problem)
+    assert harness.measure_time(algorithm, counter, r, w0, config, 7, reps=4) > 0
+    assert counter.evaluations == 4 * (7 + 1)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_measure_time_raises_where_the_configuration_diverges(forbid_run, algorithm):
+    # A step size of 1e200 overflows ||w - w_k||^2 on the first step.
+    problem, r, w0 = trial_inputs()
+    config = replace(_grid_configs(algorithm, small_grid(max_iter=20), seed=4)[0], mu=1e200)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        harness.measure_time(algorithm, problem, r, w0, config, 5)
+    assert err.value.iteration == 1
+
+
 def test_tune_run_accounting():
     problem, r, w0 = trial_inputs()
     grid = small_grid(max_iter=20)
@@ -332,11 +361,11 @@ def test_subgradient_tuning_reads_the_scan_without_running(monkeypatch):
     target = compute_target(problem, r, w0, grid, seed=4, _scan=scan)
     calls = []
 
-    def counting_run(*args, **kwargs):
+    def counting_lockstep(*args, **kwargs):
         calls.append(args[0])
-        return run(*args, **kwargs)
+        return _lockstep(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", counting_run)
+    monkeypatch.setattr(harness, "_lockstep", counting_lockstep)
     record = tune_and_measure("subgradient", problem, r, w0, grid, seed=4, target=target,
                               measure=False, _scan=scan)
     assert calls == []
@@ -448,11 +477,11 @@ def test_run_experiment_trial_count_floor():
 def test_run_experiment_checks_arguments_before_any_run(monkeypatch, bad):
     calls = []
 
-    def counting_run(*args, **kwargs):
+    def counting_lockstep(*args, **kwargs):
         calls.append(args[0])
-        return run(*args, **kwargs)
+        return _lockstep(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", counting_run)
+    monkeypatch.setattr(harness, "_lockstep", counting_lockstep)
     kwargs = dict(kinds=["convex-distance"], K_values=[2], d=3, n_trials=3,
                   master_seed=0, algorithms=["epo-al", "subgradient"],
                   grid=small_grid(max_iter=20))
