@@ -113,16 +113,18 @@ def _divergence(r: np.ndarray, jvals, jac, p=()) -> tuple[str | None, float]:
 def lr_apply(r: np.ndarray, v: np.ndarray, *, _u=None) -> np.ndarray:
     """Matrix-free product L_r v in O(K) arithmetic, for each row of a (..., K) stack v.
 
+    ``r`` is one (K,) preference or a (..., K) stack of them, each row applied to the
+    matching row of v, as the solver kernel does for rows of different trials.
     Uses the identity L_r v = r * (u - mean(u)) with u = r * v, so no
     K x K matrix is ever formed; the mean is taken as sum / K, as ``np.mean`` does.
     ``_u`` is for the solver kernel's own use: the product r * v it has already formed.
     """
     r = np.asarray(r, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1:] != r.shape:
+    if v.shape[-1:] != r.shape[-1:]:
         raise ValueError(f"length mismatch: r has shape {r.shape}, v has shape {v.shape}")
     u = r * v if _u is None else _u
-    return r * (u - u.sum(axis=-1, keepdims=True) / u.shape[-1])
+    return r * (u - np.add.reduce(u, axis=-1, keepdims=True) / u.shape[-1])
 
 
 def fairness_residual(r: np.ndarray, jvals: np.ndarray) -> float:

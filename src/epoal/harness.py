@@ -5,7 +5,8 @@ the protocol is:
 
   1. The target value J* is the minimum weighted min-max value attained by
      the subgradient algorithm over every step size in its grid, scanning
-     all iterates of all runs.
+     all iterates of all runs.  The scans of a chunk of one cell's trials
+     run as one kernel pass, each row bit-identical to a scan of its trial alone.
   2. For each algorithm and each hyperparameter combination in its grid,
      the iteration complexity of that combination is the first iterate
      whose min-max value lies within ``epsilon`` of J*; the algorithm's
@@ -143,19 +144,31 @@ def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
     so tie-breaking noise does not differ across step sizes; the minimum is
     taken over every iterate of every run, iterate 0 included.
 
-    ``_scan`` is for the protocol's own use: when given, it receives the
+    ``_scan`` is for the protocol's own use: a list holding the trial's
     (step sizes, max_iter + 1) min-max array, NaN from the iterate at which a
-    run diverged, so the same runs can serve as the subgradient tuning runs.
+    run diverged, which is read instead of running; an empty list receives
+    the array, so the same runs can serve as the subgradient tuning runs.
     """
-    configs = _grid_configs(SUBGRADIENT, grid, seed)
-    minmax = np.full((len(configs), grid.max_iter + 1), np.nan)
-    for block in _lockstep(SUBGRADIENT, problem, r, w0, configs):
-        minmax[block.rows, block.i] = block.minmax
+    if _scan:
+        minmax = _scan[0]
+    else:
+        (minmax,) = _target_scans([(problem, r, w0, seed)], grid)
+        if _scan is not None:
+            _scan.append(minmax)
     if np.isnan(minmax[:, 0]).all():
         raise HarnessError("every target-scan run diverged before its first iterate")
-    if _scan is not None:
-        _scan.append(minmax)
     return float(np.nanmin(minmax))
+
+
+def _target_scans(trials, grid: GridSpec) -> list[np.ndarray]:
+    """The min-max arrays of :func:`compute_target` for ``(problem, r, w0, seed)`` trials
+    sharing K and d, one kernel pass of (trials x step sizes) rows."""
+    passes = [(problem, r, w0, _grid_configs(SUBGRADIENT, grid, seed))
+              for problem, r, w0, seed in trials]
+    minmax = np.full((sum(len(p[3]) for p in passes), grid.max_iter + 1), np.nan)
+    for block in _lockstep(SUBGRADIENT, passes):
+        minmax[block.rows, block.i] = block.minmax
+    return np.split(minmax, len(trials))
 
 
 def iteration_complexity(trace: list[IterationRecord], target: float,
@@ -206,7 +219,7 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
     samples = []
     for _ in range(reps):
         start = time.perf_counter()
-        for block in _lockstep(algorithm, problem, r, w0, timed):
+        for block in _lockstep(algorithm, [(problem, r, w0, timed)]):
             if block.diverged:
                 raise block.diverged[0]
         samples.append(time.perf_counter() - start)
@@ -221,13 +234,13 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
     ``target`` is the trial's J* from :func:`compute_target`, shared by all
     algorithms.  ``measure=False`` skips the timing runs, leaving t_o None.
 
-    ``_scan`` is for the protocol's own use: the list that received the
-    trial's target-scan array (the subgradient grid, this seed), which
-    subgradient's race reads instead of running; other algorithms ignore it.
+    ``_scan`` is for the protocol's own use: the list that holds the trial's
+    target-scan array (the subgradient grid, this seed), which subgradient's
+    race reads instead of running; other algorithms ignore it.
     """
     configs = _grid_configs(algorithm, grid, seed)
     rounds = (_scan_rounds(_scan[0]) if algorithm == SUBGRADIENT and _scan is not None
-              else _lockstep(algorithm, problem, r, w0, configs))
+              else _lockstep(algorithm, [(problem, r, w0, configs)]))
     best_i, j = _race(rounds, target, grid.epsilon)
     best_cfg = None if j is None else configs[j]
     t_o = (measure_time(algorithm, problem, r, w0, best_cfg, best_i, reps=timing_reps)
@@ -258,15 +271,20 @@ def _trial_inputs(kind, K, d, seed):
     return make_problem(kind, d, K, seed), sample_preference(K, seed), sample_initial(d, seed)
 
 
-def _tune_trial(task):
-    """Tuning phase of one trial (no timing); picklable for worker pools."""
-    kind, K, d, seed, algorithms, grid = task
-    problem, r, w0 = _trial_inputs(kind, K, d, seed)
-    scan = []
-    target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
-    return [tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
-                             measure=False, _scan=scan)
-            for algo in algorithms]
+def _tune_chunk(task):
+    """Tuning phase (no timing) of a chunk of one cell's trials, one record list per trial;
+    picklable for worker pools.  The chunk's target scans run as one kernel pass."""
+    kind, K, d, seeds, algorithms, grid = task
+    trials = [_trial_inputs(kind, K, d, seed) for seed in seeds]
+    scans = _target_scans([(*trial, seed) for trial, seed in zip(trials, seeds)], grid)
+    tuned = []
+    for (problem, r, w0), seed, minmax in zip(trials, seeds, scans):
+        scan = [minmax]
+        target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
+        tuned.append([tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
+                                       measure=False, _scan=scan)
+                      for algo in algorithms])
+    return tuned
 
 
 def _aggregate(kind, algorithm, K, d, trials: list[TrialRecord]) -> AggregateRecord:
@@ -319,27 +337,35 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     for kind, K in cells:
         make_problem(kind, d, K, master_seed)
 
-    # Task c * n_trials + t is trial t of cell c; entry a of a task's
-    # result list is algorithms[a].
-    tasks = [(kind, K, d, trial_seed(master_seed, kind, K, t), algorithms, grid)
-             for kind, K in cells for t in range(n_trials)]
+    # A task is a chunk of consecutive trials of one cell, min(jobs, n_trials) chunks a
+    # cell.  Trial t of cell c is entry c * n_trials + t of the concatenated chunk results;
+    # entry a of a trial's list is algorithms[a].
+    n_chunks = min(jobs, n_trials)
+    bounds = [n * n_trials // n_chunks for n in range(n_chunks + 1)]
+    tasks = []
+    for kind, K in cells:
+        seeds = [trial_seed(master_seed, kind, K, t) for t in range(n_trials)]
+        tasks += [(kind, K, d, seeds[lo:hi], algorithms, grid)
+                  for lo, hi in zip(bounds, bounds[1:])]
 
     if jobs > 1:
         # Fork-based pools start all their workers at the first submit.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            tuned = list(pool.map(_tune_trial, tasks))
+            chunks = list(pool.map(_tune_chunk, tasks))
     else:
-        tuned = [_tune_trial(task) for task in tasks]
+        chunks = [_tune_chunk(task) for task in tasks]
 
     if measure:
-        for task, trial in zip(tasks, tuned):
-            problem, r, w0 = _trial_inputs(*task[:4])
-            for a, rec in enumerate(trial):
-                if rec.i_o is not None:
-                    trial[a] = replace(rec, t_o=measure_time(
-                        algorithms[a], problem, r, w0, rec.best_config, rec.i_o,
-                        reps=timing_reps))
+        for task, chunk in zip(tasks, chunks):
+            for seed, trial in zip(task[3], chunk):
+                problem, r, w0 = _trial_inputs(*task[:3], seed)
+                for a, rec in enumerate(trial):
+                    if rec.i_o is not None:
+                        trial[a] = replace(rec, t_o=measure_time(
+                            algorithms[a], problem, r, w0, rec.best_config, rec.i_o,
+                            reps=timing_reps))
 
+    tuned = [trial for chunk in chunks for trial in chunk]
     return [_aggregate(kind, algo, K, d,
                        [trial[a] for trial in tuned[c * n_trials:(c + 1) * n_trials]])
             for c, (kind, K) in enumerate(cells) for a, algo in enumerate(algorithms)]

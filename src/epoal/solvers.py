@@ -17,10 +17,12 @@ Three algorithms behind one lockstep kernel:
 
 The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
-iteration; ``run`` is the kernel on one configuration and shares each
-evaluation with that iterate's trace record.  A configuration diverges at the
-first iterate that breaks ``core._divergence``: its kernel row leaves there,
-and there ``run`` and the public steps raise DivergenceError.
+iteration; the configurations may belong to several trials of one (K, d), each
+row with its trial's objectives, preference and start.  ``run`` is the kernel on
+one configuration and shares each evaluation with that iterate's trace record.
+A configuration diverges at the first iterate that breaks ``core._divergence``:
+its kernel row leaves there, and there ``run`` and the public steps raise
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noqa: F401
                    _preference_for, as_model_vector, fairness_residual, lr_apply)
 from .diagnostics import pareto_stationarity_gap
-from .problems import SyntheticProblem
+from .problems import _EVALUATORS, SyntheticProblem
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -118,8 +120,9 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
     """One step of each row b of a block: (W+, P+, subgradient indices or None).
 
-    Row b: iterate W[b], dual P[b], values J[b], U[b] = r * J[b], M[b] = max U[b], gradients
-    G[b] (row k that of J_k), H[b] = (mu, eta, tau), rngs[b]; the scalar step's ops, bit for bit.
+    Row b: preference r, or r[b] for a (B, K) stack, iterate W[b], dual P[b], values J[b],
+    U[b] = r * J[b], M[b] = max U[b], gradients G[b] (row k that of J_k), H[b] = (mu, eta, tau),
+    rngs[b]; the scalar step's ops, bit for bit.
     """
     if algorithm == EPO_AL:
         fairness_grad = lr_apply(r, J, _u=U)
@@ -133,7 +136,9 @@ def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
             for b in np.flatnonzero(tied.sum(axis=1) > 1):
                 active = np.flatnonzero(tied[b])
                 k[b] = active[rngs[b].integers(active.size)]
-        return W - H[:, 0] * r[k][:, None] * G[np.arange(k.size), k], P, k
+        rows = np.arange(k.size)
+        r_k = r[k] if r.ndim == 1 else r[rows, k]
+        return W - H[:, 0] * r_k[:, None] * G[rows, k], P, k
     V = U / H[:, 2]
     weights = np.exp(V - M[:, None] / H[:, 2])    # M / tau is max V: rounding is monotonic
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
@@ -205,7 +210,7 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
         raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
     records: list[IterationRecord] = []
     try:
-        for block in _lockstep(algorithm, obj, r, w0, [config]):
+        for block in _lockstep(algorithm, [(obj, r, w0, [config])]):
             if block.diverged:
                 raise block.diverged[0]
             minmax, fairness = float(block.minmax[0]), fairness_residual(r, block.J[0])
@@ -229,9 +234,13 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 _Block = namedtuple("_Block", "i rows minmax J G P active diverged")
 
 
-def _evaluate_block(obj, W):
-    """Values (B, K) and gradients (B, K, d) of a block of iterates W (B, d)."""
-    if isinstance(obj, SyntheticProblem):
+def _evaluate_block(obj, W, anchors):
+    """Values (B, K) and gradients (B, K, d) of a block of iterates W (B, d): those of
+    ``obj``, or, given a (B, K, d) stack of ``anchors``, row b's those of obj's kind of
+    problem on anchors[b]."""
+    if anchors is not None:
+        J, jacs = _EVALUATORS[obj.kind](anchors, W)
+    elif isinstance(obj, SyntheticProblem):
         J, jacs = obj.values_and_jacobian(W)      # the whole block as stacks
     else:
         J, jacs = np.empty((len(W), obj.count)), np.empty((len(W), W.shape[1], obj.count))
@@ -240,48 +249,73 @@ def _evaluate_block(obj, W):
     return J, jacs.swapaxes(1, 2)
 
 
-def _lockstep(algorithm, obj, r, w0, configs):
-    """Advance ``configs`` (one shared max_iter) of ``algorithm`` together from ``w0``.
+def _lockstep(algorithm, trials):
+    """Advance the configurations of ``trials`` together, row j the j-th in trial order.
 
-    Round i evaluates and steps iterate i of every live configuration, a row of
-    the (C, d) iterate stack with its own generator, in row blocks whose (rows, K, d)
-    arrays fit in ``_BLOCK_BYTES``, yielding a _Block for each.  A row leaves at the first
-    iterate that breaks ``core._divergence``, where ``run`` stops; only a block that fails
-    a whole-block screen (finite G and P, weighted values inside +-limit) is ruled by row.
+    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter.  Round i
+    evaluates and steps iterate i of every live row, with its trial's objectives and r and its
+    own generator, in row blocks whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
+    _Block for each.  A block spans trials only when all are synthetic problems of one kind; it
+    then stacks its rows' anchors and r, when it forms and when rows leave it.  A row leaves at
+    the first iterate that breaks ``core._divergence``, where ``run`` stops; only a block that
+    fails a whole-block screen (finite sums of G and of P, weighted values inside +-limit) is
+    ruled by row.  A finite sum has finite terms; one that overflows goes to the row rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    configs = [c for *_, cs in trials for c in cs]
     needs = {EPO_AL: "eta", SMOOTH_MAX: "tau"}.get(algorithm)
     if needs and any(getattr(c, needs) is None for c in configs):
         raise ValueError(f"{algorithm} requires config.{needs}")
-    r, w0 = _preference_for(r, obj), as_model_vector(w0)
-    if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
-        raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
-    C, K, last = len(configs), obj.count, configs[0].max_iter
+    objs = [obj for obj, *_ in trials]
+    rs = [_preference_for(r, obj) for obj, r, *_ in trials]
+    w0s = [as_model_vector(w0) for *_, w0, _ in trials]
+    for obj, w0 in zip(objs, w0s):
+        if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
+            raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
+    C, K, d, last = len(configs), objs[0].count, w0s[0].size, configs[0].max_iter
+    if any(obj.count != K for obj in objs) or any(w0.size != d for w0 in w0s):
+        raise ValueError("the trials of one kernel pass must share K and d")
+    rs, w0s = np.array(rs), np.array(w0s)
     # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
+    counts = [len(cs) for *_, cs in trials]
+    trial = np.repeat(np.arange(len(trials)), counts)
     # Row state: grid index, iterate, epo-al dual (no columns otherwise), hyperparameters, rng.
-    state = (np.arange(C), np.tile(w0, (C, 1)),
+    state = (np.arange(C), w0s[trial],
              np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), _columns(configs),
              [np.random.default_rng(c.seed) for c in configs])
-    size = max(1, _BLOCK_BYTES // (8 * K * w0.size))
-    blocks = [[a[s:s + size] for a in state] for s in range(0, C, size)]
+    size = max(1, _BLOCK_BYTES // (8 * K * d))
+    stacks = all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs)
+    # Blocks of ``size`` rows, cut at each trial's end too unless the trials' anchors stack.
+    bounds = sorted({*range(0, C, size), C, *(() if stacks else np.cumsum(counts).tolist())})
+    blocks = []
+    for s, e in zip(bounds, bounds[1:]):
+        t = trial[s:e]
+        # Block source: its trial's objectives, then r and anchors (None), or its rows' stacks.
+        source = ([objs[t[0]], rs[t[0]], None] if t[0] == t[-1] else
+                  [objs[t[0]], rs[t], np.array([objs[k].anchors for k in t])])
+        blocks.append([a[s:e] for a in state] + source)
     for i in range(last + 1):
-        for n, (rows, W, P, H, gens) in enumerate(blocks):
-            J, G = _evaluate_block(obj, W)
+        for n, (rows, W, P, H, gens, obj, r, A) in enumerate(blocks):
+            J, G = _evaluate_block(obj, W, A)
             U = r * J
             M = np.maximum.reduce(U, axis=1)
             diverged = []
-            if not (-limit < U.min() and M.max() < limit and np.isfinite(G).all()
-                    and (not P.size or np.isfinite(P).all())):
-                broken = [_divergence(r, *row)[0] for row in zip(J, G, P)]
+            if not (np.maximum.reduce(np.abs(U), axis=None) < limit
+                    and np.isfinite(np.add.reduce(G, axis=None))
+                    and (not P.size or np.isfinite(np.add.reduce(P, axis=None)))):
+                broken = [_divergence(r_b, *row)[0]
+                          for r_b, *row in zip(np.broadcast_to(r, U.shape), J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
                 rows, W, P, H, J, G, U, M = (a[ok] for a in (rows, W, P, H, J, G, U, M))
                 gens = [g for g, keep in zip(gens, ok) if keep]
+                if A is not None:
+                    r, A = r[ok], A[ok]
             W_next, P_next, active = ((W, P, None) if i == last
                                       else _update(algorithm, r, W, P, J, U, M, G, H, gens))
-            blocks[n] = [rows, W_next, P_next, H, gens]
+            blocks[n] = [rows, W_next, P_next, H, gens, obj, r, A]
             yield _Block(i, rows, M, J, G, P, active, diverged)
         blocks = [block for block in blocks if block[4]]
         if not blocks:

@@ -425,6 +425,63 @@ def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, prefix, l
         assert str(model) in err.getvalue() or code == 64
 
 
+@pytest.fixture(scope="module")
+def bench_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench-fuzz") / "bench.csv"
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; argparse's usage errors exit too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Small enough that a case which reaches the protocol takes a fraction of a second.
+BENCH_VALID = {"--kinds": ["convex", "nonconvex", "convex,nonconvex"], "--K": ["2", "3,4", "4"],
+               "--d": ["1", "3", "4"], "--trials": ["3", "4", "5"],
+               "--algos": ["epo-al", "subgradient", "smooth-max", "epo-al,subgradient"],
+               "--seed": ["0", "7", str(2 ** 64)], "--epsilon": ["0.01", "1", "1e-300"],
+               "--max-iter": ["0", "5", "20"], "--jobs": ["1", "2"], "--timing-reps": ["1"]}
+BENCH_INVALID = {"--kinds": ["", "spherical", "convex,convex"],
+                 "--K": ["2,2", "1", "0", "-2", "", "x", "2.5"], "--d": ["0", "-1", "x"],
+                 "--trials": ["2", "x"], "--algos": ["foo", "", "epo-al,epo-al"],
+                 "--seed": ["-1", "x"], "--epsilon": ["0", "-1", "nan", "inf", "x"],
+                 "--max-iter": ["-1", "1.5"], "--jobs": ["0", "-2"], "--timing-reps": ["0"]}
+
+
+# A valid argv, or one with a single invalid flag value.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(argv=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                   for flag, values in BENCH_VALID.items()}),
+       broken=st.none() | st.sampled_from([(flag, value) for flag, values in
+                                           BENCH_INVALID.items() for value in values]))
+def test_bench_argv_ends_in_a_documented_code(bench_out, argv, broken):
+    if broken is not None:
+        argv = {**argv, broken[0]: broken[1]}
+    bench_out.unlink(missing_ok=True)
+    code, stdout, stderr = run_main(["bench", *(token for item in argv.items() for token in item),
+                                     "--out", str(bench_out)])
+    assert code in (0, 64, 65)
+    assert code == (0 if broken is None else 64)
+    assert "Traceback" not in stderr and stdout == ""
+    if code != 0:
+        assert stderr and not bench_out.exists()
+        return
+    header, *lines = bench_out.read_text().splitlines()
+    assert json.loads(header[2:])["config"]["master_seed"] == int(argv["--seed"])
+    rows = list(csv.reader(lines))
+    assert rows[0] == CSV_COLUMNS
+    cells = [len(argv[flag].split(",")) for flag in ("--kinds", "--K", "--algos")]
+    assert len(rows) == 1 + np.prod(cells)
+    assert all(len(row) == len(CSV_COLUMNS) and row[-1] == argv["--seed"] for row in rows[1:])
+    assert json.loads(bench_out.with_suffix(".meta.json").read_text())["command"] == "bench"
+
+
 def test_certify_missing_problem_exits_65(tmp_path, capsys):
     model_path = tmp_path / "model.txt"
     model_path.write_text("0.0\n")

@@ -128,6 +128,21 @@ def test_lr_apply_stack_is_bit_identical_to_each_row():
             assert np.array_equal(row, lr_apply(r, v))
 
 
+def test_lr_apply_stacked_preferences_are_bit_identical_to_each_row():
+    # A kernel pass over several trials applies each row's own r to that row of a (C, K)
+    # stack; each row must equal the single-vector product to the last bit.
+    rng = np.random.default_rng(4)
+    for K in (2, 16, 64):
+        R = rng.uniform(0.1, 5.0, (7, K))
+        V = rng.standard_normal((7, K)) * 10.0 ** rng.integers(-3, 4, (7, 1))
+        out = lr_apply(R, V)
+        for r, v, row in zip(R, V, out):
+            assert np.array_equal(row, r * (r * v - (r * v).mean()))
+            assert np.array_equal(row, lr_apply(r, v))
+    with pytest.raises(ValueError, match="length mismatch"):
+        lr_apply(np.ones((7, 3)), np.ones((7, 4)))
+
+
 def test_fairness_residual_zero_when_weighted_values_equal():
     assert fairness_residual([1.0, 1.0], [2.0, 2.0]) == 0.0
     assert fairness_residual([0.2, 0.8], [4.0, 1.0]) == pytest.approx(0.0, abs=1e-15)

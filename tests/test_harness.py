@@ -12,7 +12,7 @@ from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
 import epoal.harness as harness
-from epoal.harness import _grid_configs, _race, _scan_rounds, _tune_trial, trial_seed
+from epoal.harness import _grid_configs, _race, _scan_rounds, _tune_chunk, trial_seed
 from epoal.solvers import ALGORITHMS, DivergenceError, IterationRecord, _lockstep
 
 from oracles import (exhaustive_target, exhaustive_tune, run_allowing_divergence,
@@ -196,6 +196,24 @@ def test_compute_target_improves_with_more_step_sizes():
             <= compute_target(problem, r, w0, base, seed=13))
 
 
+@pytest.mark.parametrize("K", [2, 16])
+def test_cell_scan_rows_equal_each_trials_own_target_scan(K):
+    # A chunk's scans run as one kernel pass; a diverging step size (1e200) in every trial
+    # leaves NaN from its iterate 1 on, in the pass as alone.
+    grid = small_grid(max_iter=80)
+    grid = replace(grid, mu_grid=grid.mu_grid + (1e200,))
+    seeds = [trial_seed(3, "convex-distance", K, t) for t in range(4)]
+    trials = [trial_inputs("convex-distance", 6, K, seed) for seed in seeds]
+    scans = harness._target_scans([(*trial, seed) for trial, seed in zip(trials, seeds)], grid)
+    assert len(scans) == len(trials)
+    for (problem, r, w0), seed, minmax in zip(trials, seeds, scans):
+        alone = []
+        target = compute_target(problem, r, w0, grid, seed=seed, _scan=alone)
+        np.testing.assert_array_equal(minmax, alone[0])
+        assert np.isnan(minmax[-1, 1:]).all() and not np.isnan(minmax[:-1]).any()
+        assert compute_target(problem, r, w0, grid, seed=seed, _scan=[minmax]) == target
+
+
 @pytest.fixture
 def forbid_run(monkeypatch):
     # measure_time times the kernel; run would add the trace records to t_o.
@@ -277,22 +295,26 @@ PARITY_GRID = GridSpec(mu_grid=tuple(log_grid(1e-3, 1e-1, 5)),
                        max_iter=200)
 
 
-def assert_trial_matches_oracle(task):
-    kind, K, d, seed, _, grid = task
-    problem, r, w0 = trial_inputs(kind, d, K, seed)
-    target = exhaustive_target(problem, r, w0, grid, seed)
-    for rec in _tune_trial(task):
-        assert rec.target == target
-        expected = exhaustive_tune(rec.algorithm, problem, r, w0, grid, seed, target)
-        assert (rec.i_o, rec.best_config) == expected, rec.algorithm
+def assert_chunk_matches_oracle(task):
+    # Each trial of the chunk, alone through the slow oracles.
+    kind, K, d, seeds, algorithms, grid = task
+    chunk = _tune_chunk(task)
+    assert len(chunk) == len(seeds)
+    for seed, trial in zip(seeds, chunk):
+        problem, r, w0 = trial_inputs(kind, d, K, seed)
+        target = exhaustive_target(problem, r, w0, grid, seed)
+        assert [rec.algorithm for rec in trial] == list(algorithms)
+        for rec in trial:
+            assert rec.target == target and rec.seed == seed
+            expected = exhaustive_tune(rec.algorithm, problem, r, w0, grid, seed, target)
+            assert (rec.i_o, rec.best_config) == expected, rec.algorithm
 
 
 @pytest.mark.parametrize("K", [2, 4, 16])
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_tuning_matches_exhaustive_oracle(kind, K):
-    for trial in range(2):
-        seed = trial_seed(31, kind, K, trial)
-        assert_trial_matches_oracle((kind, K, 20, seed, ALGORITHMS, PARITY_GRID))
+    seeds = [trial_seed(31, kind, K, trial) for trial in range(2)]
+    assert_chunk_matches_oracle((kind, K, 20, seeds, ALGORITHMS, PARITY_GRID))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -343,15 +365,25 @@ def test_race_matches_exhaustive_minimum(traces, target):
 
 
 def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
+    # Every trial of a chunk is tuned through tune_and_measure, after compute_target
+    # has read its rows of the chunk's scan; the benchmark's tracer counts trials so.
     calls = []
 
     def counting_tune(algorithm, *args, **kwargs):
         calls.append(algorithm)
         return tune_and_measure(algorithm, *args, **kwargs)
 
+    def counting_target(*args, **kwargs):
+        calls.append("target")
+        return compute_target(*args, **kwargs)
+
     monkeypatch.setattr(harness, "tune_and_measure", counting_tune)
-    _tune_trial(("convex-distance", 3, 6, 4, ALGORITHMS, small_grid(max_iter=40)))
-    assert calls == list(ALGORITHMS)
+    monkeypatch.setattr(harness, "compute_target", counting_target)
+    _tune_chunk(("convex-distance", 3, 6, [4], ALGORITHMS, small_grid(max_iter=40)))
+    assert calls == ["target", *ALGORITHMS]
+    calls.clear()
+    _tune_chunk(("convex-distance", 3, 6, [4, 5, 6], ALGORITHMS, small_grid(max_iter=40)))
+    assert calls == ["target", *ALGORITHMS] * 3
 
 
 def test_subgradient_tuning_reads_the_scan_without_running(monkeypatch):
@@ -384,11 +416,12 @@ def test_benchmark_tracer_patches_and_restores_harness_names():
              "tune_and_measure", "iteration_complexity")
     originals = {name: getattr(harness, name) for name in names}
     tracer = tracer_module.Tracer()
-    tracer.traced(_tune_trial, ("convex-distance", 3, 6, 4, ALGORITHMS,
+    tracer.traced(_tune_chunk, ("convex-distance", 3, 6, [4, 5], ALGORITHMS,
                                 small_grid(max_iter=40)))
     assert {name: getattr(harness, name) for name in names} == originals
+    assert tracer.calls["harness.compute_target"] == 2
     for algo in ALGORITHMS:
-        assert tracer.calls[f"harness.tune_and_measure[{algo}]"] == 1
+        assert tracer.calls[f"harness.tune_and_measure[{algo}]"] == 2
     assert tracer.layer_metrics()["harness.tune_s.subgradient"][0] > 0
 
 
@@ -412,7 +445,8 @@ def test_tuning_with_diverging_config_matches_oracle():
     for algorithm in ALGORITHMS:
         diverging = _grid_configs(algorithm, grid, seed=4)[-1]
         assert len(run_allowing_divergence(algorithm, problem, r, w0, diverging)) == 1
-    assert_trial_matches_oracle(("convex-distance", 3, 6, 4, ALGORITHMS, grid))
+    assert_chunk_matches_oracle(("convex-distance", 3, 6, [4], ALGORITHMS, grid))
+    assert_chunk_matches_oracle(("convex-distance", 3, 6, [4, 9, 11], ALGORITHMS, grid))
 
 
 def test_tune_smooth_max_through_full_protocol():
@@ -520,6 +554,35 @@ def test_run_experiment_parallel_matches_serial():
     serial = run_experiment(["nonconvex-gaussian"], jobs=1, **kwargs)
     parallel = run_experiment(["nonconvex-gaussian"], jobs=2, **kwargs)
     assert repr(serial) == repr(parallel)
+
+
+def test_run_experiment_chunking_does_not_change_results(monkeypatch):
+    # One chunk a cell at jobs=1, two chunks of 2 and 3 trials at jobs=2, one trial a
+    # chunk at jobs=5; a serial pool keeps the chunks in this process.
+    chunks = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            chunks.append([len(task[3]) for task in tasks])
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    kwargs = dict(K_values=[2, 5], d=4, n_trials=5, master_seed=8,
+                  algorithms=["epo-al", "subgradient"], grid=small_grid(max_iter=60),
+                  measure=False)
+    results = {jobs: repr(run_experiment(["convex-distance"], jobs=jobs, **kwargs))
+               for jobs in (1, 2, 5)}
+    assert chunks == [[2, 3, 2, 3], [1] * 10]
+    assert results[1] == results[2] == results[5]
 
 
 def test_run_experiment_with_timing_produces_positive_times():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -324,7 +326,7 @@ def test_divergence_error_carries_iteration_and_partial_trace():
 
 def assert_kernel_stops_where_run_does(algorithm, obj, r, w0, configs):
     """Each kernel row leaves where ``run`` of its configuration stops, with its message."""
-    left = [(block.i, str(err)) for block in _lockstep(algorithm, obj, r, w0, configs)
+    left = [(block.i, str(err)) for block in _lockstep(algorithm, [(obj, r, w0, configs)])
             for err in block.diverged]
     stops = []
     for cfg, trace in zip(configs, kernel_traces(algorithm, obj, r, w0, configs)):
@@ -405,15 +407,21 @@ def test_fixed_point_implies_fair_and_stationary():
     assert pareto_stationarity_gap(jac).gap <= 1e-4
 
 
-def kernel_traces(algorithm, obj, r, w0, configs):
-    """Per configuration, (minmax, p, active index) of every iterate the kernel yields."""
-    traces = [[] for _ in configs]
-    for block in _lockstep(algorithm, obj, r, w0, configs):
+def pass_traces(algorithm, trials):
+    """Per kernel row, in trial order, (minmax, p, active index) of every iterate that one
+    kernel pass over ``trials``, (obj, r, w0, configs) tuples, yields."""
+    traces = [[] for *_, configs in trials for _ in configs]
+    for block in _lockstep(algorithm, trials):
         for b, j in enumerate(block.rows):
             traces[j].append((float(block.minmax[b]),
                               block.P[b] if algorithm == "epo-al" else None,
                               None if block.active is None else int(block.active[b])))
     return traces
+
+
+def kernel_traces(algorithm, obj, r, w0, configs):
+    """Per configuration, (minmax, p, active index) of every iterate the kernel yields."""
+    return pass_traces(algorithm, [(obj, r, w0, configs)])
 
 
 def assert_traces_equal(kernel, oracle):
@@ -477,7 +485,7 @@ def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives)
     configs = grid_configs(algorithm, max_iter=40, seeds=(0, 1, 2))
     configs[1] = SolverConfig(mu=1e200, eta=configs[1].eta, tau=configs[1].tau, max_iter=40)
     diverged = []
-    for block in _lockstep(algorithm, problem, r, w0, configs):
+    for block in _lockstep(algorithm, [(problem, r, w0, configs)]):
         diverged += [(block.i, err.iteration) for err in block.diverged]
         if block.i >= 1:
             assert list(block.rows) == [0, 2]
@@ -494,10 +502,78 @@ def test_lockstep_row_blocks_of_one_give_identical_results(monkeypatch, algorith
     configs = grid_configs(algorithm, max_iter=50)
     whole = kernel_traces(algorithm, problem, r, w0, configs)
     monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
-    blocks = list(_lockstep(algorithm, problem, r, w0, configs))
+    blocks = list(_lockstep(algorithm, [(problem, r, w0, configs)]))
     assert {len(block.rows) for block in blocks} == {1}
     # The race relies on this order: ascending iterate, then ascending row.
     order = [(block.i, int(block.rows[0])) for block in blocks]
     assert order == sorted(order) == [(i, j) for i in range(51) for j in range(len(configs))]
     for single, full in zip(kernel_traces(algorithm, problem, r, w0, configs), whole):
         assert_traces_equal(single, full)
+
+
+@pytest.mark.parametrize("K", [2, 16, 64])
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_lockstep_trials_of_one_pass_match_their_own_passes(monkeypatch, algorithm, kind, K):
+    # Three trials of one (kind, K, d) cell in one pass, as the target scan runs them.  On
+    # the convex family row 1 of the middle trial (mu = 1e200) leaves at iterate 1 while every
+    # other row goes on; on the gaussian plateau its values and gradients stay finite.
+    d = 12
+    trials = [(*small_problem(kind=kind, d=d, K=K, seed=seed),
+               grid_configs(algorithm, max_iter=40, seeds=range(seed, seed + 5)))
+              for seed in (K, K + 1, K + 2)]
+    trials[1][3][1] = replace(trials[1][3][1], mu=1e200)
+    alone = [trace for trial in trials for trace in pass_traces(algorithm, [trial])]
+    oracle = [scalar_trace(algorithm, obj, r, w0, cfg)
+              for obj, r, w0, configs in trials for cfg in configs]
+    diverges = kind == "convex-distance"
+    assert [len(trace) for trace in oracle] == [41] * 6 + [1 if diverges else 41] + [41] * 8
+    # One block of all 15 rows, one row a block, and blocks of 4 that span trial boundaries.
+    for rows_per_block in (None, 1, 4):
+        if rows_per_block is not None:
+            monkeypatch.setattr(solvers, "_BLOCK_BYTES", rows_per_block * 8 * K * d)
+        blocks = list(_lockstep(algorithm, trials))
+        assert max(len(block.rows) for block in blocks) == (rows_per_block or 15)
+        assert [(block.i, err.iteration) for block in blocks for err in block.diverged] == (
+            [(1, 1)] if diverges else [])
+        together = pass_traces(algorithm, trials)
+        for row, own, scalar in zip(together, alone, oracle, strict=True):
+            assert_traces_equal(row, own)
+            assert_traces_equal(row, scalar)
+
+
+def test_lockstep_trials_of_other_objective_sets_run_in_blocks_of_one_trial():
+    # Objective sets that cannot stack their anchors keep a trial to a block; mixed kinds
+    # and a generic objective set still give each row its own pass's trace.
+    d = 3
+    r, w0 = np.array([0.3, 0.7]), sample_initial(d, 1)
+    trials = [(objs, r, w0, grid_configs("subgradient", max_iter=30, seeds=(0, 1, 2)))
+              for objs in (make_problem("convex-distance", d, 2, 5), TwinObjectives(),
+                           make_problem("nonconvex-gaussian", d, 2, 6))]
+    for block in _lockstep("subgradient", trials):
+        assert len({int(j) // 3 for j in block.rows}) == 1
+    alone = [trace for trial in trials for trace in pass_traces("subgradient", [trial])]
+    for row, own in zip(pass_traces("subgradient", trials), alone, strict=True):
+        assert_traces_equal(row, own)
+    other = (make_problem("convex-distance", d + 1, 2, 5), r, sample_initial(d + 1, 1),
+             trials[0][3])
+    with pytest.raises(ValueError, match="must share K and d"):
+        list(_lockstep("subgradient", [trials[0], other]))
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_finite_gradients_whose_sum_overflows_keep_every_row(algorithm):
+    # Every gradient entry is finite, but their sum is not: the whole-block screen fails,
+    # and the row rule keeps every row, as run keeps going.
+    jac = np.full((3, 2), 1e308)
+    assert np.isfinite(jac).all()
+    obj = FixedObjectives([1.0, 2.0], jac)
+    configs = [SolverConfig(mu=mu, eta=1.0 if algorithm == "epo-al" else None,
+                            tau=0.5 if algorithm == "smooth-max" else None, max_iter=4)
+               for mu in (1e-300, 2e-300)]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(jac, axis=None))
+        assert [len(run(algorithm, obj, [0.5, 0.5], np.zeros(3), cfg)) for cfg in configs] == [
+            5, 5]
+        assert assert_kernel_stops_where_run_does(algorithm, obj, [0.5, 0.5], np.zeros(3),
+                                                  configs) == []
