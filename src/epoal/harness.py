@@ -137,32 +137,26 @@ def _grid_configs(algorithm: str, grid: GridSpec, seed: int) -> list[SolverConfi
 
 
 def compute_target(problem, r, w0, grid: GridSpec, seed: int = 0, *,
-                   _scan: list | None = None) -> float:
+                   _scan: np.ndarray | None = None) -> float:
     """Target J*: best min-max value the subgradient algorithm ever attains.
 
     One full-length run per step size in the grid, all re-seeded identically
     so tie-breaking noise does not differ across step sizes; the minimum is
     taken over every iterate of every run, iterate 0 included.
 
-    ``_scan`` is for the protocol's own use: a list holding the trial's
-    (step sizes, max_iter + 1) min-max array, NaN from the iterate at which a
-    run diverged, which is read instead of running; an empty list receives
-    the array, so the same runs can serve as the subgradient tuning runs.
+    ``_scan`` is for the protocol's own use: the trial's row of :func:`_target_scans`,
+    read instead of running.
     """
-    if _scan:
-        minmax = _scan[0]
-    else:
-        (minmax,) = _target_scans([(problem, r, w0, seed)], grid)
-        if _scan is not None:
-            _scan.append(minmax)
+    minmax = _target_scans([(problem, r, w0, seed)], grid)[0] if _scan is None else _scan
     if np.isnan(minmax[:, 0]).all():
         raise HarnessError("every target-scan run diverged before its first iterate")
     return float(np.nanmin(minmax))
 
 
 def _target_scans(trials, grid: GridSpec) -> list[np.ndarray]:
-    """The min-max arrays of :func:`compute_target` for ``(problem, r, w0, seed)`` trials
-    sharing K and d, one kernel pass of (trials x step sizes) rows."""
+    """The (step sizes, max_iter + 1) min-max arrays of :func:`compute_target`, NaN from the
+    iterate at which a run diverged, for ``(problem, r, w0, seed)`` trials of one kind, K and
+    d: one kernel pass of (trials x step sizes) rows."""
     passes = [(problem, r, w0, _grid_configs(SUBGRADIENT, grid, seed))
               for problem, r, w0, seed in trials]
     minmax = np.full((sum(len(p[3]) for p in passes), grid.max_iter + 1), np.nan)
@@ -228,18 +222,18 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
 
 def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *,
                      target: float, timing_reps: int = 3, measure: bool = True,
-                     _scan: list | None = None) -> TrialRecord:
+                     _scan: np.ndarray | None = None) -> TrialRecord:
     """Full per-trial protocol for one algorithm: tune i_o, then time t_o.
 
     ``target`` is the trial's J* from :func:`compute_target`, shared by all
     algorithms.  ``measure=False`` skips the timing runs, leaving t_o None.
 
-    ``_scan`` is for the protocol's own use: the list that holds the trial's
-    target-scan array (the subgradient grid, this seed), which subgradient's
-    race reads instead of running; other algorithms ignore it.
+    ``_scan`` is for the protocol's own use: the trial's target-scan array (the
+    subgradient grid, this seed), which subgradient's race reads instead of
+    running; other algorithms ignore it.
     """
     configs = _grid_configs(algorithm, grid, seed)
-    rounds = (_scan_rounds(_scan[0]) if algorithm == SUBGRADIENT and _scan is not None
+    rounds = (_scan_rounds(_scan) if algorithm == SUBGRADIENT and _scan is not None
               else _lockstep(algorithm, [(problem, r, w0, configs)]))
     best_i, j = _race(rounds, target, grid.epsilon)
     best_cfg = None if j is None else configs[j]
@@ -279,10 +273,9 @@ def _tune_chunk(task):
     scans = _target_scans([(*trial, seed) for trial, seed in zip(trials, seeds)], grid)
     tuned = []
     for (problem, r, w0), seed, minmax in zip(trials, seeds, scans):
-        scan = [minmax]
-        target = compute_target(problem, r, w0, grid, seed=seed, _scan=scan)
+        target = compute_target(problem, r, w0, grid, seed=seed, _scan=minmax)
         tuned.append([tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
-                                       measure=False, _scan=scan)
+                                       measure=False, _scan=minmax)
                       for algo in algorithms])
     return tuned
 

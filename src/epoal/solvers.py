@@ -17,9 +17,10 @@ Three algorithms behind one lockstep kernel:
 
 The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
-iteration; the configurations may belong to several trials of one (K, d), each
-row with its trial's objectives, preference and start.  ``run`` is the kernel on
-one configuration and shares each evaluation with that iterate's trace record.
+iteration; the configurations may belong to several trials of one synthetic
+kind and (K, d), each row with its trial's anchors, preference and start.
+``run`` is the kernel on one configuration and shares each evaluation with that
+iterate's trace record.
 A configuration diverges at the first iterate that breaks ``core._divergence``:
 its kernel row leaves there, and there ``run`` and the public steps raise
 DivergenceError.
@@ -36,7 +37,9 @@ import numpy as np
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
 from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noqa: F401
                    _preference_for, as_model_vector, fairness_residual, lr_apply)
-from .diagnostics import pareto_stationarity_gap
+# pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
+# item 1): the tracer patches it here.
+from .diagnostics import pareto_stationarity_gap  # noqa: F401
 from .problems import _EVALUATORS, SyntheticProblem
 
 EPO_AL = "epo-al"
@@ -48,7 +51,9 @@ ALGORITHMS = (EPO_AL, SUBGRADIENT, SMOOTH_MAX)
 ACTIVE_TIE_RTOL = 1e-9
 
 # Byte budget of one row block's (rows, K, d) array in the lockstep kernel; a round holds
-# about four.  Blocks this small measured no slower than larger ones, in far less memory.
+# about four.  Not the fastest size for every pass: a C7 cell's ten target scans at K=16
+# (100 rows, d=50, 1000 iterations) took 556 ms in blocks of this size against 445 ms at
+# 4 MiB (median of 3 on a shared 2-vCPU host), while at K=2 larger blocks gained nothing.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -120,9 +125,9 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
     """One step of each row b of a block: (W+, P+, subgradient indices or None).
 
-    Row b: preference r, or r[b] for a (B, K) stack, iterate W[b], dual P[b], values J[b],
-    U[b] = r * J[b], M[b] = max U[b], gradients G[b] (row k that of J_k), H[b] = (mu, eta, tau),
-    rngs[b]; the scalar step's ops, bit for bit.
+    Row b: preference r[b], iterate W[b], dual P[b], values J[b], U[b] = r[b] * J[b],
+    M[b] = max U[b], gradients G[b] (row k that of J_k), H[b] = (mu, eta, tau), rngs[b];
+    the scalar step's ops, bit for bit.
     """
     if algorithm == EPO_AL:
         fairness_grad = lr_apply(r, J, _u=U)
@@ -137,8 +142,7 @@ def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
                 active = np.flatnonzero(tied[b])
                 k[b] = active[rngs[b].integers(active.size)]
         rows = np.arange(k.size)
-        r_k = r[k] if r.ndim == 1 else r[rows, k]
-        return W - H[:, 0] * r_k[:, None] * G[rows, k], P, k
+        return W - H[:, 0] * r[rows, k][:, None] * G[rows, k], P, k
     V = U / H[:, 2]
     weights = np.exp(V - M[:, None] / H[:, 2])    # M / tau is max V: rounding is monotonic
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
@@ -158,7 +162,7 @@ def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=Non
     if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
     U = (r * jvals)[None]
-    W, P, k = _update(algorithm, r, np.asarray(w)[None], P, jvals[None], U, U.max(axis=1),
+    W, P, k = _update(algorithm, r[None], np.asarray(w)[None], P, jvals[None], U, U.max(axis=1),
                       jac.T[None], _columns([config]), [rng])
     return W[0], None if p is None else P[0], None if k is None else int(k[0])
 
@@ -195,37 +199,23 @@ def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
 
 
 def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
-        config: SolverConfig, stop_fairness_tol: float | None = None,
-        stop_gap_tol: float | None = None) -> list[IterationRecord]:
+        config: SolverConfig) -> list[IterationRecord]:
     """Run ``config.max_iter`` steps and return one record per iterate, 0 included.
 
-    There is no early stopping by default; passing both ``stop_fairness_tol``
-    and ``stop_gap_tol`` stops once the fairness residual and the Pareto
-    stationarity gap are both under tolerance (passing one is a ValueError).
     Traces are deterministic given ``config.seed``.  On divergence (the kernel's
     rule, ``core._divergence``) the raised :class:`DivergenceError` carries the
     iteration index, the iterate and, as ``records``, every record before it.
     """
-    if (stop_fairness_tol is None) != (stop_gap_tol is None):
-        raise ValueError("early stopping needs both stop_fairness_tol and stop_gap_tol")
     records: list[IterationRecord] = []
-    try:
-        for block in _lockstep(algorithm, [(obj, r, w0, [config])]):
-            if block.diverged:
-                raise block.diverged[0]
-            minmax, fairness = float(block.minmax[0]), fairness_residual(r, block.J[0])
-            stop = block.i == config.max_iter
-            if not stop and stop_fairness_tol is not None and fairness <= stop_fairness_tol:
-                stop = pareto_stationarity_gap(block.G[0].T).gap <= stop_gap_tol
-            records.append(IterationRecord(
-                iter=block.i, jvals=block.J[0], minmax=minmax, fairness=fairness,
-                p_snapshot=block.P[0] if algorithm == EPO_AL else None,
-                active_index=None if stop or block.active is None else int(block.active[0])))
-            if stop:
-                break
-    except DivergenceError as err:
-        err.records = records
-        raise
+    for block in _lockstep(algorithm, [(obj, r, w0, [config])]):
+        if block.diverged:
+            block.diverged[0].records = records
+            raise block.diverged[0]
+        records.append(IterationRecord(
+            iter=block.i, jvals=block.J[0], minmax=float(block.minmax[0]),
+            fairness=fairness_residual(r, block.J[0]),
+            p_snapshot=block.P[0] if algorithm == EPO_AL else None,
+            active_index=None if block.active is None else int(block.active[0])))
     return records
 
 
@@ -252,14 +242,15 @@ def _evaluate_block(obj, W, anchors):
 def _lockstep(algorithm, trials):
     """Advance the configurations of ``trials`` together, row j the j-th in trial order.
 
-    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter.  Round i
-    evaluates and steps iterate i of every live row, with its trial's objectives and r and its
-    own generator, in row blocks whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
-    _Block for each.  A block spans trials only when all are synthetic problems of one kind; it
-    then stacks its rows' anchors and r, when it forms and when rows leave it.  A row leaves at
-    the first iterate that breaks ``core._divergence``, where ``run`` stops; only a block that
-    fails a whole-block screen (finite sums of G and of P, weighted values inside +-limit) is
-    ruled by row.  A finite sum has finite terms; one that overflows goes to the row rule.
+    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter; a pass of
+    several trials takes synthetic problems of one kind.  Round i evaluates and steps iterate i
+    of every live row, with its trial's objectives, its own preference row and generator, in
+    blocks of consecutive rows whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
+    _Block for each.  A block of one trial evaluates its objectives; one spanning trials stacks
+    its rows' anchors.  A row leaves at the first iterate that breaks ``core._divergence``,
+    where ``run`` stops; only a block that fails a whole-block screen (finite sums of G and of
+    P, weighted values inside +-limit) is ruled by row.  A finite sum has finite terms; one
+    that overflows goes to the row rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -276,28 +267,26 @@ def _lockstep(algorithm, trials):
     C, K, d, last = len(configs), objs[0].count, w0s[0].size, configs[0].max_iter
     if any(obj.count != K for obj in objs) or any(w0.size != d for w0 in w0s):
         raise ValueError("the trials of one kernel pass must share K and d")
-    rs, w0s = np.array(rs), np.array(w0s)
+    if len(trials) > 1 and not all(isinstance(obj, SyntheticProblem)
+                                   and obj.kind == objs[0].kind for obj in objs):
+        raise ValueError("the trials of one kernel pass must be synthetic problems of one kind")
     # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
-    counts = [len(cs) for *_, cs in trials]
-    trial = np.repeat(np.arange(len(trials)), counts)
-    # Row state: grid index, iterate, epo-al dual (no columns otherwise), hyperparameters, rng.
-    state = (np.arange(C), w0s[trial],
+    trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
+    # Row state: grid index, iterate, preference, epo-al dual (no columns otherwise),
+    # hyperparameters, rng.
+    state = (np.arange(C), np.array(w0s)[trial], np.array(rs)[trial],
              np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), _columns(configs),
              [np.random.default_rng(c.seed) for c in configs])
     size = max(1, _BLOCK_BYTES // (8 * K * d))
-    stacks = all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs)
-    # Blocks of ``size`` rows, cut at each trial's end too unless the trials' anchors stack.
-    bounds = sorted({*range(0, C, size), C, *(() if stacks else np.cumsum(counts).tolist())})
     blocks = []
-    for s, e in zip(bounds, bounds[1:]):
-        t = trial[s:e]
-        # Block source: its trial's objectives, then r and anchors (None), or its rows' stacks.
-        source = ([objs[t[0]], rs[t[0]], None] if t[0] == t[-1] else
-                  [objs[t[0]], rs[t], np.array([objs[k].anchors for k in t])])
-        blocks.append([a[s:e] for a in state] + source)
+    for s in range(0, C, size):
+        t = trial[s:s + size]
+        # Block source: its trial's objectives, then its rows' anchors if it spans trials.
+        anchors = None if t[0] == t[-1] else np.array([objs[k].anchors for k in t])
+        blocks.append([a[s:s + size] for a in state] + [objs[t[0]], anchors])
     for i in range(last + 1):
-        for n, (rows, W, P, H, gens, obj, r, A) in enumerate(blocks):
+        for n, (rows, W, r, P, H, gens, obj, A) in enumerate(blocks):
             J, G = _evaluate_block(obj, W, A)
             U = r * J
             M = np.maximum.reduce(U, axis=1)
@@ -305,18 +294,16 @@ def _lockstep(algorithm, trials):
             if not (np.maximum.reduce(np.abs(U), axis=None) < limit
                     and np.isfinite(np.add.reduce(G, axis=None))
                     and (not P.size or np.isfinite(np.add.reduce(P, axis=None)))):
-                broken = [_divergence(r_b, *row)[0]
-                          for r_b, *row in zip(np.broadcast_to(r, U.shape), J, G, P)]
+                broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
-                rows, W, P, H, J, G, U, M = (a[ok] for a in (rows, W, P, H, J, G, U, M))
+                rows, W, r, P, H, J, G, U, M = (a[ok] for a in (rows, W, r, P, H, J, G, U, M))
                 gens = [g for g, keep in zip(gens, ok) if keep]
-                if A is not None:
-                    r, A = r[ok], A[ok]
+                A = None if A is None else A[ok]
             W_next, P_next, active = ((W, P, None) if i == last
                                       else _update(algorithm, r, W, P, J, U, M, G, H, gens))
-            blocks[n] = [rows, W_next, P_next, H, gens, obj, r, A]
+            blocks[n] = [rows, W_next, r, P_next, H, gens, obj, A]
             yield _Block(i, rows, M, J, G, P, active, diverged)
-        blocks = [block for block in blocks if block[4]]
+        blocks = [block for block in blocks if block[5]]
         if not blocks:
             return

@@ -2,8 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import runpy
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +483,80 @@ def test_bench_argv_ends_in_a_documented_code(bench_out, argv, broken):
     assert len(rows) == 1 + np.prod(cells)
     assert all(len(row) == len(CSV_COLUMNS) and row[-1] == argv["--seed"] for row in rows[1:])
     assert json.loads(bench_out.with_suffix(".meta.json").read_text())["command"] == "bench"
+
+
+# Cheap trace flags, d <= 4, K <= 4 and at most 5 iterations, with extreme but valid step
+# sizes, preferences and seeds.  Each K comes with preferences of its length or none; --fig1
+# takes no --K, so a preference of another length than 2 is its usage error.
+TRACE_SHAPES = {"2": [None, "0.2,0.8", "1e308,1"], "3": [None, "1,1,1"],
+                "4": [None, "0.1,0.2,0.3,0.4", "1,1e308,1,1"]}
+TRACE_VALID = {"--d": ["1", "3", "4"], "--iters": ["0", "1", "5"],
+               "--mu": ["0.1", "10", "1e308", "1e-320"],
+               "--eta": ["0", "0.1", "10", "1e308", "1e-320"],
+               "--tau": ["0.1", "10", "1e308", "1e-320"], "--seed": ["0", "7", str(2 ** 70)]}
+# One flag left out (None) or given a value no trace accepts.
+TRACE_BROKEN = {"--d": ["0"], "--K": [None, "1"], "--iters": ["-1"],
+                "--mu": ["0", "nan", "inf", "-inf"], "--eta": [None, "nan", "inf", "-1"],
+                "--tau": [None, "0", "nan", "inf"],
+                "--r": ["0,1", "1,-1", "1", "1,1,1,1,1", "x"], "--seed": ["-1"]}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from([None, "convex", "nonconvex"]),
+       algo=st.sampled_from(["epo-al", "subgradient", "smooth-max"]),
+       shape=st.sampled_from([(K, r) for K, rs in TRACE_SHAPES.items() for r in rs]),
+       flags=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                    for flag, values in TRACE_VALID.items()}),
+       broken=st.none() | st.sampled_from([(flag, value) for flag, values in
+                                           TRACE_BROKEN.items() for value in values]))
+def test_trace_argv_ends_in_a_documented_code(kind, algo, shape, flags, broken):
+    flags = {"--K": None if kind is None else shape[0], "--r": shape[1], **flags}
+    if broken is not None:
+        flags[broken[0]] = broken[1]
+    argv = ["trace", *(["--fig1"] if kind is None else ["--kind", kind]), "--algo", algo,
+            *(token for flag, value in flags.items() if value is not None
+              for token in (flag, value))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_main(argv)
+    assert code in (0, 2, 64, 65)
+    assert "Traceback" not in stderr and [str(w.message) for w in caught] == []
+    if broken is not None and broken[1] is not None:
+        assert code == 64
+    if code not in (0, 2):
+        assert stdout == "" and stderr
+        return
+    lines = [json.loads(line, parse_constant=_reject_constant) for line in stdout.splitlines()]
+    assert lines[0]["type"] == "header"
+    records = lines[1:-1] if code == 2 else lines[1:]
+    assert (lines[-1].get("type") == "error") == (code == 2)
+    assert [record["iter"] for record in records] == list(range(len(records)))
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, flags, commands", [
+    ("run_scaling_experiment.py", ["--out", "scaling.csv"], ["bench"]),
+    ("run_scaling_experiment.py", ["--full", "--jobs", "8", "--out", "full.csv"], ["bench"]),
+    ("trajectory_traces.py", ["--out-dir", "trajectories"], ["trace"] * 3)])
+def test_scripts_build_argv_that_the_cli_parses(monkeypatch, tmp_path, capsys, script, flags,
+                                               commands):
+    # The scripts hand their argv to epoal.cli.main; a recorder takes its place here, so
+    # no solver runs, and every argv must parse as the CLI would parse it.
+    recorded = []
+
+    def recorder(argv):
+        recorded.append(argv)
+        return 0
+
+    monkeypatch.setattr(cli, "main", recorder)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *flags])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert excinfo.value.code == 0
+    assert [build_parser().parse_args(argv).command for argv in recorded] == commands
 
 
 def test_certify_missing_problem_exits_65(tmp_path, capsys):

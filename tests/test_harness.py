@@ -207,11 +207,11 @@ def test_cell_scan_rows_equal_each_trials_own_target_scan(K):
     scans = harness._target_scans([(*trial, seed) for trial, seed in zip(trials, seeds)], grid)
     assert len(scans) == len(trials)
     for (problem, r, w0), seed, minmax in zip(trials, seeds, scans):
-        alone = []
-        target = compute_target(problem, r, w0, grid, seed=seed, _scan=alone)
-        np.testing.assert_array_equal(minmax, alone[0])
+        (alone,) = harness._target_scans([(problem, r, w0, seed)], grid)
+        np.testing.assert_array_equal(minmax, alone)
         assert np.isnan(minmax[-1, 1:]).all() and not np.isnan(minmax[:-1]).any()
-        assert compute_target(problem, r, w0, grid, seed=seed, _scan=[minmax]) == target
+        target = compute_target(problem, r, w0, grid, seed=seed)
+        assert compute_target(problem, r, w0, grid, seed=seed, _scan=minmax) == target
 
 
 @pytest.fixture
@@ -333,8 +333,7 @@ def test_tuning_at_start_value_ties_go_to_first_config(algorithm):
 def test_target_scan_reuse_ties_go_to_first_step_size():
     problem, r, w0 = trial_inputs()
     grid = small_grid(max_iter=40)
-    scan = []
-    compute_target(problem, r, w0, grid, seed=4, _scan=scan)
+    (scan,) = harness._target_scans([(problem, r, w0, 4)], grid)
     target = minmax_value(r, problem.values_and_jacobian(w0)[0])
     record = tune_and_measure("subgradient", problem, r, w0, grid, seed=4, target=target,
                               measure=False, _scan=scan)
@@ -389,7 +388,7 @@ def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
 def test_subgradient_tuning_reads_the_scan_without_running(monkeypatch):
     problem, r, w0 = trial_inputs()
     grid = small_grid(max_iter=40)
-    scan = []
+    (scan,) = harness._target_scans([(problem, r, w0, 4)], grid)
     target = compute_target(problem, r, w0, grid, seed=4, _scan=scan)
     calls = []
 

@@ -377,18 +377,6 @@ def test_run_diverges_where_the_epo_al_dual_overflows():
         (37, "epo-al dual weights are not finite"), (13, "epo-al dual weights are not finite")]
 
 
-def test_run_early_stop_requires_both_tolerances_and_fires():
-    problem, r, w0 = small_problem(d=2, K=2, seed=3)
-    cfg = SolverConfig(mu=0.1, eta=1.0, max_iter=100_000)
-    records = run("epo-al", problem, r, w0, cfg,
-                  stop_fairness_tol=1e-16, stop_gap_tol=1e-6)
-    assert len(records) < 100_001
-    assert records[-1].fairness <= 1e-16
-    for half in (dict(stop_fairness_tol=1.0), dict(stop_gap_tol=1.0)):
-        with pytest.raises(ValueError, match="both"):
-            run("epo-al", problem, r, w0, cfg, **half)
-
-
 def test_fixed_point_implies_fair_and_stationary():
     problem, r, w0 = small_problem(d=2, K=2, seed=3)
     state = initial_state(w0, 2)
@@ -542,23 +530,22 @@ def test_lockstep_trials_of_one_pass_match_their_own_passes(monkeypatch, algorit
             assert_traces_equal(row, scalar)
 
 
-def test_lockstep_trials_of_other_objective_sets_run_in_blocks_of_one_trial():
-    # Objective sets that cannot stack their anchors keep a trial to a block; mixed kinds
-    # and a generic objective set still give each row its own pass's trace.
+def test_lockstep_rejects_a_multi_trial_pass_that_cannot_stack_anchors():
+    # A block that spans trials evaluates its rows' stacked anchors, so a pass of several
+    # trials takes synthetic problems of one kind; a generic objective set or mixed kinds
+    # raise before the first evaluation, and trials of other sizes before that.
     d = 3
     r, w0 = np.array([0.3, 0.7]), sample_initial(d, 1)
-    trials = [(objs, r, w0, grid_configs("subgradient", max_iter=30, seeds=(0, 1, 2)))
-              for objs in (make_problem("convex-distance", d, 2, 5), TwinObjectives(),
-                           make_problem("nonconvex-gaussian", d, 2, 6))]
-    for block in _lockstep("subgradient", trials):
-        assert len({int(j) // 3 for j in block.rows}) == 1
-    alone = [trace for trial in trials for trace in pass_traces("subgradient", [trial])]
-    for row, own in zip(pass_traces("subgradient", trials), alone, strict=True):
-        assert_traces_equal(row, own)
-    other = (make_problem("convex-distance", d + 1, 2, 5), r, sample_initial(d + 1, 1),
-             trials[0][3])
+    configs = grid_configs("subgradient", max_iter=30, seeds=(0, 1, 2))
+    convex = (make_problem("convex-distance", d, 2, 5), r, w0, configs)
+    generic = CountingObjectives(TwinObjectives())
+    for other in (generic, make_problem("nonconvex-gaussian", d, 2, 6)):
+        with pytest.raises(ValueError, match="synthetic problems of one kind"):
+            list(_lockstep("subgradient", [convex, (other, r, w0, configs)]))
+    assert generic.evaluations == 0
+    bigger = (make_problem("convex-distance", d + 1, 2, 5), r, sample_initial(d + 1, 1), configs)
     with pytest.raises(ValueError, match="must share K and d"):
-        list(_lockstep("subgradient", [trials[0], other]))
+        list(_lockstep("subgradient", [convex, bigger]))
 
 
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
