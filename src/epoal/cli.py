@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--epsilon", type=float, default=0.01)
     bench.add_argument("--max-iter", type=int, default=1000)
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--timing-reps", type=int, default=3)
     bench.add_argument("--out", required=True, help="CSV output path")
 
     certify = sub.add_parser("certify", help="certify a stored model vector")
@@ -184,8 +183,7 @@ def cmd_bench(args) -> int:
     try:
         grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
         aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
-                                    algorithms=algos, grid=grid, jobs=args.jobs,
-                                    timing_reps=args.timing_reps)
+                                    algorithms=algos, grid=grid, jobs=args.jobs)
     except ValueError as err:
         # run_experiment checks every argument before its first solver run.
         raise UsageError(str(err))

@@ -19,6 +19,9 @@ import numpy as np
 from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate, _preference_for,
                    as_model_vector, minmax_value)
 
+# Wolfe's stop test: p.q - min q <= WOLFE_TOL * max_k ||g_k||^2.
+WOLFE_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class StationarityResult:
@@ -40,8 +43,7 @@ class EpoCertificate:
     minmax: float
 
 
-def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-12,
-                            max_fw_iter: int = 500) -> StationarityResult:
+def pareto_stationarity_gap(G: np.ndarray, max_fw_iter: int = 500) -> StationarityResult:
     """Minimize ||G p|| over the simplex exactly by Wolfe's min-norm-point algorithm.
 
     Forms M = G^T G once, in O(K^2 d); each step then costs O(K^2).  A major
@@ -51,11 +53,11 @@ def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-12,
     bordered per added vertex and inverted afresh after a drop (a downdated
     inverse loses accuracy), plus one refinement step.  A vertex on the
     affine hull of S, to rounding, takes the place of one in S.  Stops once
-    p.q - min q <= tol * max_k ||g_k||^2, which bounds ||G p||^2 - min^2 by
+    p.q - min q <= WOLFE_TOL * max_k ||g_k||^2, which bounds ||G p||^2 - min^2 by
     twice that; ``max_fw_iter`` caps the major cycles as a guard.
     """
-    if not (tol > 0) or max_fw_iter < 1:
-        raise ValueError("need tol > 0 and max_fw_iter >= 1")
+    if max_fw_iter < 1:
+        raise ValueError(f"need max_fw_iter >= 1, got {max_fw_iter}")
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[1] < 1:
         raise ValueError(f"G must be a (d, K) matrix, got shape {G.shape}")
@@ -74,7 +76,7 @@ def pareto_stationarity_gap(G: np.ndarray, tol: float = 1e-12,
     for iterations in range(max_fw_iter + 1):
         q = M @ p
         k = int(q.argmin())
-        if float(p @ q) - q[k] <= tol * scale or active[k] or iterations == max_fw_iter:
+        if float(p @ q) - q[k] <= WOLFE_TOL * scale or active[k] or iterations == max_fw_iter:
             break
         # Border B with vertex k: s is the Schur complement of A_SS in A_{S+k}.
         u = B @ A[:, k]
@@ -123,10 +125,9 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     min-max optimality of ``w``.  Raises ValueError for bad arguments and
     DivergenceError when ``w`` breaks the divergence rule ``core._divergence``.
     """
-    if fair_tol is not None and not (fair_tol > 0):
-        raise ValueError("fair_tol must be positive")
-    if gap_tol is not None and not (gap_tol > 0):
-        raise ValueError("gap_tol must be positive")
+    for name, tol in (("fair_tol", fair_tol), ("gap_tol", gap_tol)):
+        if tol is not None and not 0 < tol < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     r = _preference_for(r, obj)
     w = as_model_vector(w)
     jvals, jac = _evaluate(obj, w)

@@ -13,7 +13,8 @@ the protocol is:
      iteration complexity i_o is the minimum over combinations, ties going
      to the combination first in lexicographic grid order, and the winning
      combination is re-run in the solver kernel, without trace records, for
-     exactly i_o iterations under a monotonic clock to measure the wall-clock complexity t_o.
+     exactly i_o iterations under a monotonic clock: the wall-clock complexity
+     t_o is the median of TIMING_REPS such runs.
      The minimum is found by a lockstep race: the solver kernel advances
      every combination one iterate per round as one array pass, and the
      first round with a value in the band ends it, so the winner is exact.
@@ -41,6 +42,8 @@ from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationReco
                       SolverConfig, _lockstep, run)
 
 CI_LEVEL = 0.99
+# t_o is the median wall time of this many timing runs of the winning configuration.
+TIMING_REPS = 3
 
 _KIND_CODE = {CONVEX: 1, NONCONVEX: 2, FIG1: 3}
 
@@ -200,18 +203,16 @@ def _race(rounds, target: float, epsilon: float):
     return None, None
 
 
-def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
-                 reps: int = 3) -> float:
-    """Median seconds, on a monotonic clock, of the bare solver kernel for ``iters`` iterations.
+def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int) -> float:
+    """Median seconds, on a monotonic clock, of ``TIMING_REPS`` runs of the bare solver kernel
+    for ``iters`` iterations.
 
-    Each repetition makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
+    Each run makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
     would, but builds no trace records; callers keep concurrent load away while it runs.
     """
-    if reps < 1:
-        raise ValueError(f"need reps >= 1, got {reps}")
     timed = [replace(config, max_iter=iters)]
     samples = []
-    for _ in range(reps):
+    for _ in range(TIMING_REPS):
         start = time.perf_counter()
         for block in _lockstep(algorithm, [(problem, r, w0, timed)]):
             if block.diverged:
@@ -221,7 +222,7 @@ def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int,
 
 
 def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *,
-                     target: float, timing_reps: int = 3, measure: bool = True,
+                     target: float, measure: bool = True,
                      _scan: np.ndarray | None = None) -> TrialRecord:
     """Full per-trial protocol for one algorithm: tune i_o, then time t_o.
 
@@ -237,25 +238,23 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
               else _lockstep(algorithm, [(problem, r, w0, configs)]))
     best_i, j = _race(rounds, target, grid.epsilon)
     best_cfg = None if j is None else configs[j]
-    t_o = (measure_time(algorithm, problem, r, w0, best_cfg, best_i, reps=timing_reps)
+    t_o = (measure_time(algorithm, problem, r, w0, best_cfg, best_i)
            if measure and best_i is not None else None)
     return TrialRecord(algorithm=algorithm, kind=getattr(problem, "kind", "custom"),
                        K=problem.count, d=np.asarray(w0).size, seed=seed,
                        target=target, best_config=best_cfg, i_o=best_i, t_o=t_o)
 
 
-def trimmed_mean_ci(samples, level: float = CI_LEVEL) -> tuple[float, float, float]:
-    """Drop one min and one max, then mean +- z(level) * s / sqrt(n - 2)."""
+def trimmed_mean_ci(samples) -> tuple[float, float, float]:
+    """Drop one min and one max, then mean +- z(CI_LEVEL) * s / sqrt(n - 2)."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if x.size < 3:
         raise ValueError(f"need at least 3 samples, got {x.size}")
-    if not (0 < level < 1):
-        raise ValueError(f"level must be in (0, 1), got {level}")
     trimmed = x[1:-1]
     mean = float(trimmed.mean())
     if trimmed.size < 2:
         return mean, mean, mean
-    half = (NormalDist().inv_cdf(0.5 + level / 2)
+    half = (NormalDist().inv_cdf(0.5 + CI_LEVEL / 2)
             * float(trimmed.std(ddof=1)) / np.sqrt(trimmed.size))
     return mean, mean - half, mean + half
 
@@ -296,8 +295,7 @@ def _aggregate(kind, algorithm, K, d, trials: list[TrialRecord]) -> AggregateRec
 
 def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
                    algorithms=ALGORITHMS, grid: GridSpec | None = None,
-                   jobs: int = 1, timing_reps: int = 3,
-                   measure: bool = True) -> list[AggregateRecord]:
+                   jobs: int = 1) -> list[AggregateRecord]:
     """Benchmark every (kind, K, algorithm) cell over seeded random trials.
 
     Each trial draws fresh anchors, preference vector and initial model from
@@ -313,9 +311,8 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     """
     if n_trials < 3:
         raise ValueError(f"need n_trials >= 3, got {n_trials}")
-    if jobs < 1 or timing_reps < 1:
-        raise ValueError(f"need jobs >= 1 and timing_reps >= 1, "
-                         f"got jobs={jobs}, timing_reps={timing_reps}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     grid = grid if grid is not None else GridSpec()
     kinds = list(kinds)
     K_values = [int(K) for K in K_values]
@@ -348,15 +345,13 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     else:
         chunks = [_tune_chunk(task) for task in tasks]
 
-    if measure:
-        for task, chunk in zip(tasks, chunks):
-            for seed, trial in zip(task[3], chunk):
-                problem, r, w0 = _trial_inputs(*task[:3], seed)
-                for a, rec in enumerate(trial):
-                    if rec.i_o is not None:
-                        trial[a] = replace(rec, t_o=measure_time(
-                            algorithms[a], problem, r, w0, rec.best_config, rec.i_o,
-                            reps=timing_reps))
+    for task, chunk in zip(tasks, chunks):
+        for seed, trial in zip(task[3], chunk):
+            problem, r, w0 = _trial_inputs(*task[:3], seed)
+            for a, rec in enumerate(trial):
+                if rec.i_o is not None:
+                    trial[a] = replace(rec, t_o=measure_time(
+                        algorithms[a], problem, r, w0, rec.best_config, rec.i_o))
 
     tuned = [trial for chunk in chunks for trial in chunk]
     return [_aggregate(kind, algo, K, d,

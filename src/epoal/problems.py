@@ -226,7 +226,7 @@ def load_model(path) -> np.ndarray:
 
 
 def load_problem(path) -> SyntheticProblem:
-    """Read a problem record written by :func:`save_problem`."""
+    """Read a problem record written by :func:`save_problem`; every ValueError names ``path``."""
     lines = _read_lines(path)
     if not lines:
         raise ValueError(f"empty problem file: {path}")
@@ -242,5 +242,9 @@ def load_problem(path) -> SyntheticProblem:
         raise ValueError(f"{path}:{head_no}: {bad!r} is not an integer") from None
     anchors = _decimal_matrix(path, lines[1:])
     if anchors.shape != (K, d):
-        raise ValueError(f"anchor block has shape {anchors.shape}, header says ({K}, {d})")
-    return SyntheticProblem(kind=kind, anchors=anchors, seed=seed)
+        raise ValueError(f"{path}: anchor block has shape {anchors.shape}, "
+                         f"header says ({K}, {d})")
+    try:
+        return SyntheticProblem(kind=kind, anchors=anchors, seed=seed)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -219,9 +219,9 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     return records
 
 
-# Iterate i of grid rows ``rows``: min-max (B,), values J (B, K), gradients G (B, K, d), duals
-# P ((B, 0) unless epo-al), subgradient steps (None at the end), errors of rows that left at i.
-_Block = namedtuple("_Block", "i rows minmax J G P active diverged")
+# Iterate i of grid rows ``rows``: min-max (B,), values J (B, K), duals P ((B, 0) unless
+# epo-al), subgradient steps (None at the end), errors of rows that left at i.
+_Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
 def _evaluate_block(obj, W, anchors):
@@ -303,7 +303,7 @@ def _lockstep(algorithm, trials):
             W_next, P_next, active = ((W, P, None) if i == last
                                       else _update(algorithm, r, W, P, J, U, M, G, H, gens))
             blocks[n] = [rows, W_next, r, P_next, H, gens, obj, A]
-            yield _Block(i, rows, M, J, G, P, active, diverged)
+            yield _Block(i, rows, M, J, P, active, diverged)
         blocks = [block for block in blocks if block[5]]
         if not blocks:
             return

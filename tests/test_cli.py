@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epoal.cli as cli
@@ -84,7 +84,6 @@ CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,
     BENCH + ["--algos", "foo"],
     BENCH + ["--trials", "2"],
     BENCH + ["--jobs", "0"],
-    BENCH + ["--timing-reps", "0"],
     ["trace", "--fig1", "--K", "3", "--d", "3", "--algo", "subgradient", "--mu", "0.1"],
     ["trace", "--kind", "convex", "--d", "3", "--K", "3", "--r", "1,1", "--algo",
      "subgradient", "--mu", "0.1"],
@@ -92,14 +91,16 @@ CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,
      "--mu", "0.1"],
     CERTIFY + ["--fair-tol", "0"],
     CERTIFY + ["--gap-tol", "-1"],
+    CERTIFY + ["--fair-tol", "inf"],
+    CERTIFY + ["--gap-tol", "inf"],
     BENCH + ["--algos", "subgradient,subgradient"],
     BENCH + ["--K", "2,2"],
     BENCH + ["--algos", ""],
 ], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0", "bench-epsilon-negative",
         "bench-max-iter-negative", "bench-algos-unknown", "bench-trials-2", "bench-jobs-0",
-        "bench-timing-reps-0", "trace-fig1-K3", "trace-r-length", "trace-K0", "certify-fair-tol-0",
-        "certify-gap-tol-negative", "bench-algos-repeated", "bench-K-repeated",
-        "bench-algos-empty"])
+        "trace-fig1-K3", "trace-r-length", "trace-K0", "certify-fair-tol-0",
+        "certify-gap-tol-negative", "certify-fair-tol-inf", "certify-gap-tol-inf",
+        "bench-algos-repeated", "bench-K-repeated", "bench-algos-empty"])
 def test_invalid_problem_or_preference_exits_64(argv, tmp_path, capsys):
     _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
     argv = [arg.format(problem=problem_path, model=model_path) for arg in argv]
@@ -162,8 +163,7 @@ def test_bench_writes_csv_and_sidecar(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--kinds", "convex", "--K", "2,3", "--d", "6",
                  "--trials", "3", "--algos", "epo-al,subgradient",
-                 "--max-iter", "120", "--seed", "11", "--timing-reps", "1",
-                 "--out", str(out)])
+                 "--max-iter", "120", "--seed", "11", "--out", str(out)])
     assert code == 0
     first_line = out.read_text().splitlines()[0]
     assert first_line.startswith("# ")
@@ -183,8 +183,7 @@ def test_bench_writes_csv_and_sidecar(tmp_path):
 
 def test_bench_rerun_identical_nontiming_columns(tmp_path):
     args = ["bench", "--kinds", "nonconvex", "--K", "2", "--d", "5", "--trials", "3",
-            "--algos", "subgradient", "--max-iter", "100", "--seed", "4",
-            "--timing-reps", "1"]
+            "--algos", "subgradient", "--max-iter", "100", "--seed", "4"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
@@ -400,24 +399,32 @@ def fuzz_problem(tmp_path_factory):
 
 VALID_R = ["1,1", "0.2,0.8", "1e300,1e300"]
 FINITE = ["0", "0.5", "1e150"]
+VALID_TOL = [None, "1e-12", "5e-324", "1e308"]
 
 
 # Half the models are two finite coordinates, so that the certificate itself is reached.
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(prefix=st.sampled_from([b"", b"\xff\xfe"]),
        lines=st.lists(st.sampled_from(FINITE), min_size=2, max_size=2)
        | st.lists(st.sampled_from(FINITE + ["1e400", "nan", "inf", "x", "0.1 0.2", "", "  "]),
                   max_size=4),
-       r=st.sampled_from(VALID_R + ["nan,1", "1", ""]))
-def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, prefix, lines, r):
+       r=st.sampled_from(VALID_R + ["nan,1", "1", ""]),
+       tols=st.tuples(*[st.sampled_from(VALID_TOL + ["0", "-1", "nan", "inf"])] * 2))
+def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, prefix, lines, r,
+                                                         tols):
     model = fuzz_problem.with_name("model.txt")
     model.write_bytes(prefix + "".join(line + "\n" for line in lines).encode())
+    flags = [token for flag, tol in zip(("--fair-tol", "--gap-tol"), tols) if tol is not None
+             for token in (flag, tol)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["certify", "--problem", str(fuzz_problem), "--model", str(model),
-                     "--r", r])
+                     "--r", r, *flags])
     assert code in (0, 3, 64, 65)
-    assert not (code == 64 and r in VALID_R)
+    valid_tols = all(tol in VALID_TOL for tol in tols)
+    assert not (code == 64 and r in VALID_R and valid_tols)
+    # A tolerance the library rejects never yields a verdict.
+    assert valid_tols or code in (64, 65)
     assert "Traceback" not in err.getvalue()
     if code in (0, 3):
         cert = json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -448,13 +455,16 @@ def run_main(argv):
 BENCH_VALID = {"--kinds": ["convex", "nonconvex", "convex,nonconvex"], "--K": ["2", "3,4", "4"],
                "--d": ["1", "3", "4"], "--trials": ["3", "4", "5"],
                "--algos": ["epo-al", "subgradient", "smooth-max", "epo-al,subgradient"],
-               "--seed": ["0", "7", str(2 ** 64)], "--epsilon": ["0.01", "1", "1e-300"],
-               "--max-iter": ["0", "5", "20"], "--jobs": ["1", "2"], "--timing-reps": ["1"]}
+               "--seed": ["0", "7", str(2 ** 64)],
+               "--epsilon": ["0.01", "1", "1e-300", "1e308", "5e-324"],
+               "--max-iter": ["0", "5", "20"], "--jobs": ["1", "2"]}
 BENCH_INVALID = {"--kinds": ["", "spherical", "convex,convex"],
                  "--K": ["2,2", "1", "0", "-2", "", "x", "2.5"], "--d": ["0", "-1", "x"],
                  "--trials": ["2", "x"], "--algos": ["foo", "", "epo-al,epo-al"],
                  "--seed": ["-1", "x"], "--epsilon": ["0", "-1", "nan", "inf", "x"],
-                 "--max-iter": ["-1", "1.5"], "--jobs": ["0", "-2"], "--timing-reps": ["0"]}
+                 "--max-iter": ["-1", "1.5"], "--jobs": ["0", "-2"],
+                 # Not a flag: argparse rejects it as unrecognized, exit 64.
+                 "--timing-reps": ["1"]}
 
 
 # A valid argv, or one with a single invalid flag value.
@@ -463,6 +473,8 @@ BENCH_INVALID = {"--kinds": ["", "spherical", "convex,convex"],
                                    for flag, values in BENCH_VALID.items()}),
        broken=st.none() | st.sampled_from([(flag, value) for flag, values in
                                            BENCH_INVALID.items() for value in values]))
+@example(argv={flag: values[0] for flag, values in BENCH_VALID.items()},
+         broken=("--timing-reps", "1"))
 def test_bench_argv_ends_in_a_documented_code(bench_out, argv, broken):
     if broken is not None:
         argv = {**argv, broken[0]: broken[1]}

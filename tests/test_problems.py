@@ -189,22 +189,23 @@ def test_serialization_unknown_seed(tmp_path):
 
 
 def test_load_problem_rejects_malformed_records(tmp_path):
+    # Every error names the file, as load_model's do.
     bad = tmp_path / "bad.txt"
-    bad.write_text("convex-distance 3 2 7\n1.0 0.0 0.0\n")
-    with pytest.raises(ValueError):
-        load_problem(bad)
-    bad.write_text("just nonsense\n")
-    with pytest.raises(ValueError):
-        load_problem(bad)
-    bad.write_text("convex-distance 3 2x 7\n")
-    with pytest.raises(ValueError, match=re.escape(f"{bad}:1: '2x'")):
-        load_problem(bad)
-    bad.write_text("convex-distance 3 2 7\n1.0 0.0 0.0\n\n0.0 1.0\n")
-    with pytest.raises(ValueError, match=re.escape(f"{bad}:4: row length 2, line 2 has 3")):
-        load_problem(bad)
-    bad.write_text("")
-    with pytest.raises(ValueError):
-        load_problem(bad)
+    for content, message in [
+        ("", "empty problem file"),
+        ("just nonsense\n", ":1: malformed problem header"),
+        ("convex-distance 3 2x 7\n", ":1: '2x' is not an integer"),
+        ("convex-distance 3 2 7\n1.0 0.0 0.0\n\n0.0 1.0\n", ":4: row length 2, line 2 has 3"),
+        ("convex-distance 3 2 7\n1.0 0.0 0.0\n", "anchor block has shape (1, 3), header says (2, 3)"),
+        ("convex-distance 0 0 -\n", "anchors must be a (K, d) matrix"),
+        ("spherical 3 2 7\n1.0 0.0 0.0\n0.0 1.0 0.0\n", "unknown problem kind 'spherical'"),
+        ("convex-distance 3 2 7\n1.0 0.0 0.0\n0.0 2.0 0.0\n", "anchor rows must have unit norm"),
+        ("convex-distance 3 2 7\n1.0 0.0 0.0\nnan 0.0 0.0\n", "anchors must be finite"),
+    ]:
+        bad.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(str(bad))) as excinfo:
+            load_problem(bad)
+        assert message in str(excinfo.value), content
 
 
 def test_load_model_reads_one_coordinate_per_line(tmp_path):

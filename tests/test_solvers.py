@@ -12,6 +12,9 @@ from epoal.solvers import _lockstep
 
 from oracles import scalar_trace
 
+# The suite turns RuntimeWarnings into errors; a test that overflows on purpose carries this.
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 
 class FixedObjectives(ObjectiveSet):
     """Constant values with a constant jacobian; handy for algebraic step checks."""
@@ -343,6 +346,7 @@ def assert_kernel_stops_where_run_does(algorithm, obj, r, w0, configs):
 
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
                                                ("smooth-max", {"tau": 0.1})])
+@OVERFLOWS
 def test_run_diverges_where_weighted_scores_overflow(algorithm, hyper):
     # Finite values whose weighted fairness residual overflows end the run like a
     # non-finite evaluation, before any record holds inf or NaN.  At (1e160, 1e150)
@@ -362,6 +366,7 @@ def test_run_diverges_where_weighted_scores_overflow(algorithm, hyper):
                                               [cfg]) == []
 
 
+@OVERFLOWS
 def test_run_diverges_where_the_epo_al_dual_overflows():
     # The values stay finite (the gaussian plateau), but the dual of the heavily
     # weighted objective overflows a few iterates before the iterate does.
@@ -462,6 +467,7 @@ def test_lockstep_subgradient_ties_use_each_rows_generator():
 
 @pytest.mark.parametrize("objectives", ["synthetic", "twin"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
 def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives):
     # mu = 1e200 overflows the values at iterate 1 of the middle row.  The
     # twin objectives go row by row through the gate and tie at every step,
@@ -500,7 +506,8 @@ def test_lockstep_row_blocks_of_one_give_identical_results(monkeypatch, algorith
 
 
 @pytest.mark.parametrize("K", [2, 16, 64])
-@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@pytest.mark.parametrize("kind", [pytest.param("convex-distance", marks=OVERFLOWS),
+                                  "nonconvex-gaussian"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 def test_lockstep_trials_of_one_pass_match_their_own_passes(monkeypatch, algorithm, kind, K):
     # Three trials of one (kind, K, d) cell in one pass, as the target scan runs them.  On
