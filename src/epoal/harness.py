@@ -18,7 +18,7 @@ the protocol is:
      The minimum is found by a lockstep race: the solver kernel advances
      every combination one iterate per round as one array pass, and the
      first round with a value in the band ends it, so the winner is exact.
-     Subgradient's race reads the target scan's min-max array instead.
+     Subgradient's race reads the target scan's min-max array in one pass.
   3. Combinations that never enter the epsilon band are censored, never
      conflated with slow successes.
 
@@ -178,24 +178,22 @@ def iteration_complexity(trace: list[IterationRecord], target: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not trace:
         raise ValueError("empty trace")
-    i = _race(_scan_rounds(np.array([[rec.minmax for rec in trace]])), target, epsilon)[0]
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    i = _first_hit(np.array([[rec.minmax for rec in trace]]), target, epsilon)[0]
     return None if i is None else trace[i].iter
 
 
-def _scan_rounds(minmax):
-    """The race rounds ``(i, rows, minmax)`` of a (rows, iterates) min-max array."""
-    return ((i, np.arange(len(minmax)), column) for i, column in enumerate(minmax.T))
+def _first_hit(minmax, target: float, epsilon: float):
+    """(i_o, j): the lowest iterate i, then row j, of a (rows, iterates) min-max array within
+    ``epsilon`` of ``target``, else (None, None).  NaN (a row that has left) is never in band."""
+    hits = (np.abs(minmax - target) <= epsilon).T
+    return divmod(int(np.argmax(hits)), hits.shape[1]) if hits.any() else (None, None)
 
 
 def _race(rounds, target: float, epsilon: float):
-    """(i_o, j): the first row within ``epsilon`` of ``target`` over lockstep ``rounds``.
-
-    ``rounds`` yields tuples starting ``(i, rows, minmax)``, as the kernel's blocks
-    do, by ascending i, then ascending rows: the winner is the lowest iterate, then
-    the lowest row j, else (None, None).  NaN (a row that has left) is never in band.
-    """
-    if not np.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    """:func:`_first_hit` over lockstep ``rounds``, tuples starting ``(i, rows, minmax)`` by
+    ascending i, then rows, as the kernel's blocks come; it stops at the first hit."""
     for i, rows, minmax, *_ in rounds:
         hits = np.flatnonzero(np.abs(minmax - target) <= epsilon)
         if hits.size:
@@ -233,10 +231,13 @@ def tune_and_measure(algorithm, problem, r, w0, grid: GridSpec, seed: int = 0, *
     subgradient grid, this seed), which subgradient's race reads instead of
     running; other algorithms ignore it.
     """
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     configs = _grid_configs(algorithm, grid, seed)
-    rounds = (_scan_rounds(_scan) if algorithm == SUBGRADIENT and _scan is not None
-              else _lockstep(algorithm, [(problem, r, w0, configs)]))
-    best_i, j = _race(rounds, target, grid.epsilon)
+    best_i, j = (_first_hit(_scan, target, grid.epsilon)
+                 if algorithm == SUBGRADIENT and _scan is not None
+                 else _race(_lockstep(algorithm, [(problem, r, w0, configs)]), target,
+                            grid.epsilon))
     best_cfg = None if j is None else configs[j]
     t_o = (measure_time(algorithm, problem, r, w0, best_cfg, best_i)
            if measure and best_i is not None else None)
@@ -265,17 +266,17 @@ def _trial_inputs(kind, K, d, seed):
 
 
 def _tune_chunk(task):
-    """Tuning phase (no timing) of a chunk of one cell's trials, one record list per trial;
-    picklable for worker pools.  The chunk's target scans run as one kernel pass."""
+    """Tuning phase (no timing) of a chunk of one cell's trials, per trial its (problem, r, w0)
+    and record list; picklable for worker pools.  Its target scans run as one kernel pass."""
     kind, K, d, seeds, algorithms, grid = task
     trials = [_trial_inputs(kind, K, d, seed) for seed in seeds]
     scans = _target_scans([(*trial, seed) for trial, seed in zip(trials, seeds)], grid)
     tuned = []
     for (problem, r, w0), seed, minmax in zip(trials, seeds, scans):
         target = compute_target(problem, r, w0, grid, seed=seed, _scan=minmax)
-        tuned.append([tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
-                                       measure=False, _scan=minmax)
-                      for algo in algorithms])
+        tuned.append(((problem, r, w0), [
+            tune_and_measure(algo, problem, r, w0, grid, seed=seed, target=target,
+                             measure=False, _scan=minmax) for algo in algorithms]))
     return tuned
 
 
@@ -329,7 +330,7 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
 
     # A task is a chunk of consecutive trials of one cell, min(jobs, n_trials) chunks a
     # cell.  Trial t of cell c is entry c * n_trials + t of the concatenated chunk results;
-    # entry a of a trial's list is algorithms[a].
+    # entry a of a trial's record list is algorithms[a].
     n_chunks = min(jobs, n_trials)
     bounds = [n * n_trials // n_chunks for n in range(n_chunks + 1)]
     tasks = []
@@ -345,15 +346,13 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     else:
         chunks = [_tune_chunk(task) for task in tasks]
 
-    for task, chunk in zip(tasks, chunks):
-        for seed, trial in zip(task[3], chunk):
-            problem, r, w0 = _trial_inputs(*task[:3], seed)
-            for a, rec in enumerate(trial):
-                if rec.i_o is not None:
-                    trial[a] = replace(rec, t_o=measure_time(
-                        algorithms[a], problem, r, w0, rec.best_config, rec.i_o))
-
     tuned = [trial for chunk in chunks for trial in chunk]
+    for (problem, r, w0), trial in tuned:
+        for a, rec in enumerate(trial):
+            if rec.i_o is not None:
+                trial[a] = replace(rec, t_o=measure_time(
+                    algorithms[a], problem, r, w0, rec.best_config, rec.i_o))
+
     return [_aggregate(kind, algo, K, d,
-                       [trial[a] for trial in tuned[c * n_trials:(c + 1) * n_trials]])
+                       [trial[a] for _, trial in tuned[c * n_trials:(c + 1) * n_trials]])
             for c, (kind, K) in enumerate(cells) for a, algo in enumerate(algorithms)]

@@ -81,22 +81,29 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
     return _unit_rows(_stream(seed, _INITIAL_TAG), 1, d)[0]
 
 
+def _anchor_values(kind, anchors, W):
+    """Values (..., K) and gradients (..., K, d) of ``kind``'s family at models W (..., d), on
+    anchors (K, d) or a (..., K, d) stack row by row: the solver kernel's layout."""
+    diffs = W[..., None, :] - anchors                # (..., K, d)
+    sq = np.einsum("...kd,...kd->...k", diffs, diffs)
+    if kind == CONVEX:
+        root = np.sqrt(1.0 + sq)
+        return root - 1.0, diffs / root[..., None]
+    expo = np.exp(-sq)
+    return 1.0 - expo, 2.0 * expo[..., None] * diffs
+
+
 def eval_convex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and (d, K) jacobian of J_k(w) = sqrt(1 + ||w - w_k||^2) - 1;
     a (B, d) stack of models gives (B, K) values and (B, d, K) jacobians."""
-    diffs = w[..., None, :] - anchors                # (..., K, d)
-    root = np.sqrt(1.0 + np.einsum("...kd,...kd->...k", diffs, diffs))
-    return root - 1.0, (diffs / root[..., None]).swapaxes(-1, -2)
+    jvals, grads = _anchor_values(CONVEX, anchors, w)
+    return jvals, grads.swapaxes(-1, -2)
 
 
 def eval_nonconvex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and (d, K) jacobian of J_k(w) = 1 - exp(-||w - w_k||^2), stacks as above."""
-    diffs = w[..., None, :] - anchors
-    expo = np.exp(-np.einsum("...kd,...kd->...k", diffs, diffs))
-    return 1.0 - expo, (2.0 * expo[..., None] * diffs).swapaxes(-1, -2)
-
-
-_EVALUATORS = {CONVEX: eval_convex, NONCONVEX: eval_nonconvex, FIG1: eval_nonconvex}
+    jvals, grads = _anchor_values(NONCONVEX, anchors, w)
+    return jvals, grads.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +141,8 @@ class SyntheticProblem(ObjectiveSet):
         return self.anchors.shape[0]
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One shared pass over ||w - w_k||^2 for both formulas; a (B, d) stack in one call.
-        return _EVALUATORS[self.kind](self.anchors, np.asarray(w, dtype=np.float64))
+        jvals, grads = _anchor_values(self.kind, self.anchors, np.asarray(w, dtype=np.float64))
+        return jvals, grads.swapaxes(-1, -2)
 
 
 def fig1_problem(d: int) -> SyntheticProblem:

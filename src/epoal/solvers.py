@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noq
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import _EVALUATORS, SyntheticProblem
+from .problems import SyntheticProblem, _anchor_values
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -122,48 +123,53 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-def _update(algorithm, r, W, P, J, U, M, G, H, rngs):
-    """One step of each row b of a block: (W+, P+, subgradient indices or None).
+# A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
+# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit.
+def _epo_al(r, W, P, J, U, M, G, c, seeds):
+    fairness_grad = lr_apply(r, J, _u=U)
+    Y = np.maximum(P, 0.0) + c.eta * fairness_grad
+    return W - c.mu * np.matmul(Y[:, None, :], G)[:, 0], P + c.mu * fairness_grad, None
 
-    Row b: preference r[b], iterate W[b], dual P[b], values J[b], U[b] = r[b] * J[b],
-    M[b] = max U[b], gradients G[b] (row k that of J_k), H[b] = (mu, eta, tau), rngs[b];
-    the scalar step's ops, bit for bit.
-    """
-    if algorithm == EPO_AL:
-        fairness_grad = lr_apply(r, J, _u=U)
-        Y = np.maximum(P, 0.0) + H[:, 1] * fairness_grad
-        return W - H[:, 0] * np.matmul(Y[:, None, :], G)[:, 0], P + H[:, 0] * fairness_grad, None
-    if algorithm == SUBGRADIENT:
-        tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[:, None]
-        k = U.argmax(axis=1)
-        # Generator.integers(1) draws nothing, so only rows with a tie use their stream.
-        if np.count_nonzero(tied) > k.size:
-            for b in np.flatnonzero(tied.sum(axis=1) > 1):
-                active = np.flatnonzero(tied[b])
-                k[b] = active[rngs[b].integers(active.size)]
-        rows = np.arange(k.size)
-        return W - H[:, 0] * r[rows, k][:, None] * G[rows, k], P, k
-    V = U / H[:, 2]
-    weights = np.exp(V - M[:, None] / H[:, 2])    # M / tau is max V: rounding is monotonic
+
+def _subgradient(r, W, P, J, U, M, G, c, seeds):
+    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[:, None]
+    k = U.argmax(axis=1)
+    # Generator.integers(1) draws nothing, so a row's generator is made at its first tie
+    # (default_rng returns a generator as it is).
+    if np.count_nonzero(tied) > k.size:
+        for j in np.flatnonzero(tied.sum(axis=1) > 1):
+            seeds[j], active = np.random.default_rng(seeds[j]), np.flatnonzero(tied[j])
+            k[j] = active[seeds[j].integers(active.size)]
+    return W - c.mu * r[c.at, k][:, None] * G[c.at, k], P, k
+
+
+def _smooth_max(r, W, P, J, U, M, G, c, seeds):
+    # M / tau is max U / tau: rounding is monotonic.
+    weights = np.exp(U / c.tau - M[:, None] / c.tau)
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    return W - (H[:, 0] / H[:, 2]) * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
+    return W - c.mu_tau * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
+
+
+_UPDATES = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
+_Columns = namedtuple("_Columns", "mu eta tau mu_tau at")
 
 
 def _columns(configs):
-    """The (C, 3, 1) hyperparameter columns (mu, eta, tau), NaN for None."""
-    return np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64)[:, :, None]
+    """(B, 1) columns mu, eta, tau (NaN for None), mu / tau of ``configs``; positions 0..B-1."""
+    H = np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64).reshape(-1, 3)
+    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:], np.arange(len(H)))
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
-    """One public step: the checks and the evaluation ``run`` makes, then ``_update``."""
+    """One public step: the checks and the evaluation ``run`` makes, then the update."""
     r = _preference_for(r, obj)
     jvals, jac = _evaluate(obj, w)
     P = np.empty((1, 0)) if p is None else p[None]
     if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
     U = (r * jvals)[None]
-    W, P, k = _update(algorithm, r[None], np.asarray(w)[None], P, jvals[None], U, U.max(axis=1),
-                      jac.T[None], _columns([config]), [rng])
+    W, P, k = _UPDATES[algorithm](r[None], np.asarray(w)[None], P, jvals[None], U,
+                                  U.max(axis=1), jac.T[None], _columns([config]), [rng])
     return W[0], None if p is None else P[0], None if k is None else int(k[0])
 
 
@@ -224,19 +230,24 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 _Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
-def _evaluate_block(obj, W, anchors):
-    """Values (B, K) and gradients (B, K, d) of a block of iterates W (B, d): those of
-    ``obj``, or, given a (B, K, d) stack of ``anchors``, row b's those of obj's kind of
-    problem on anchors[b]."""
-    if anchors is not None:
-        J, jacs = _EVALUATORS[obj.kind](anchors, W)
-    elif isinstance(obj, SyntheticProblem):
-        J, jacs = obj.values_and_jacobian(W)      # the whole block as stacks
-    else:
-        J, jacs = np.empty((len(W), obj.count)), np.empty((len(W), W.shape[1], obj.count))
-        for b, w in enumerate(W):
-            J[b], jacs[b] = _evaluate(obj, w)
-    return J, jacs.swapaxes(1, 2)
+def _evaluate_block(obj, W, A):
+    """Values (B, K) and gradients (B, K, d) at iterates W (B, d) of ``obj``, or of its kind on
+    anchors A, (K, d) or the rows' (B, K, d)."""
+    if A is not None:
+        return _anchor_values(obj.kind, A, W)
+    J, jacs = zip(*(_evaluate(obj, w) for w in W))
+    return np.array(J, dtype=np.float64), np.array(jacs, dtype=np.float64).swapaxes(1, 2)
+
+
+def _screened(U, S, P, limit):
+    """Whether no row of a block breaks the divergence rule: weighted values U inside +-limit
+    and finite sums of S and of the duals P (an overflowing sum goes to the row rule).  S is G,
+    or a synthetic block's iterates W: with finite values and iterates, a convex gradient is a
+    finite difference over a root >= 1, a gaussian one 2 e^-s (w - a) has |w - a| <= sqrt(s)
+    or is 0 where s = ||w - a||^2 overflows."""
+    return (np.maximum.reduce(np.abs(U), axis=None) < limit
+            and np.isfinite(np.add.reduce(S, axis=None))
+            and (not P.size or np.isfinite(np.add.reduce(P, axis=None))))
 
 
 def _lockstep(algorithm, trials):
@@ -244,13 +255,11 @@ def _lockstep(algorithm, trials):
 
     ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter; a pass of
     several trials takes synthetic problems of one kind.  Round i evaluates and steps iterate i
-    of every live row, with its trial's objectives, its own preference row and generator, in
+    of every live row, with its trial's objectives, its own preference row and seed, in
     blocks of consecutive rows whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
     _Block for each.  A block of one trial evaluates its objectives; one spanning trials stacks
     its rows' anchors.  A row leaves at the first iterate that breaks ``core._divergence``,
-    where ``run`` stops; only a block that fails a whole-block screen (finite sums of G and of
-    P, weighted values inside +-limit) is ruled by row.  A finite sum has finite terms; one
-    that overflows goes to the row rule.
+    where ``run`` stops; only a block that fails :func:`_screened` is ruled by row.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -274,36 +283,34 @@ def _lockstep(algorithm, trials):
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
     # Row state: grid index, iterate, preference, epo-al dual (no columns otherwise),
-    # hyperparameters, rng.
+    # configuration, seed (a row's generator from its first tie on).
     state = (np.arange(C), np.array(w0s)[trial], np.array(rs)[trial],
-             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), _columns(configs),
-             [np.random.default_rng(c.seed) for c in configs])
-    size = max(1, _BLOCK_BYTES // (8 * K * d))
-    blocks = []
+             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), configs,
+             [c.seed for c in configs])
+    size, update, blocks = max(1, _BLOCK_BYTES // (8 * K * d)), _UPDATES[algorithm], []
     for s in range(0, C, size):
-        t = trial[s:s + size]
-        # Block source: its trial's objectives, then its rows' anchors if it spans trials.
-        anchors = None if t[0] == t[-1] else np.array([objs[k].anchors for k in t])
-        blocks.append([a[s:s + size] for a in state] + [objs[t[0]], anchors])
+        rows, W, r, P, cs, seeds = (a[s:s + size] for a in state)
+        t, obj = trial[rows], objs[trial[s]]
+        A = (None if not isinstance(obj, SyntheticProblem) else obj.anchors if t[0] == t[-1]
+             else np.array([objs[k].anchors for k in t]))
+        blocks.append([rows, W, r, P, cs, _columns(cs), seeds, obj, A])
     for i in range(last + 1):
-        for n, (rows, W, r, P, H, gens, obj, A) in enumerate(blocks):
+        for n, (rows, W, r, P, cs, c, seeds, obj, A) in enumerate(blocks):
             J, G = _evaluate_block(obj, W, A)
             U = r * J
             M = np.maximum.reduce(U, axis=1)
             diverged = []
-            if not (np.maximum.reduce(np.abs(U), axis=None) < limit
-                    and np.isfinite(np.add.reduce(G, axis=None))
-                    and (not P.size or np.isfinite(np.add.reduce(P, axis=None)))):
+            if not _screened(U, G if A is None else W, P, limit):
                 broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
-                rows, W, r, P, H, J, G, U, M = (a[ok] for a in (rows, W, r, P, H, J, G, U, M))
-                gens = [g for g, keep in zip(gens, ok) if keep]
-                A = None if A is None else A[ok]
+                rows, W, r, P, J, G, U, M = (a[ok] for a in (rows, W, r, P, J, G, U, M))
+                cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
+                c, A = _columns(cs), (A if A is None or A.ndim == 2 else A[ok])
             W_next, P_next, active = ((W, P, None) if i == last
-                                      else _update(algorithm, r, W, P, J, U, M, G, H, gens))
-            blocks[n] = [rows, W_next, r, P_next, H, gens, obj, A]
+                                      else update(r, W, P, J, U, M, G, c, seeds))
+            blocks[n] = [rows, W_next, r, P_next, cs, c, seeds, obj, A]
             yield _Block(i, rows, M, J, P, active, diverged)
-        blocks = [block for block in blocks if block[5]]
+        blocks = [block for block in blocks if block[0].size]
         if not blocks:
             return

@@ -400,18 +400,24 @@ def fuzz_problem(tmp_path_factory):
 VALID_R = ["1,1", "0.2,0.8", "1e300,1e300"]
 FINITE = ["0", "0.5", "1e150"]
 VALID_TOL = [None, "1e-12", "5e-324", "1e308"]
+GOOD_TOL, BAD_TOL = st.sampled_from(VALID_TOL), st.sampled_from(["0", "-1", "nan", "inf"])
+
+# Models of two finite coordinates reach the certificate, so they draw the tolerances: both
+# valid, or one of them not; corrupt models and bad preferences keep the defaults.
+WELL_FORMED = st.tuples(st.just(b""), st.lists(st.sampled_from(FINITE), min_size=2, max_size=2),
+                        st.sampled_from(VALID_R),
+                        st.tuples(GOOD_TOL, GOOD_TOL) | st.tuples(BAD_TOL, GOOD_TOL)
+                        | st.tuples(GOOD_TOL, BAD_TOL))
+CORRUPT = st.tuples(st.sampled_from([b"", b"\xff\xfe"]),
+                    st.lists(st.sampled_from(FINITE + ["1e400", "nan", "inf", "x", "0.1 0.2", "",
+                                                       "  "]), max_size=4),
+                    st.sampled_from(VALID_R + ["nan,1", "1", ""]), st.just((None, None)))
 
 
-# Half the models are two finite coordinates, so that the certificate itself is reached.
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(prefix=st.sampled_from([b"", b"\xff\xfe"]),
-       lines=st.lists(st.sampled_from(FINITE), min_size=2, max_size=2)
-       | st.lists(st.sampled_from(FINITE + ["1e400", "nan", "inf", "x", "0.1 0.2", "", "  "]),
-                  max_size=4),
-       r=st.sampled_from(VALID_R + ["nan,1", "1", ""]),
-       tols=st.tuples(*[st.sampled_from(VALID_TOL + ["0", "-1", "nan", "inf"])] * 2))
-def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, prefix, lines, r,
-                                                         tols):
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=WELL_FORMED | CORRUPT)
+def test_certify_file_boundary_ends_in_a_documented_code(fuzz_problem, case):
+    prefix, lines, r, tols = case
     model = fuzz_problem.with_name("model.txt")
     model.write_bytes(prefix + "".join(line + "\n" for line in lines).encode())
     flags = [token for flag, tol in zip(("--fair-tol", "--gap-tol"), tols) if tol is not None

@@ -12,7 +12,7 @@ from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    run_experiment, sample_initial, sample_preference,
                    trimmed_mean_ci, tune_and_measure, fig1_problem)
 import epoal.harness as harness
-from epoal.harness import _grid_configs, _race, _scan_rounds, _tune_chunk, trial_seed
+from epoal.harness import _first_hit, _grid_configs, _race, _tune_chunk, trial_seed
 from epoal.solvers import ALGORITHMS, DivergenceError, IterationRecord, _lockstep
 
 from oracles import (exhaustive_target, exhaustive_tune, run_allowing_divergence,
@@ -286,8 +286,11 @@ def assert_chunk_matches_oracle(task):
     kind, K, d, seeds, algorithms, grid = task
     chunk = _tune_chunk(task)
     assert len(chunk) == len(seeds)
-    for seed, trial in zip(seeds, chunk):
+    for seed, (inputs, trial) in zip(seeds, chunk):
         problem, r, w0 = trial_inputs(kind, d, K, seed)
+        np.testing.assert_array_equal(inputs[0].anchors, problem.anchors)
+        np.testing.assert_array_equal(inputs[1], r)
+        np.testing.assert_array_equal(inputs[2], w0)
         target = exhaustive_target(problem, r, w0, grid, seed)
         assert [rec.algorithm for rec in trial] == list(algorithms)
         for rec in trial:
@@ -346,7 +349,30 @@ def test_race_matches_exhaustive_minimum(traces, target):
     minmax = np.full((len(traces), max(map(len, traces), default=0)), np.nan)
     for j, t in enumerate(traces):
         minmax[j, :len(t)] = t
-    assert _race(_scan_rounds(minmax), target, epsilon) == expected
+    assert _first_hit(minmax, target, epsilon) == expected
+    assert _race(scan_rounds(minmax), target, epsilon) == expected
+
+
+def scan_rounds(minmax):
+    """The race rounds ``(i, rows, minmax)`` of a (rows, iterates) min-max array."""
+    return ((i, np.arange(len(minmax)), column) for i, column in enumerate(minmax.T))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 6), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+def test_first_hit_matches_the_race_over_its_columns(rows, iterates, seed):
+    # Values on a coarse grid tie across rows and iterates; some rows are NaN from an
+    # iterate on, as the scan stores a row that left, and some are NaN throughout.
+    rng = np.random.default_rng(seed)
+    minmax = rng.integers(0, 5, size=(rows, iterates)) / 4.0
+    for j in range(rows):
+        minmax[j, rng.integers(0, iterates + 1):] = np.nan
+    for target in (0.0, 0.5, 1.0, 3.0):
+        expected = _race(scan_rounds(minmax), target, 0.25)
+        assert _first_hit(minmax, target, 0.25) == expected
+        i, j = expected
+        if i is not None:
+            assert type(i) is type(j) is int and abs(minmax[j, i] - target) <= 0.25
 
 
 def test_tune_trial_tunes_every_algorithm_through_tune_and_measure(monkeypatch):
@@ -472,6 +498,22 @@ def test_run_experiment_deterministic_and_ordered():
         if agg.n_censored == 0:
             assert np.isfinite(agg.i_o_mean)
             assert agg.i_o_ci_low <= agg.i_o_mean <= agg.i_o_ci_high
+
+
+def test_run_experiment_builds_each_trials_inputs_once(monkeypatch):
+    # The timing runs reuse the inputs the tuning phase built with the records.
+    calls = []
+
+    def counting_inputs(*args):
+        calls.append(args)
+        return trial_inputs_of(*args)
+
+    trial_inputs_of = harness._trial_inputs
+    monkeypatch.setattr(harness, "_trial_inputs", counting_inputs)
+    run_experiment(["convex-distance", "nonconvex-gaussian"], [2], d=4, n_trials=3,
+                   master_seed=9, algorithms=["epo-al", "subgradient"],
+                   grid=small_grid(max_iter=40))
+    assert len(calls) == len(set(calls)) == 2 * 3
 
 
 def test_run_experiment_trial_count_floor():

@@ -1,13 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epoal.solvers as solvers
 from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual_mass,
                    epo_al_step, fairness_residual, fig1_problem, initial_state, log_grid,
                    make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference, smoothmax_step, subgradient_step)
+from epoal.core import _divergence
+from epoal.problems import _anchor_values
 from epoal.solvers import _lockstep
 
 from oracles import scalar_trace
@@ -571,3 +576,77 @@ def test_finite_gradients_whose_sum_overflows_keep_every_row(algorithm):
             5, 5]
         assert assert_kernel_stops_where_run_does(algorithm, obj, [0.5, 0.5], np.zeros(3),
                                                   configs) == []
+
+
+# Iterate entries past every threshold of the two anchor families: ||w - w_k||^2 overflows
+# from about 1.3e154, and w - w_k itself stays finite up to the largest double.
+HUGE = [0.0, 0.5, -1.0, 1e154, -1e160, 1e200, 1.7976931348623157e308,
+        -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["convex-distance", "nonconvex-gaussian", "fig1-pair"]),
+       B=st.integers(1, 3), d=st.integers(1, 3), K=st.integers(2, 3), data=st.data())
+def test_a_synthetic_block_that_passes_the_screen_passes_the_row_rule(kind, B, d, K, data):
+    # A synthetic block screens its iterates, not its gradients: finite values and iterates
+    # must imply finite gradients, so that no row the rule would stop goes on.
+    K = 2 if kind == "fig1-pair" else K
+    problem = make_problem(kind, d, K, seed=1)
+
+    def draw(values, rows, cols):
+        flat = data.draw(st.lists(st.sampled_from(values), min_size=rows * cols,
+                                  max_size=rows * cols))
+        return np.array(flat, dtype=np.float64).reshape(rows, cols)
+
+    W = draw(HUGE, B, d)
+    r = draw([1.0, 1e-300, 1e150, 1e300], B, K)
+    P = draw([0.5, -1.0, 1e308, np.inf, np.nan], B, data.draw(st.sampled_from([0, K])))
+    limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
+    with np.errstate(all="ignore"):
+        J, G = _anchor_values(problem.kind, problem.anchors, W)
+        if solvers._screened(r * J, W, P, limit):
+            for row in zip(r, J, G, P):
+                assert _divergence(*row)[0] is None
+
+
+@pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
+                                               ("smooth-max", {"tau": 0.1})])
+@OVERFLOWS
+def test_gaussian_row_whose_iterate_overflows_leaves_where_run_stops(algorithm, hyper):
+    # mu * r = 1e309 sends iterate 1 of the second row to +-inf.  There ||w - w_k||^2 is
+    # inf, so J = 1 - e^-inf = 1 stays finite and r * J = 1e150 passes the value screen,
+    # but the gradient 2 e^-inf (w - w_k) = 0 * inf is NaN: the screen must catch the iterate.
+    problem, w0 = make_problem("nonconvex-gaussian", 3, 2, seed=0), sample_initial(3, 0)
+    r = [1e150, 1e150]
+    configs = [SolverConfig(mu=mu, max_iter=5, **hyper) for mu in (1e-2, 1e159)]
+    assert assert_kernel_stops_where_run_does(algorithm, problem, r, w0, configs) == [
+        (1, "objective evaluation produced non-finite values")]
+    with pytest.raises(DivergenceError) as excinfo:
+        run(algorithm, problem, r, w0, configs[1])
+    iterate = excinfo.value.iterate
+    assert np.isinf(iterate).all()
+    jvals, jac = problem.values_and_jacobian(iterate)
+    assert (jvals == 1.0).all() and np.isnan(jac).any()
+    for cfg, trace in zip(configs, kernel_traces(algorithm, problem, r, w0, configs)):
+        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_a_row_makes_its_generator_at_its_first_tie(monkeypatch, algorithm):
+    # Generator.integers(1) draws nothing, so only a tie needs a row's stream: epo-al and
+    # smooth-max passes, and subgradient rows that never tie, make no generator.
+    problem, r, w0 = small_problem(d=6, K=3, seed=4)
+    fig1, far = fig1_problem(4), 5.0 * np.array([1.0, -1.0, 1.0, -1.0])
+    configs = grid_configs(algorithm, max_iter=40)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed)
+                        or default_rng(seed))
+    kernel_traces(algorithm, problem, r, w0, configs)
+    assert made == []
+    if algorithm == "subgradient":
+        # On the fig1 bisector every step ties: each row makes its generator once, from its
+        # seed, and passes it back at each later tie.
+        kernel_traces(algorithm, fig1, [0.5, 0.5], far, configs)
+        assert [seed for seed in made if not isinstance(seed, np.random.Generator)] == [
+            cfg.seed for cfg in configs]
+        assert len(made) == len(configs) * configs[0].max_iter
