@@ -81,29 +81,44 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
     return _unit_rows(_stream(seed, _INITIAL_TAG), 1, d)[0]
 
 
+class _Gradients:
+    """A (..., K, d) gradient stack of an anchor family that forms only what it is indexed by:
+    ``G[rows, k]`` the rows' k-th gradients, ``G[...]`` the whole stack.  Either form is
+    ``op(diffs, scale[..., None])`` on the same entries, so every bit matches."""
+
+    __slots__ = ("diffs", "scale", "op")
+
+    def __init__(self, diffs, scale, op):
+        self.diffs, self.scale, self.op = diffs, scale, op
+
+    def __getitem__(self, index):
+        return self.op(self.diffs[index], self.scale[index][..., None])
+
+
 def _anchor_values(kind, anchors, W):
     """Values (..., K) and gradients (..., K, d) of ``kind``'s family at models W (..., d), on
-    anchors (K, d) or a (..., K, d) stack row by row: the solver kernel's layout."""
+    anchors (K, d) or a (..., K, d) stack row by row: the solver kernel's layout.  The
+    gradients come as a :class:`_Gradients` stack."""
     diffs = W[..., None, :] - anchors                # (..., K, d)
     sq = np.einsum("...kd,...kd->...k", diffs, diffs)
     if kind == CONVEX:
         root = np.sqrt(1.0 + sq)
-        return root - 1.0, diffs / root[..., None]
+        return root - 1.0, _Gradients(diffs, root, np.divide)
     expo = np.exp(-sq)
-    return 1.0 - expo, 2.0 * expo[..., None] * diffs
+    return 1.0 - expo, _Gradients(diffs, 2.0 * expo, np.multiply)
 
 
 def eval_convex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and (d, K) jacobian of J_k(w) = sqrt(1 + ||w - w_k||^2) - 1;
     a (B, d) stack of models gives (B, K) values and (B, d, K) jacobians."""
     jvals, grads = _anchor_values(CONVEX, anchors, w)
-    return jvals, grads.swapaxes(-1, -2)
+    return jvals, grads[...].swapaxes(-1, -2)
 
 
 def eval_nonconvex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and (d, K) jacobian of J_k(w) = 1 - exp(-||w - w_k||^2), stacks as above."""
     jvals, grads = _anchor_values(NONCONVEX, anchors, w)
-    return jvals, grads.swapaxes(-1, -2)
+    return jvals, grads[...].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +157,7 @@ class SyntheticProblem(ObjectiveSet):
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         jvals, grads = _anchor_values(self.kind, self.anchors, np.asarray(w, dtype=np.float64))
-        return jvals, grads.swapaxes(-1, -2)
+        return jvals, grads[...].swapaxes(-1, -2)
 
 
 def fig1_problem(d: int) -> SyntheticProblem:

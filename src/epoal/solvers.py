@@ -125,10 +125,11 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 
 # A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
 # = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit.
+# G is an array or a problems._Gradients stack: a step reads G[...] or only G[rows, k].
 def _epo_al(r, W, P, J, U, M, G, c, seeds):
     fairness_grad = lr_apply(r, J, _u=U)
     Y = np.maximum(P, 0.0) + c.eta * fairness_grad
-    return W - c.mu * np.matmul(Y[:, None, :], G)[:, 0], P + c.mu * fairness_grad, None
+    return W - c.mu * np.matmul(Y[:, None, :], G[...])[:, 0], P + c.mu * fairness_grad, None
 
 
 def _subgradient(r, W, P, J, U, M, G, c, seeds):
@@ -147,7 +148,7 @@ def _smooth_max(r, W, P, J, U, M, G, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
     weights = np.exp(U / c.tau - M[:, None] / c.tau)
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    return W - c.mu_tau * np.matmul((weights * r)[:, None, :], G)[:, 0], P, None
+    return W - c.mu_tau * np.matmul((weights * r)[:, None, :], G[...])[:, 0], P, None
 
 
 _UPDATES = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
@@ -219,33 +220,34 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
             raise block.diverged[0]
         records.append(IterationRecord(
             iter=block.i, jvals=block.J[0], minmax=float(block.minmax[0]),
-            fairness=fairness_residual(r, block.J[0]),
+            fairness=fairness_residual(block.r[0], block.J[0]),
             p_snapshot=block.P[0] if algorithm == EPO_AL else None,
             active_index=None if block.active is None else int(block.active[0])))
     return records
 
 
 # Iterate i of grid rows ``rows``: min-max (B,), values J (B, K), duals P ((B, 0) unless
-# epo-al), subgradient steps (None at the end), errors of rows that left at i.
-_Block = namedtuple("_Block", "i rows minmax J P active diverged")
+# epo-al), subgradient steps (None at the end), errors of rows that left at i, preferences r.
+_Block = namedtuple("_Block", "i rows minmax J P active diverged r")
 
 
 def _evaluate_block(obj, W, A):
     """Values (B, K) and gradients (B, K, d) at iterates W (B, d) of ``obj``, or of its kind on
-    anchors A, (K, d) or the rows' (B, K, d)."""
+    anchors A, (K, d) or the rows' (B, K, d), whose gradients come as a problems._Gradients."""
     if A is not None:
         return _anchor_values(obj.kind, A, W)
     J, jacs = zip(*(_evaluate(obj, w) for w in W))
     return np.array(J, dtype=np.float64), np.array(jacs, dtype=np.float64).swapaxes(1, 2)
 
 
-def _screened(U, S, P, limit):
-    """Whether no row of a block breaks the divergence rule: weighted values U inside +-limit
-    and finite sums of S and of the duals P (an overflowing sum goes to the row rule).  S is G,
-    or a synthetic block's iterates W: with finite values and iterates, a convex gradient is a
-    finite difference over a root >= 1, a gaussian one 2 e^-s (w - a) has |w - a| <= sqrt(s)
-    or is 0 where s = ||w - a||^2 overflows."""
-    return (np.maximum.reduce(np.abs(U), axis=None) < limit
+def _screened(V, S, P, limit):
+    """Whether no row of a block breaks the divergence rule: max V < limit and finite sums of
+    S and of the duals P (an overflowing sum goes to the row rule; so does a NaN).  V, S are
+    |U| and G, or a synthetic block's row maxima M (J >= 0 and r > 0 there, so max M is max |U|)
+    and iterates W: with finite values and iterates, a convex gradient is a finite difference
+    over a root >= 1, a gaussian one 2 e^-s (w - a) has |w - a| <= sqrt(s) or is 0 where
+    s = ||w - a||^2 overflows."""
+    return (np.maximum.reduce(V, axis=None) < limit
             and np.isfinite(np.add.reduce(S, axis=None))
             and (not P.size or np.isfinite(np.add.reduce(P, axis=None))))
 
@@ -300,7 +302,9 @@ def _lockstep(algorithm, trials):
             U = r * J
             M = np.maximum.reduce(U, axis=1)
             diverged = []
-            if not _screened(U, G if A is None else W, P, limit):
+            if not (_screened(np.abs(U), G, P, limit) if A is None
+                    else _screened(M, W, P, limit)):
+                G = G[...]
                 broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
@@ -310,7 +314,7 @@ def _lockstep(algorithm, trials):
             W_next, P_next, active = ((W, P, None) if i == last
                                       else update(r, W, P, J, U, M, G, c, seeds))
             blocks[n] = [rows, W_next, r, P_next, cs, c, seeds, obj, A]
-            yield _Block(i, rows, M, J, P, active, diverged)
+            yield _Block(i, rows, M, J, P, active, diverged, r)
         blocks = [block for block in blocks if block[0].size]
         if not blocks:
             return

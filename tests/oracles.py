@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from epoal import (DivergenceError, StationarityResult, as_model_vector, as_preference,
-                   lr_apply, run)
+from epoal import (CONVEX, DivergenceError, StationarityResult, as_model_vector,
+                   as_preference, lr_apply, run)
 from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
 from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL
 
@@ -20,6 +20,18 @@ def lr_dense(r):
     k = r.size
     centering = np.eye(k) - np.ones((k, k)) / k
     return np.diag(r) @ centering @ np.diag(r)
+
+
+def dense_anchor_values(kind, anchors, W):
+    """Values (..., K) and the whole gradient stack (..., K, d) of ``kind``'s anchor family at
+    models W (..., d), for ``problems._anchor_values``, which forms gradients where indexed."""
+    diffs = W[..., None, :] - anchors
+    sq = np.einsum("...kd,...kd->...k", diffs, diffs)
+    if kind == CONVEX:
+        root = np.sqrt(1.0 + sq)
+        return root - 1.0, diffs / root[..., None]
+    expo = np.exp(-sq)
+    return 1.0 - expo, 2.0 * expo[..., None] * diffs
 
 
 def finite_diff_jacobian(obj, w, h):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from epoal import (SyntheticProblem, eval_convex, eval_nonconvex, fig1_problem,
                    gen_anchors, load_model, load_problem, make_problem, sample_initial,
                    sample_preference, save_problem)
+from epoal.problems import _anchor_values
 
-from oracles import finite_diff_jacobian
+from oracles import dense_anchor_values, finite_diff_jacobian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -232,3 +233,29 @@ def test_load_model_errors_name_the_file(tmp_path, content, message):
     with pytest.raises(ValueError, match=re.escape(f"{path}")) as excinfo:
         load_model(path)
     assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+def test_anchor_gradients_match_the_dense_stack_bit_for_bit(kind, stacked):
+    # The kernel's gradient stack forms only the entries it is indexed by, with the dense
+    # oracle's elementwise operations on the same operands: the whole stack, each row's k-th
+    # gradient (the kernel's G[c.at, k]) and any rows', on one trial's (K, d) anchors or a
+    # (B, K, d) stack of them.  Row 1 sits at its own anchor 2.
+    B, K, d = 5, 4, 7
+    A = (np.array([gen_anchors(d, K, seed) for seed in range(B)]) if stacked
+         else gen_anchors(d, K, seed=3))
+    W = np.random.default_rng(0).standard_normal((B, d))
+    W[1] = A[1, 2] if stacked else A[2]
+    J, G = _anchor_values(kind, A, W)
+    J_ref, G_ref = dense_anchor_values(kind, A, W)
+    assert np.array_equal(J, J_ref) and np.array_equal(G[...], G_ref)
+    at, k, rows = np.arange(B), np.array([2, 2, 0, 3, 1]), np.array([3, 1, 1, 4])
+    assert np.array_equal(G[at, k], G_ref[at, k])
+    assert np.array_equal(G[rows, k[rows]], G_ref[rows, k[rows]])
+    assert J[1, 2] == 0.0 and not G[1, 2].any()
+    if not stacked:
+        J, G = _anchor_values(kind, A, W[1])
+        J_ref, G_ref = dense_anchor_values(kind, A, W[1])
+        assert np.array_equal(J, J_ref) and np.array_equal(G[...], G_ref)
+        assert np.array_equal(G[2], G_ref[2])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epoal.problems as problems
 import epoal.solvers as solvers
 from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual_mass,
                    epo_al_step, fairness_residual, fig1_problem, initial_state, log_grid,
@@ -604,9 +605,56 @@ def test_a_synthetic_block_that_passes_the_screen_passes_the_row_rule(kind, B, d
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     with np.errstate(all="ignore"):
         J, G = _anchor_values(problem.kind, problem.anchors, W)
-        if solvers._screened(r * J, W, P, limit):
-            for row in zip(r, J, G, P):
+        if solvers._screened(np.maximum.reduce(r * J, axis=1), W, P, limit):
+            for row in zip(r, J, G[...], P):
                 assert _divergence(*row)[0] is None
+
+
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@OVERFLOWS
+def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(kind):
+    # A synthetic block screens the row maxima M of U = r J, not |U|.  A NaN iterate makes
+    # its row's M NaN, and a weight of 1e300 puts its row's M past the limit: each fails the
+    # screen on M alone, and the row rule stops that row and keeps the good one.
+    K, d = 3, 4
+    problem = make_problem(kind, d, K, seed=1)
+    W = np.array([[0.1, -0.2, 0.3, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.1, -0.2, 0.3, 0.0]])
+    r = np.array([[0.3, 0.3, 0.4], [0.3, 0.3, 0.4], [1e300, 0.3, 0.4]])
+    P, limit = np.empty((3, 0)), math.sqrt(np.finfo(np.float64).max / (8 * K))
+    J, G = _anchor_values(problem.kind, problem.anchors, W)
+    M = np.maximum.reduce(r * J, axis=1)
+    assert solvers._screened(M[[0]], W[[0]], P[[0]], limit)
+    assert np.isnan(M[1]) and np.isfinite(M[2]) and M[2] >= limit
+    for bad in (1, 2):
+        assert not solvers._screened(M[[0, bad]], np.zeros((2, d)), P[[0, bad]], limit)
+        assert not solvers._screened(M[[0, bad]], W[[0, bad]], P[[0, bad]], limit)
+    assert [_divergence(*row)[0] for row in zip(r, J, G[...], P)] == [
+        None, "objective evaluation produced non-finite values",
+        "weighted min-max value or fairness residual is not finite"]
+    # Through the kernel: the trial weighted 1e300 leaves at iterate 0 beside a trial that
+    # goes on, in one block.
+    w0 = sample_initial(d, 1)
+    trials = [(problem, r[j], w0, [SolverConfig(mu=0.1, max_iter=5, seed=j)]) for j in (0, 2)]
+    left = [(block.i, list(block.rows), str(err)) for block in _lockstep("subgradient", trials)
+            for err in block.diverged]
+    assert left == [(0, [0], "weighted min-max value or fairness residual is not finite")]
+
+
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkeypatch, kind):
+    # A subgradient round reads only its rows' active gradients, G[c.at, k]; epo-al and
+    # smooth-max rounds read the whole stack, G[...], once a block.
+    problem, r, w0 = small_problem(kind=kind, d=6, K=5, seed=3)
+    whole, getitem = [], problems._Gradients.__getitem__
+    monkeypatch.setattr(problems._Gradients, "__getitem__",
+                        lambda G, index: whole.append(index is Ellipsis) or getitem(G, index))
+    for algorithm in ("subgradient", "epo-al", "smooth-max"):
+        whole.clear()
+        configs = grid_configs(algorithm, max_iter=30)
+        traces = kernel_traces(algorithm, problem, r, w0, configs)
+        assert whole == [algorithm != "subgradient"] * 30       # no step at the last iterate
+        for cfg, trace in zip(configs, traces):
+            assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
 
 
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
