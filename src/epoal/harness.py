@@ -12,9 +12,9 @@ the protocol is:
      whose min-max value lies within ``epsilon`` of J*; the algorithm's
      iteration complexity i_o is the minimum over combinations, ties going
      to the combination first in lexicographic grid order, and the winning
-     combination is re-run in the solver kernel, without trace records, for
-     exactly i_o iterations under a monotonic clock: the wall-clock complexity
-     t_o is the median of TIMING_REPS such runs.
+     combination is re-run in the solver kernel, as one row and without trace
+     records, for exactly i_o iterations under a monotonic clock: the
+     wall-clock complexity t_o is the median of TIMING_REPS such runs.
      The minimum is found by a lockstep race: the solver kernel advances
      every combination one iterate per round as one array pass, and the
      first round with a value in the band ends it, so the winner is exact.
@@ -39,7 +39,7 @@ import numpy as np
 from .problems import CONVEX, FIG1, NONCONVEX, make_problem, sample_initial, sample_preference
 # run is re-exported until the perfbench tracer wraps the kernel (ROADMAP item 1).
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationRecord,  # noqa: F401
-                      SolverConfig, _lockstep, run)
+                      SolverConfig, _lockstep, _row, run)
 
 CI_LEVEL = 0.99
 # t_o is the median wall time of this many timing runs of the winning configuration.
@@ -203,18 +203,17 @@ def _race(rounds, target: float, epsilon: float):
 
 def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int) -> float:
     """Median seconds, on a monotonic clock, of ``TIMING_REPS`` runs of the bare solver kernel
-    for ``iters`` iterations.
+    for ``iters`` iterations, one configuration stepped as a row.
 
     Each run makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
     would, but builds no trace records; callers keep concurrent load away while it runs.
     """
-    timed = [replace(config, max_iter=iters)]
+    timed = replace(config, max_iter=iters)
     samples = []
     for _ in range(TIMING_REPS):
         start = time.perf_counter()
-        for block in _lockstep(algorithm, [(problem, r, w0, timed)]):
-            if block.diverged:
-                raise block.diverged[0]
+        for _ in _row(algorithm, problem, r, w0, timed):
+            pass
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
 

@@ -82,9 +82,10 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
 
 
 class _Gradients:
-    """A (..., K, d) gradient stack of an anchor family that forms only what it is indexed by:
-    ``G[rows, k]`` the rows' k-th gradients, ``G[...]`` the whole stack.  Either form is
-    ``op(diffs, scale[..., None])`` on the same entries, so every bit matches."""
+    """A (..., K, d) gradient stack of an anchor family that forms only what it is read by:
+    ``G[...]`` the whole stack, ``G.take(at)`` the gradients at flat offsets ``at`` into its
+    (..., K) entries (row j's k-th at j K + k).  Either form is ``op(diffs, scale[..., None])``
+    on the same entries, so every bit matches."""
 
     __slots__ = ("diffs", "scale", "op")
 
@@ -93,6 +94,10 @@ class _Gradients:
 
     def __getitem__(self, index):
         return self.op(self.diffs[index], self.scale[index][..., None])
+
+    def take(self, at):
+        return self.op(self.diffs.reshape(-1, self.diffs.shape[-1])[at],
+                       self.scale.take(at)[..., None])
 
 
 def _anchor_values(kind, anchors, W):

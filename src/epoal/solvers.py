@@ -19,8 +19,9 @@ The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
 iteration; the configurations may belong to several trials of one synthetic
 kind and (K, d), each row with its trial's anchors, preference and start.
-``run`` is the kernel on one configuration and shares each evaluation with that
-iterate's trace record.
+A single configuration (``run``, the public steps, the protocol's timing runs) is
+stepped as one row: the same evaluations, screen and updates on (d,) and (K,) arrays.
+``run`` shares each evaluation with that iterate's trace record.
 A configuration diverges at the first iterate that breaks ``core._divergence``:
 its kernel row leaves there, and there ``run`` and the public steps raise
 DivergenceError.
@@ -124,54 +125,84 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 
 
 # A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
-# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit.
-# G is an array or a problems._Gradients stack: a step reads G[...] or only G[rows, k].
+# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit; a
+# single row steps the same way on (d,) and (K,) arrays with scalar M and columns.  G is a
+# problems._Gradients or a _Dense stack: a step reads G[...] or only G.take(at), the gradients
+# at flat offsets at = c.at + k (c.at is K times the row position).
 def _epo_al(r, W, P, J, U, M, G, c, seeds):
     fairness_grad = lr_apply(r, J, _u=U)
     Y = np.maximum(P, 0.0) + c.eta * fairness_grad
-    return W - c.mu * np.matmul(Y[:, None, :], G[...])[:, 0], P + c.mu * fairness_grad, None
+    return (W - c.mu * np.matmul(Y[..., None, :], G[...])[..., 0, :], P + c.mu * fairness_grad,
+            None)
 
 
 def _subgradient(r, W, P, J, U, M, G, c, seeds):
-    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[:, None]
-    k = U.argmax(axis=1)
+    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[..., None]
+    k = U.argmax(axis=-1)
     # Generator.integers(1) draws nothing, so a row's generator is made at its first tie
     # (default_rng returns a generator as it is).
     if np.count_nonzero(tied) > k.size:
+        ks, tied = k.reshape(-1), tied.reshape(k.size, -1)
         for j in np.flatnonzero(tied.sum(axis=1) > 1):
             seeds[j], active = np.random.default_rng(seeds[j]), np.flatnonzero(tied[j])
-            k[j] = active[seeds[j].integers(active.size)]
-    return W - c.mu * r[c.at, k][:, None] * G[c.at, k], P, k
+            ks[j] = active[seeds[j].integers(active.size)]
+        k = ks.reshape(k.shape)
+    at = c.at + k
+    return W - c.mu * r.take(at)[..., None] * G.take(at), P, k
 
 
 def _smooth_max(r, W, P, J, U, M, G, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
-    weights = np.exp(U / c.tau - M[:, None] / c.tau)
-    weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    return W - c.mu_tau * np.matmul((weights * r)[:, None, :], G[...])[:, 0], P, None
+    weights = np.exp(U / c.tau - M[..., None] / c.tau)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return W - c.mu_tau * np.matmul((weights * r)[..., None, :], G[...])[..., 0, :], P, None
 
 
 _UPDATES = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
 _Columns = namedtuple("_Columns", "mu eta tau mu_tau at")
 
 
-def _columns(configs):
-    """(B, 1) columns mu, eta, tau (NaN for None), mu / tau of ``configs``; positions 0..B-1."""
+def _columns(configs, K):
+    """(B, 1) columns mu, eta, tau (NaN for None), mu / tau of ``configs``; row offsets K j."""
     H = np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64).reshape(-1, 3)
-    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:], np.arange(len(H)))
+    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:], K * np.arange(len(H)))
+
+
+def _row_columns(config):
+    """mu, eta, tau (NaN for None) and mu / tau of one configuration as floats; offset 0."""
+    mu, eta, tau = (math.nan if v is None else float(v)
+                    for v in (config.mu, config.eta, config.tau))
+    return _Columns(mu, eta, tau, mu / tau, 0)
+
+
+class _Dense:
+    """A dense (..., K, d) gradient stack of a generic objective set, read as a
+    problems._Gradients is: ``G[...]`` the stack, ``G.take(at)`` the gradients at flat
+    offsets ``at`` into its (..., K) entries."""
+
+    __slots__ = ("G",)
+
+    def __init__(self, G):
+        self.G = G
+
+    def __getitem__(self, index):
+        return self.G[index]
+
+    def take(self, at):
+        return self.G[np.unravel_index(at, self.G.shape[:-1])]
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
     """One public step: the checks and the evaluation ``run`` makes, then the update."""
     r = _preference_for(r, obj)
     jvals, jac = _evaluate(obj, w)
-    P = np.empty((1, 0)) if p is None else p[None]
+    P = np.empty(0) if p is None else p
     if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
-    U = (r * jvals)[None]
-    W, P, k = _UPDATES[algorithm](r[None], np.asarray(w)[None], P, jvals[None], U,
-                                  U.max(axis=1), jac.T[None], _columns([config]), [rng])
-    return W[0], None if p is None else P[0], None if k is None else int(k[0])
+    U = r * jvals
+    w_new, p_new, k = _UPDATES[algorithm](r, np.asarray(w), P, jvals, U, np.maximum.reduce(U),
+                                          _Dense(jac.T), _row_columns(config), [rng])
+    return w_new, None if p is None else p_new, None if k is None else int(k)
 
 
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
@@ -214,55 +245,51 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     iteration index, the iterate and, as ``records``, every record before it.
     """
     records: list[IterationRecord] = []
-    for block in _lockstep(algorithm, [(obj, r, w0, [config])]):
-        if block.diverged:
-            block.diverged[0].records = records
-            raise block.diverged[0]
-        records.append(IterationRecord(
-            iter=block.i, jvals=block.J[0], minmax=float(block.minmax[0]),
-            fairness=fairness_residual(block.r[0], block.J[0]),
-            p_snapshot=block.P[0] if algorithm == EPO_AL else None,
-            active_index=None if block.active is None else int(block.active[0])))
+    try:
+        for i, J, M, p, k in _row(algorithm, obj, r, w0, config):
+            records.append(IterationRecord(
+                iter=i, jvals=J, minmax=float(M), fairness=fairness_residual(r, J),
+                p_snapshot=p if algorithm == EPO_AL else None,
+                active_index=None if k is None else int(k)))
+    except DivergenceError as err:
+        err.records = records
+        raise
     return records
 
 
 # Iterate i of grid rows ``rows``: min-max (B,), values J (B, K), duals P ((B, 0) unless
-# epo-al), subgradient steps (None at the end), errors of rows that left at i, preferences r.
-_Block = namedtuple("_Block", "i rows minmax J P active diverged r")
+# epo-al), subgradient steps (None at the end), errors of rows that left at i.
+_Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
 def _evaluate_block(obj, W, A):
-    """Values (B, K) and gradients (B, K, d) at iterates W (B, d) of ``obj``, or of its kind on
-    anchors A, (K, d) or the rows' (B, K, d), whose gradients come as a problems._Gradients."""
+    """Values (..., K) and gradients (..., K, d) at iterates W (..., d) of ``obj``, or of its
+    kind on anchors A, (K, d) or the rows' (B, K, d); the gradients come as a
+    problems._Gradients or, for another objective set, a _Dense stack."""
     if A is not None:
         return _anchor_values(obj.kind, A, W)
+    if W.ndim == 1:
+        J, jac = _evaluate(obj, W)
+        return np.array(J, dtype=np.float64), _Dense(np.array(jac, dtype=np.float64).T)
     J, jacs = zip(*(_evaluate(obj, w) for w in W))
-    return np.array(J, dtype=np.float64), np.array(jacs, dtype=np.float64).swapaxes(1, 2)
+    return (np.array(J, dtype=np.float64),
+            _Dense(np.array(jacs, dtype=np.float64).swapaxes(1, 2)))
 
 
-def _screened(V, S, P, limit):
-    """Whether no row of a block breaks the divergence rule: max V < limit and finite sums of
-    S and of the duals P (an overflowing sum goes to the row rule; so does a NaN).  V, S are
-    |U| and G, or a synthetic block's row maxima M (J >= 0 and r > 0 there, so max M is max |U|)
-    and iterates W: with finite values and iterates, a convex gradient is a finite difference
-    over a root >= 1, a gaussian one 2 e^-s (w - a) has |w - a| <= sqrt(s) or is 0 where
-    s = ||w - a||^2 overflows."""
-    return (np.maximum.reduce(V, axis=None) < limit
-            and np.isfinite(np.add.reduce(S, axis=None))
-            and (not P.size or np.isfinite(np.add.reduce(P, axis=None))))
+def _screened(m, S, P, limit):
+    """Whether no row of a block, or a single row, breaks the divergence rule: largest |U|
+    m < limit and finite sums of S and of the duals P (an overflowing sum goes to the row rule;
+    so does a NaN).  S is the gradient stack, or a synthetic block's iterates W, with m its
+    largest row maximum of U (J >= 0 and r > 0 there): with finite values and iterates, a
+    convex gradient is a finite difference over a root >= 1, a gaussian one 2 e^-s (w - a) has
+    |w - a| <= sqrt(s) or is 0 where s = ||w - a||^2 overflows."""
+    return (m < limit and math.isfinite(np.add.reduce(S, None))
+            and (not P.size or math.isfinite(np.add.reduce(P, None))))
 
 
-def _lockstep(algorithm, trials):
-    """Advance the configurations of ``trials`` together, row j the j-th in trial order.
-
-    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter; a pass of
-    several trials takes synthetic problems of one kind.  Round i evaluates and steps iterate i
-    of every live row, with its trial's objectives, its own preference row and seed, in
-    blocks of consecutive rows whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
-    _Block for each.  A block of one trial evaluates its objectives; one spanning trials stacks
-    its rows' anchors.  A row leaves at the first iterate that breaks ``core._divergence``,
-    where ``run`` stops; only a block that fails :func:`_screened` is ruled by row.
-    """
+def _checked(algorithm, trials):
+    """The objectives, preferences, starts and configurations of ``trials``, each checked, and
+    K, d and the divergence screen's limit: the argument checks of both kernel loops."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     configs = [c for *_, cs in trials for c in cs]
@@ -275,14 +302,51 @@ def _lockstep(algorithm, trials):
     for obj, w0 in zip(objs, w0s):
         if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
             raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
-    C, K, d, last = len(configs), objs[0].count, w0s[0].size, configs[0].max_iter
+    K, d = objs[0].count, w0s[0].size
     if any(obj.count != K for obj in objs) or any(w0.size != d for w0 in w0s):
         raise ValueError("the trials of one kernel pass must share K and d")
     if len(trials) > 1 and not all(isinstance(obj, SyntheticProblem)
                                    and obj.kind == objs[0].kind for obj in objs):
         raise ValueError("the trials of one kernel pass must be synthetic problems of one kind")
     # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
-    limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
+    return objs, rs, w0s, configs, K, d, math.sqrt(np.finfo(np.float64).max / (8 * K))
+
+
+def _row(algorithm, obj, r, w0, config):
+    """The kernel on one configuration, stepped on 1-D arrays: (i, J, max r J, p, subgradient
+    step or None) for each iterate i, p empty unless epo-al.  It makes :func:`_lockstep`'s
+    evaluations, screen and updates, and raises DivergenceError where that row would leave."""
+    (obj,), (r,), (w,), _, K, _, limit = _checked(algorithm, [(obj, r, w0, [config])])
+    update, c, seeds = _UPDATES[algorithm], _row_columns(config), [config.seed]
+    last, p = config.max_iter, np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
+    A = obj.anchors if isinstance(obj, SyntheticProblem) else None
+    for i in range(last + 1):
+        J, G = _anchor_values(obj.kind, A, w) if A is not None else _evaluate_block(obj, w, None)
+        U = r * J
+        M = np.maximum.reduce(U)
+        if not (_screened(M, w, p, limit) if A is not None
+                else _screened(np.maximum.reduce(np.abs(U)), G[...], p, limit)):
+            if broken := _divergence(r, J, G[...], p)[0]:
+                raise DivergenceError(broken, i, w)
+        w_next, p_next, k = (w, p, None) if i == last else update(r, w, p, J, U, M, G, c, seeds)
+        yield i, J, M, p, k
+        w, p = w_next, p_next
+
+
+def _lockstep(algorithm, trials):
+    """Advance the configurations of ``trials`` together, row j the j-th in trial order.
+
+    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter; a pass of
+    several trials takes synthetic problems of one kind.  Round i evaluates and steps iterate i
+    of every live row, with its trial's objectives, its own preference row and seed, in
+    blocks of consecutive rows whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
+    _Block for each.  A block of one trial evaluates its objectives; one spanning trials stacks
+    its rows' anchors.  A row leaves at the first iterate that breaks ``core._divergence``,
+    where ``run`` stops; only a block that fails :func:`_screened` is ruled by row.  A pass of
+    one configuration is :func:`_row`.
+    """
+    objs, rs, w0s, configs, K, d, limit = _checked(algorithm, trials)
+    C, last = len(configs), configs[0].max_iter
     trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
     # Row state: grid index, iterate, preference, epo-al dual (no columns otherwise),
     # configuration, seed (a row's generator from its first tie on).
@@ -295,26 +359,26 @@ def _lockstep(algorithm, trials):
         t, obj = trial[rows], objs[trial[s]]
         A = (None if not isinstance(obj, SyntheticProblem) else obj.anchors if t[0] == t[-1]
              else np.array([objs[k].anchors for k in t]))
-        blocks.append([rows, W, r, P, cs, _columns(cs), seeds, obj, A])
+        blocks.append([rows, W, r, P, cs, _columns(cs, K), seeds, obj, A])
     for i in range(last + 1):
         for n, (rows, W, r, P, cs, c, seeds, obj, A) in enumerate(blocks):
             J, G = _evaluate_block(obj, W, A)
             U = r * J
             M = np.maximum.reduce(U, axis=1)
             diverged = []
-            if not (_screened(np.abs(U), G, P, limit) if A is None
-                    else _screened(M, W, P, limit)):
+            if not (_screened(np.maximum.reduce(np.abs(U), None), G[...], P, limit)
+                    if A is None else _screened(np.maximum.reduce(M), W, P, limit)):
                 G = G[...]
                 broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
                 rows, W, r, P, J, G, U, M = (a[ok] for a in (rows, W, r, P, J, G, U, M))
                 cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
-                c, A = _columns(cs), (A if A is None or A.ndim == 2 else A[ok])
+                c, A, G = _columns(cs, K), (A if A is None or A.ndim == 2 else A[ok]), _Dense(G)
             W_next, P_next, active = ((W, P, None) if i == last
                                       else update(r, W, P, J, U, M, G, c, seeds))
             blocks[n] = [rows, W_next, r, P_next, cs, c, seeds, obj, A]
-            yield _Block(i, rows, M, J, P, active, diverged, r)
+            yield _Block(i, rows, M, J, P, active, diverged)
         blocks = [block for block in blocks if block[0].size]
         if not blocks:
             return

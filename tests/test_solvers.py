@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epoal.harness as harness
 import epoal.problems as problems
 import epoal.solvers as solvers
 from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual_mass,
@@ -605,7 +606,7 @@ def test_a_synthetic_block_that_passes_the_screen_passes_the_row_rule(kind, B, d
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     with np.errstate(all="ignore"):
         J, G = _anchor_values(problem.kind, problem.anchors, W)
-        if solvers._screened(np.maximum.reduce(r * J, axis=1), W, P, limit):
+        if solvers._screened(np.maximum.reduce(r * J, axis=None), W, P, limit):
             for row in zip(r, J, G[...], P):
                 assert _divergence(*row)[0] is None
 
@@ -623,11 +624,14 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
     P, limit = np.empty((3, 0)), math.sqrt(np.finfo(np.float64).max / (8 * K))
     J, G = _anchor_values(problem.kind, problem.anchors, W)
     M = np.maximum.reduce(r * J, axis=1)
-    assert solvers._screened(M[[0]], W[[0]], P[[0]], limit)
+    assert solvers._screened(M[0], W[[0]], P[[0]], limit)
+    assert solvers._screened(M[0], W[0], P[0], limit)          # a single row, as run screens
     assert np.isnan(M[1]) and np.isfinite(M[2]) and M[2] >= limit
     for bad in (1, 2):
-        assert not solvers._screened(M[[0, bad]], np.zeros((2, d)), P[[0, bad]], limit)
-        assert not solvers._screened(M[[0, bad]], W[[0, bad]], P[[0, bad]], limit)
+        m = np.maximum.reduce(M[[0, bad]])
+        assert not solvers._screened(m, np.zeros((2, d)), P[[0, bad]], limit)
+        assert not solvers._screened(m, W[[0, bad]], P[[0, bad]], limit)
+        assert not solvers._screened(M[bad], W[bad], P[bad], limit)
     assert [_divergence(*row)[0] for row in zip(r, J, G[...], P)] == [
         None, "objective evaluation produced non-finite values",
         "weighted min-max value or fairness residual is not finite"]
@@ -642,19 +646,77 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
 
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkeypatch, kind):
-    # A subgradient round reads only its rows' active gradients, G[c.at, k]; epo-al and
-    # smooth-max rounds read the whole stack, G[...], once a block.
+    # A subgradient round reads only its rows' active gradients, G.take(at); epo-al and
+    # smooth-max rounds form the whole stack, G[...], once a block.  So do run and the timing
+    # runs, which step one row.
     problem, r, w0 = small_problem(kind=kind, d=6, K=5, seed=3)
-    whole, getitem = [], problems._Gradients.__getitem__
-    monkeypatch.setattr(problems._Gradients, "__getitem__",
-                        lambda G, index: whole.append(index is Ellipsis) or getitem(G, index))
+    reads, getitem, take = [], problems._Gradients.__getitem__, problems._Gradients.take
+    monkeypatch.setattr(problems._Gradients, "__getitem__", lambda G, index: reads.append(
+        "whole" if index is Ellipsis else index) or getitem(G, index))
+    monkeypatch.setattr(problems._Gradients, "take",
+                        lambda G, at: reads.append("take") or take(G, at))
     for algorithm in ("subgradient", "epo-al", "smooth-max"):
-        whole.clear()
+        each = ["take" if algorithm == "subgradient" else "whole"] * 30   # none at the end
         configs = grid_configs(algorithm, max_iter=30)
+        reads.clear()
         traces = kernel_traces(algorithm, problem, r, w0, configs)
-        assert whole == [algorithm != "subgradient"] * 30       # no step at the last iterate
+        assert reads == each                                              # one block
         for cfg, trace in zip(configs, traces):
             assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+        reads.clear()
+        assert len(run(algorithm, problem, r, w0, configs[0])) == 31
+        assert reads == each
+        reads.clear()
+        harness.measure_time(algorithm, problem, r, w0, configs[0], 30)
+        assert reads == each * harness.TIMING_REPS
+
+
+def lockstep_rows(algorithm, obj, r, w0, configs):
+    """Per configuration, (jvals, minmax, p, active index) of every iterate of one kernel pass,
+    and the pass's (iterate, message) of each row that left."""
+    rows, left = [[] for _ in configs], []
+    for block in _lockstep(algorithm, [(obj, r, w0, configs)]):
+        for b, j in enumerate(block.rows):
+            rows[j].append((block.J[b], block.minmax[b], block.P[b],
+                            None if block.active is None else block.active[b]))
+        left += [(err.iteration, str(err)) for err in block.diverged]
+    return rows, left
+
+
+@pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(K=st.integers(2, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(2, 4), data=st.data())
+def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
+    # run steps one configuration on 1-D arrays; a kernel pass steps it as one row of a block.
+    # Every value must match bit for bit, and a row that leaves must leave where run raises.
+    # The twin objectives tie at every subgradient step and overflow under a long one.
+    if objectives == "twin":
+        problem, r, w0 = TwinObjectives(), np.array([0.5, 0.5]), sample_initial(d, seed)
+    else:
+        problem = make_problem(objectives, d, K, seed)
+        r, w0 = sample_preference(K, seed), sample_initial(d, seed)
+    configs = grid_configs(algorithm, max_iter=30, seeds=range(seed % 1000, seed % 1000 + rows))
+    j = data.draw(st.integers(0, rows - 1))
+    diverging = data.draw(st.booleans())
+    if diverging:
+        configs[j] = replace(configs[j], mu=1e200)
+    kernel, left = lockstep_rows(algorithm, problem, r, w0, configs)
+    try:
+        records, err = run(algorithm, problem, r, w0, configs[j]), None
+    except DivergenceError as caught:
+        records, err = caught.records, caught
+    if diverging and objectives != "nonconvex-gaussian":
+        assert err is not None and err.iteration == 1
+    assert left == ([] if err is None else [(err.iteration, str(err))])
+    assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
+    for rec, (J, minmax, p, active) in zip(records, kernel[j]):
+        assert np.array_equal(rec.jvals, J) and np.array_equal(rec.minmax, minmax)
+        assert np.array_equal(rec.p_snapshot, p) if algorithm == "epo-al" else (
+            rec.p_snapshot is None)
+        assert rec.active_index == active
 
 
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
