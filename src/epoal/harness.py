@@ -203,7 +203,7 @@ def _race(rounds, target: float, epsilon: float):
 
 def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int) -> float:
     """Median seconds, on a monotonic clock, of ``TIMING_REPS`` runs of the bare solver kernel
-    for ``iters`` iterations, one configuration stepped as a row.
+    for ``iters`` iterations, one configuration stepped in row arithmetic (``solvers._row``).
 
     Each run makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
     would, but builds no trace records; callers keep concurrent load away while it runs.

@@ -100,17 +100,25 @@ class _Gradients:
                        self.scale.take(at)[..., None])
 
 
-def _anchor_values(kind, anchors, W):
-    """Values (..., K) and gradients (..., K, d) of ``kind``'s family at models W (..., d), on
-    anchors (K, d) or a (..., K, d) stack row by row: the solver kernel's layout.  The
-    gradients come as a :class:`_Gradients` stack."""
+def _anchor_parts(kind, anchors, W):
+    """Values J (..., K) of ``kind``'s family at models W (..., d), on anchors (K, d) or a
+    (..., K, d) stack row by row, and the parts of their gradients: ``diffs`` (..., K, d), a
+    ``scale`` (..., K) and its ``op``, gradient k being ``op(diffs[..., k, :], scale[..., k])``
+    (convex: divided by the root; gaussian: times 2 e^-s)."""
     diffs = W[..., None, :] - anchors                # (..., K, d)
     sq = np.einsum("...kd,...kd->...k", diffs, diffs)
     if kind == CONVEX:
         root = np.sqrt(1.0 + sq)
-        return root - 1.0, _Gradients(diffs, root, np.divide)
+        return root - 1.0, diffs, root, np.divide
     expo = np.exp(-sq)
-    return 1.0 - expo, _Gradients(diffs, 2.0 * expo, np.multiply)
+    return 1.0 - expo, diffs, 2.0 * expo, np.multiply
+
+
+def _anchor_values(kind, anchors, W):
+    """Values (..., K) and gradients (..., K, d) of :func:`_anchor_parts`, the solver kernel's
+    layout; the gradients come as a :class:`_Gradients` stack."""
+    J, *parts = _anchor_parts(kind, anchors, W)
+    return J, _Gradients(*parts)
 
 
 def eval_convex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

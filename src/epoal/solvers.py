@@ -19,8 +19,10 @@ The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
 iteration; the configurations may belong to several trials of one synthetic
 kind and (K, d), each row with its trial's anchors, preference and start.
-A single configuration (``run``, the public steps, the protocol's timing runs) is
-stepped as one row: the same evaluations, screen and updates on (d,) and (K,) arrays.
+A single configuration (``run``, so ``epoal trace``, and the protocol's timing runs) steps
+as one row in row arithmetic: the same evaluations, screen and update operations on (d,) and
+(K,) arrays, with float hyperparameters and a scalar active index whose gradient alone a
+subgradient step forms.  The public steps make one block update on 1-D arrays.
 ``run`` shares each evaluation with that iterate's trace record.
 A configuration diverges at the first iterate that breaks ``core._divergence``:
 its kernel row leaves there, and there ``run`` and the public steps raise
@@ -30,6 +32,7 @@ DivergenceError.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
@@ -42,7 +45,7 @@ from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noq
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_values
+from .problems import SyntheticProblem, _anchor_parts, _anchor_values
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -91,6 +94,12 @@ class SolverConfig:
             raise ValueError(f"penalty eta must be non-negative and finite, got {self.eta}")
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError(f"temperature tau must be positive and finite, got {self.tau}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +134,8 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 
 
 # A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
-# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit; a
-# single row steps the same way on (d,) and (K,) arrays with scalar M and columns.  G is a
+# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit;
+# a public step makes one on (d,) and (K,) arrays with scalar M and columns.  G is a
 # problems._Gradients or a _Dense stack: a step reads G[...] or only G.take(at), the gradients
 # at flat offsets at = c.at + k (c.at is K times the row position).
 def _epo_al(r, W, P, J, U, M, G, c, seeds):
@@ -173,6 +182,39 @@ def _row_columns(config):
     mu, eta, tau = (math.nan if v is None else float(v)
                     for v in (config.mu, config.eta, config.tau))
     return _Columns(mu, eta, tau, mu / tau, 0)
+
+
+# The same steps of one row in row arithmetic: w (d,), p, J, U (K,), the scalar M and the
+# gradient parts (diffs, scale, op) of problems._anchor_parts, gradient k op(diffs[k],
+# scale[k]); a dense (K, d) stack comes as its own diffs, op None.  Each makes its block
+# update's operations on the same operands, bit for bit; subgradient forms one gradient.
+def _stack(diffs, scale, op):
+    return diffs if op is None else op(diffs, scale[:, None])
+
+
+def _epo_al_row(r, w, p, J, U, M, parts, c, seeds):
+    fairness_grad = lr_apply(r, J, _u=U)
+    Y = np.maximum(p, 0.0) + c.eta * fairness_grad
+    return w - c.mu * (Y @ _stack(*parts)), p + c.mu * fairness_grad, None
+
+
+def _subgradient_row(r, w, p, J, U, M, parts, c, seeds):
+    k = U.argmax()
+    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M
+    if np.count_nonzero(tied) > 1:
+        seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
+        k = active[seeds[0].integers(active.size)]
+    diffs, scale, op = parts
+    return w - c.mu * r[k] * (diffs[k] if op is None else op(diffs[k], scale[k])), p, k
+
+
+def _smooth_max_row(r, w, p, J, U, M, parts, c, seeds):
+    weights = np.exp(U / c.tau - M / c.tau)
+    weights /= np.add.reduce(weights)
+    return w - c.mu_tau * ((weights * r) @ _stack(*parts)), p, None
+
+
+_ROW_UPDATES = {EPO_AL: _epo_al_row, SUBGRADIENT: _subgradient_row, SMOOTH_MAX: _smooth_max_row}
 
 
 class _Dense:
@@ -263,14 +305,11 @@ _Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
 def _evaluate_block(obj, W, A):
-    """Values (..., K) and gradients (..., K, d) at iterates W (..., d) of ``obj``, or of its
-    kind on anchors A, (K, d) or the rows' (B, K, d); the gradients come as a
-    problems._Gradients or, for another objective set, a _Dense stack."""
+    """Values (B, K) and gradients (B, K, d) at iterates W (B, d) of ``obj``, or of its kind
+    on anchors A, (K, d) or the rows' (B, K, d); the gradients come as a problems._Gradients
+    or, for another objective set, a _Dense stack."""
     if A is not None:
         return _anchor_values(obj.kind, A, W)
-    if W.ndim == 1:
-        J, jac = _evaluate(obj, W)
-        return np.array(J, dtype=np.float64), _Dense(np.array(jac, dtype=np.float64).T)
     J, jacs = zip(*(_evaluate(obj, w) for w in W))
     return (np.array(J, dtype=np.float64),
             _Dense(np.array(jacs, dtype=np.float64).swapaxes(1, 2)))
@@ -313,22 +352,29 @@ def _checked(algorithm, trials):
 
 
 def _row(algorithm, obj, r, w0, config):
-    """The kernel on one configuration, stepped on 1-D arrays: (i, J, max r J, p, subgradient
+    """The kernel on one configuration, in row arithmetic: (i, J, max r J, p, subgradient
     step or None) for each iterate i, p empty unless epo-al.  It makes :func:`_lockstep`'s
-    evaluations, screen and updates, and raises DivergenceError where that row would leave."""
+    evaluations and screen and the same steps on the same operands, and raises
+    DivergenceError where that row would leave."""
     (obj,), (r,), (w,), _, K, _, limit = _checked(algorithm, [(obj, r, w0, [config])])
-    update, c, seeds = _UPDATES[algorithm], _row_columns(config), [config.seed]
+    update, c, seeds = _ROW_UPDATES[algorithm], _row_columns(config), [config.seed]
     last, p = config.max_iter, np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
     for i in range(last + 1):
-        J, G = _anchor_values(obj.kind, A, w) if A is not None else _evaluate_block(obj, w, None)
+        if A is not None:
+            J, *parts = _anchor_parts(obj.kind, A, w)
+        else:
+            J, jac = _evaluate(obj, w)
+            J, parts = np.array(J, dtype=np.float64), (np.array(jac, dtype=np.float64).T,
+                                                       None, None)
         U = r * J
         M = np.maximum.reduce(U)
         if not (_screened(M, w, p, limit) if A is not None
-                else _screened(np.maximum.reduce(np.abs(U)), G[...], p, limit)):
-            if broken := _divergence(r, J, G[...], p)[0]:
+                else _screened(np.maximum.reduce(np.abs(U)), parts[0], p, limit)):
+            if broken := _divergence(r, J, _stack(*parts), p)[0]:
                 raise DivergenceError(broken, i, w)
-        w_next, p_next, k = (w, p, None) if i == last else update(r, w, p, J, U, M, G, c, seeds)
+        w_next, p_next, k = (w, p, None) if i == last else update(r, w, p, J, U, M, parts, c,
+                                                                  seeds)
         yield i, J, M, p, k
         w, p = w_next, p_next
 

@@ -98,6 +98,10 @@ def test_config_validation():
         SolverConfig(mu=0.1, eta=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(mu=0.1, tau=0.0)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(mu=0.1, seed=bad)
+    assert SolverConfig(mu=0.1, seed=np.int64(3)).seed == 3
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             SolverConfig(mu=bad)
@@ -646,29 +650,38 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
 
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkeypatch, kind):
-    # A subgradient round reads only its rows' active gradients, G.take(at); epo-al and
-    # smooth-max rounds form the whole stack, G[...], once a block.  So do run and the timing
-    # runs, which step one row.
+    # A subgradient round forms only its rows' active gradients; epo-al and smooth-max rounds
+    # form the whole stack once a block.  So do run and the timing runs, which step one row.
+    # Every gradient is formed by the op that problems._anchor_parts hands out: count what
+    # it forms, a whole stack or one gradient a row.
     problem, r, w0 = small_problem(kind=kind, d=6, K=5, seed=3)
-    reads, getitem, take = [], problems._Gradients.__getitem__, problems._Gradients.take
-    monkeypatch.setattr(problems._Gradients, "__getitem__", lambda G, index: reads.append(
-        "whole" if index is Ellipsis else index) or getitem(G, index))
-    monkeypatch.setattr(problems._Gradients, "take",
-                        lambda G, at: reads.append("take") or take(G, at))
+    formed, anchor_parts = [], problems._anchor_parts
+
+    def counted(kind, anchors, W):
+        J, diffs, scale, op = anchor_parts(kind, anchors, W)
+
+        def counting(x, s):
+            out = op(x, s)
+            formed.append("whole" if out.ndim == diffs.ndim else "active")
+            return out
+        return J, diffs, scale, counting
+
+    monkeypatch.setattr(problems, "_anchor_parts", counted)
+    monkeypatch.setattr(solvers, "_anchor_parts", counted)
     for algorithm in ("subgradient", "epo-al", "smooth-max"):
-        each = ["take" if algorithm == "subgradient" else "whole"] * 30   # none at the end
+        each = ["active" if algorithm == "subgradient" else "whole"] * 30   # none at the end
         configs = grid_configs(algorithm, max_iter=30)
-        reads.clear()
+        formed.clear()
         traces = kernel_traces(algorithm, problem, r, w0, configs)
-        assert reads == each                                              # one block
+        assert formed == each                                               # one block
         for cfg, trace in zip(configs, traces):
             assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
-        reads.clear()
+        formed.clear()
         assert len(run(algorithm, problem, r, w0, configs[0])) == 31
-        assert reads == each
-        reads.clear()
+        assert formed == each
+        formed.clear()
         harness.measure_time(algorithm, problem, r, w0, configs[0], 30)
-        assert reads == each * harness.TIMING_REPS
+        assert formed == each * harness.TIMING_REPS
 
 
 def lockstep_rows(algorithm, obj, r, w0, configs):
@@ -683,18 +696,22 @@ def lockstep_rows(algorithm, obj, r, w0, configs):
     return rows, left
 
 
-@pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin"])
+@pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin",
+                                        "fig1-pair"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 @OVERFLOWS
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(K=st.integers(2, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(2, 4), data=st.data())
 def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
-    # run steps one configuration on 1-D arrays; a kernel pass steps it as one row of a block.
-    # Every value must match bit for bit, and a row that leaves must leave where run raises.
-    # The twin objectives tie at every subgradient step and overflow under a long one.
+    # run steps one configuration in row arithmetic; a kernel pass steps it as one row of a
+    # block.  Every value must match bit for bit, and a row that leaves must leave where run
+    # raises.  The twin objectives tie at every subgradient step and overflow under a long
+    # one; the fig1 pair ties at the origin, so a row makes its generator at iterate 0.
     if objectives == "twin":
         problem, r, w0 = TwinObjectives(), np.array([0.5, 0.5]), sample_initial(d, seed)
+    elif objectives == "fig1-pair":
+        problem, r, w0 = make_problem(objectives, d, 2, seed), np.array([0.5, 0.5]), np.zeros(d)
     else:
         problem = make_problem(objectives, d, K, seed)
         r, w0 = sample_preference(K, seed), sample_initial(d, seed)
@@ -708,7 +725,7 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         records, err = run(algorithm, problem, r, w0, configs[j]), None
     except DivergenceError as caught:
         records, err = caught.records, caught
-    if diverging and objectives != "nonconvex-gaussian":
+    if diverging and objectives in ("convex-distance", "twin"):
         assert err is not None and err.iteration == 1
     assert left == ([] if err is None else [(err.iteration, str(err))])
     assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
