@@ -81,11 +81,21 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
     return _unit_rows(_stream(seed, _INITIAL_TAG), 1, d)[0]
 
 
+def _gradients(diffs, scale, op, at=...):
+    """Gradients at ``at`` (all at Ellipsis) from the parts of :func:`_anchor_parts`,
+    ``op(diffs[at], scale[at])`` entry by entry (one gradient's scale is a scalar): every form
+    is the same operation on the same operands.  A dense stack (another objective set's) is its
+    own diffs, with scale and op None."""
+    if op is None:
+        return diffs[at]
+    s = scale[at]
+    return op(diffs[at], s[..., None] if s.ndim else s)
+
+
 class _Gradients:
     """A (..., K, d) gradient stack of an anchor family that forms only what it is read by:
     ``G[...]`` the whole stack, ``G.take(at)`` the gradients at flat offsets ``at`` into its
-    (..., K) entries (row j's k-th at j K + k).  Either form is ``op(diffs, scale[..., None])``
-    on the same entries, so every bit matches."""
+    (..., K) entries (row j's k-th at j K + k), each through :func:`_gradients`."""
 
     __slots__ = ("diffs", "scale", "op")
 
@@ -93,18 +103,18 @@ class _Gradients:
         self.diffs, self.scale, self.op = diffs, scale, op
 
     def __getitem__(self, index):
-        return self.op(self.diffs[index], self.scale[index][..., None])
+        return _gradients(self.diffs, self.scale, self.op, index)
 
     def take(self, at):
-        return self.op(self.diffs.reshape(-1, self.diffs.shape[-1])[at],
-                       self.scale.take(at)[..., None])
+        return _gradients(self.diffs.reshape(-1, self.diffs.shape[-1]), self.scale.reshape(-1),
+                          self.op, at)
 
 
 def _anchor_parts(kind, anchors, W):
     """Values J (..., K) of ``kind``'s family at models W (..., d), on anchors (K, d) or a
-    (..., K, d) stack row by row, and the parts of their gradients: ``diffs`` (..., K, d), a
-    ``scale`` (..., K) and its ``op``, gradient k being ``op(diffs[..., k, :], scale[..., k])``
-    (convex: divided by the root; gaussian: times 2 e^-s)."""
+    (..., K, d) stack row by row, and the parts of their gradients for :func:`_gradients`:
+    ``diffs`` (..., K, d), a ``scale`` (..., K) and its ``op`` (convex: divided by the root;
+    gaussian: times 2 e^-s)."""
     diffs = W[..., None, :] - anchors                # (..., K, d)
     sq = np.einsum("...kd,...kd->...k", diffs, diffs)
     if kind == CONVEX:

@@ -19,10 +19,10 @@ The kernel advances C configurations of one algorithm together as a (C, d)
 iterate stack, one objective/jacobian evaluation per configuration and
 iteration; the configurations may belong to several trials of one synthetic
 kind and (K, d), each row with its trial's anchors, preference and start.
-A single configuration (``run``, so ``epoal trace``, and the protocol's timing runs) steps
-as one row in row arithmetic: the same evaluations, screen and update operations on (d,) and
-(K,) arrays, with float hyperparameters and a scalar active index whose gradient alone a
-subgradient step forms.  The public steps make one block update on 1-D arrays.
+A single configuration (``run``, so ``epoal trace``, the protocol's timing runs and the public
+steps) steps as one row in row arithmetic: the same evaluations, screen and update operations
+on (d,) and (K,) arrays, with float hyperparameters and a scalar active index whose gradient
+alone a subgradient step forms.
 ``run`` shares each evaluation with that iterate's trace record.
 A configuration diverges at the first iterate that breaks ``core._divergence``:
 its kernel row leaves there, and there ``run`` and the public steps raise
@@ -45,7 +45,7 @@ from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noq
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_parts, _anchor_values
+from .problems import SyntheticProblem, _anchor_parts, _anchor_values, _gradients
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -134,10 +134,9 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 
 
 # A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
-# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit;
-# a public step makes one on (d,) and (K,) arrays with scalar M and columns.  G is a
-# problems._Gradients or a _Dense stack: a step reads G[...] or only G.take(at), the gradients
-# at flat offsets at = c.at + k (c.at is K times the row position).
+# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit.
+# G is a problems._Gradients or a _Dense stack: a step reads G[...] or only G.take(at), the
+# gradients at flat offsets at = c.at + k (c.at is K times the row position).
 def _epo_al(r, W, P, J, U, M, G, c, seeds):
     fairness_grad = lr_apply(r, J, _u=U)
     Y = np.maximum(P, 0.0) + c.eta * fairness_grad
@@ -184,37 +183,27 @@ def _row_columns(config):
     return _Columns(mu, eta, tau, mu / tau, 0)
 
 
-# The same steps of one row in row arithmetic: w (d,), p, J, U (K,), the scalar M and the
-# gradient parts (diffs, scale, op) of problems._anchor_parts, gradient k op(diffs[k],
-# scale[k]); a dense (K, d) stack comes as its own diffs, op None.  Each makes its block
-# update's operations on the same operands, bit for bit; subgradient forms one gradient.
-def _stack(diffs, scale, op):
-    return diffs if op is None else op(diffs, scale[:, None])
-
-
-def _epo_al_row(r, w, p, J, U, M, parts, c, seeds):
-    fairness_grad = lr_apply(r, J, _u=U)
-    Y = np.maximum(p, 0.0) + c.eta * fairness_grad
-    return w - c.mu * (Y @ _stack(*parts)), p + c.mu * fairness_grad, None
-
-
+# The step of one configuration in row arithmetic, from w (d,), p, J, U (K,), the scalar M,
+# the gradient parts (diffs, scale, op) of problems._gradients, float columns c and seeds.  A
+# subgradient row forms only gradient k; epo-al and smooth-max rows form the whole (K, d) stack
+# and make their block update on it.  Either way the operations and operands are the block's.
 def _subgradient_row(r, w, p, J, U, M, parts, c, seeds):
     k = U.argmax()
     tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M
     if np.count_nonzero(tied) > 1:
         seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
         k = active[seeds[0].integers(active.size)]
-    diffs, scale, op = parts
-    return w - c.mu * r[k] * (diffs[k] if op is None else op(diffs[k], scale[k])), p, k
+    return w - c.mu * r[k] * _gradients(*parts, k), p, k
 
 
-def _smooth_max_row(r, w, p, J, U, M, parts, c, seeds):
-    weights = np.exp(U / c.tau - M / c.tau)
-    weights /= np.add.reduce(weights)
-    return w - c.mu_tau * ((weights * r) @ _stack(*parts)), p, None
+def _on_stack(update):
+    def row_update(r, w, p, J, U, M, parts, c, seeds):
+        return update(r, w, p, J, U, M, _gradients(*parts), c, seeds)
+    return row_update
 
 
-_ROW_UPDATES = {EPO_AL: _epo_al_row, SUBGRADIENT: _subgradient_row, SMOOTH_MAX: _smooth_max_row}
+_ROW_UPDATES = {EPO_AL: _on_stack(_epo_al), SUBGRADIENT: _subgradient_row,
+                SMOOTH_MAX: _on_stack(_smooth_max)}
 
 
 class _Dense:
@@ -242,8 +231,9 @@ def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=Non
     if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
     U = r * jvals
-    w_new, p_new, k = _UPDATES[algorithm](r, np.asarray(w), P, jvals, U, np.maximum.reduce(U),
-                                          _Dense(jac.T), _row_columns(config), [rng])
+    w_new, p_new, k = _ROW_UPDATES[algorithm](r, np.asarray(w), P, jvals, U,
+                                              np.maximum.reduce(U), (jac.T, None, None),
+                                              _row_columns(config), [rng])
     return w_new, None if p is None else p_new, None if k is None else int(k)
 
 
@@ -371,7 +361,7 @@ def _row(algorithm, obj, r, w0, config):
         M = np.maximum.reduce(U)
         if not (_screened(M, w, p, limit) if A is not None
                 else _screened(np.maximum.reduce(np.abs(U)), parts[0], p, limit)):
-            if broken := _divergence(r, J, _stack(*parts), p)[0]:
+            if broken := _divergence(r, J, _gradients(*parts), p)[0]:
                 raise DivergenceError(broken, i, w)
         w_next, p_next, k = (w, p, None) if i == last else update(r, w, p, J, U, M, parts, c,
                                                                   seeds)
