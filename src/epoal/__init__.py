@@ -14,9 +14,9 @@ from .diagnostics import (EpoCertificate, StationarityResult, certify_epo,
 from .harness import (AggregateRecord, GridSpec, HarnessError, TrialRecord,
                       compute_target, iteration_complexity, log_grid, measure_time,
                       run_experiment, trimmed_mean_ci, tune_and_measure)
-from .problems import (CONVEX, FIG1, KINDS, NONCONVEX, SyntheticProblem, eval_convex,
-                       eval_nonconvex, fig1_problem, gen_anchors, load_model, load_problem,
-                       make_problem, sample_initial, sample_preference, save_problem)
+from .problems import (CONVEX, FIG1, KINDS, NONCONVEX, SyntheticProblem, fig1_problem,
+                       gen_anchors, load_model, load_problem, make_problem, sample_initial,
+                       sample_preference, save_problem)
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,
                       EpoAlState, IterationRecord, SolverConfig, dual_mass,
                       epo_al_step, initial_state, run, smoothmax_step,

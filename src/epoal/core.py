@@ -14,6 +14,7 @@ cost O(K) and never materialize the dense matrix.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -77,6 +78,16 @@ class ObjectiveSet(ABC):
     @abstractmethod
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values, shape (K,), and gradient matrix, shape (d, K), column k for J_k."""
+
+
+def _check_non_negative_int(name, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a non-negative integer (numpy ints too)."""
+    try:
+        ok = operator.index(value) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _preference_for(r, obj: ObjectiveSet) -> np.ndarray:

@@ -36,6 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .core import _check_non_negative_int
 from .problems import CONVEX, FIG1, NONCONVEX, make_problem, sample_initial, sample_preference
 # run is re-exported until the perfbench tracer wraps the kernel (ROADMAP item 1).
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, IterationRecord,  # noqa: F401
@@ -80,8 +81,7 @@ class GridSpec:
                 raise ValueError(f"{name} must not be empty")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        _check_non_negative_int("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)

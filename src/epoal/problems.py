@@ -92,24 +92,6 @@ def _gradients(diffs, scale, op, at=...):
     return op(diffs[at], s[..., None] if s.ndim else s)
 
 
-class _Gradients:
-    """A (..., K, d) gradient stack of an anchor family that forms only what it is read by:
-    ``G[...]`` the whole stack, ``G.take(at)`` the gradients at flat offsets ``at`` into its
-    (..., K) entries (row j's k-th at j K + k), each through :func:`_gradients`."""
-
-    __slots__ = ("diffs", "scale", "op")
-
-    def __init__(self, diffs, scale, op):
-        self.diffs, self.scale, self.op = diffs, scale, op
-
-    def __getitem__(self, index):
-        return _gradients(self.diffs, self.scale, self.op, index)
-
-    def take(self, at):
-        return _gradients(self.diffs.reshape(-1, self.diffs.shape[-1]), self.scale.reshape(-1),
-                          self.op, at)
-
-
 def _anchor_parts(kind, anchors, W):
     """Values J (..., K) of ``kind``'s family at models W (..., d), on anchors (K, d) or a
     (..., K, d) stack row by row, and the parts of their gradients for :func:`_gradients`:
@@ -122,26 +104,6 @@ def _anchor_parts(kind, anchors, W):
         return root - 1.0, diffs, root, np.divide
     expo = np.exp(-sq)
     return 1.0 - expo, diffs, 2.0 * expo, np.multiply
-
-
-def _anchor_values(kind, anchors, W):
-    """Values (..., K) and gradients (..., K, d) of :func:`_anchor_parts`, the solver kernel's
-    layout; the gradients come as a :class:`_Gradients` stack."""
-    J, *parts = _anchor_parts(kind, anchors, W)
-    return J, _Gradients(*parts)
-
-
-def eval_convex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and (d, K) jacobian of J_k(w) = sqrt(1 + ||w - w_k||^2) - 1;
-    a (B, d) stack of models gives (B, K) values and (B, d, K) jacobians."""
-    jvals, grads = _anchor_values(CONVEX, anchors, w)
-    return jvals, grads[...].swapaxes(-1, -2)
-
-
-def eval_nonconvex(anchors: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and (d, K) jacobian of J_k(w) = 1 - exp(-||w - w_k||^2), stacks as above."""
-    jvals, grads = _anchor_values(NONCONVEX, anchors, w)
-    return jvals, grads[...].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +141,8 @@ class SyntheticProblem(ObjectiveSet):
         return self.anchors.shape[0]
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jvals, grads = _anchor_values(self.kind, self.anchors, np.asarray(w, dtype=np.float64))
-        return jvals, grads[...].swapaxes(-1, -2)
+        jvals, *parts = _anchor_parts(self.kind, self.anchors, np.asarray(w, dtype=np.float64))
+        return jvals, _gradients(*parts).swapaxes(-1, -2)
 
 
 def fig1_problem(d: int) -> SyntheticProblem:

@@ -32,7 +32,6 @@ DivergenceError.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
@@ -40,12 +39,13 @@ from itertools import compress
 import numpy as np
 
 # DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
-from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate,  # noqa: F401
-                   _preference_for, as_model_vector, fairness_residual, lr_apply)
+from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int,  # noqa: F401
+                   _divergence, _evaluate, _preference_for, as_model_vector, fairness_residual,
+                   lr_apply)
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_parts, _anchor_values, _gradients
+from .problems import SyntheticProblem, _anchor_parts, _gradients
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -88,18 +88,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"step size mu must be positive and finite, got {self.mu}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        _check_non_negative_int("max_iter", self.max_iter)
         if self.eta is not None and not 0 <= self.eta < math.inf:
             raise ValueError(f"penalty eta must be non-negative and finite, got {self.eta}")
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError(f"temperature tau must be positive and finite, got {self.tau}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_non_negative_int("seed", self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,93 +128,69 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 
 
 # A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
-# = r[j] J[j], M[j] = max U[j], G[j] (row k that of J_k), columns c and seeds, bit for bit.
-# G is a problems._Gradients or a _Dense stack: a step reads G[...] or only G.take(at), the
-# gradients at flat offsets at = c.at + k (c.at is K times the row position).
-def _epo_al(r, W, P, J, U, M, G, c, seeds):
+# = r[j] J[j], M[j] = max U[j], the gradient parts (diffs, scale, op) of problems._gradients
+# (a dense stack G as (G, None, None)), columns c and seeds, bit for bit.  Each update forms
+# what it reads: epo-al and smooth-max the whole stack, a subgradient block row j's gradient
+# k[j].  A single configuration takes the epo-al and smooth-max updates on (d,) and (K,) rows.
+def _epo_al(r, W, P, J, U, M, parts, c, seeds):
     fairness_grad = lr_apply(r, J, _u=U)
     Y = np.maximum(P, 0.0) + c.eta * fairness_grad
-    return (W - c.mu * np.matmul(Y[..., None, :], G[...])[..., 0, :], P + c.mu * fairness_grad,
-            None)
+    return (W - c.mu * np.matmul(Y[..., None, :], _gradients(*parts))[..., 0, :],
+            P + c.mu * fairness_grad, None)
 
 
-def _subgradient(r, W, P, J, U, M, G, c, seeds):
-    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M[..., None]
-    k = U.argmax(axis=-1)
+def _subgradient(r, W, P, J, U, M, parts, c, seeds):
+    # The maximum is in its own tie set whatever its sign.
+    tied = U >= ((1.0 - np.copysign(ACTIVE_TIE_RTOL, M)) * M)[:, None]
+    k = U.argmax(axis=1)
     # Generator.integers(1) draws nothing, so a row's generator is made at its first tie
     # (default_rng returns a generator as it is).
     if np.count_nonzero(tied) > k.size:
-        ks, tied = k.reshape(-1), tied.reshape(k.size, -1)
         for j in np.flatnonzero(tied.sum(axis=1) > 1):
             seeds[j], active = np.random.default_rng(seeds[j]), np.flatnonzero(tied[j])
-            ks[j] = active[seeds[j].integers(active.size)]
-        k = ks.reshape(k.shape)
-    at = c.at + k
-    return W - c.mu * r.take(at)[..., None] * G.take(at), P, k
+            k[j] = active[seeds[j].integers(active.size)]
+    at = (np.arange(k.size), k)
+    return W - c.mu * r[at][:, None] * _gradients(*parts, at), P, k
 
 
-def _smooth_max(r, W, P, J, U, M, G, c, seeds):
+def _smooth_max(r, W, P, J, U, M, parts, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
     weights = np.exp(U / c.tau - M[..., None] / c.tau)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    return W - c.mu_tau * np.matmul((weights * r)[..., None, :], G[...])[..., 0, :], P, None
+    return (W - c.mu_tau * np.matmul((weights * r)[..., None, :], _gradients(*parts))[..., 0, :],
+            P, None)
 
 
 _UPDATES = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
-_Columns = namedtuple("_Columns", "mu eta tau mu_tau at")
+_Columns = namedtuple("_Columns", "mu eta tau mu_tau")
 
 
-def _columns(configs, K):
-    """(B, 1) columns mu, eta, tau (NaN for None), mu / tau of ``configs``; row offsets K j."""
+def _columns(configs):
+    """(B, 1) columns mu, eta, tau (NaN for None) and mu / tau of ``configs``."""
     H = np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64).reshape(-1, 3)
-    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:], K * np.arange(len(H)))
+    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:])
 
 
 def _row_columns(config):
-    """mu, eta, tau (NaN for None) and mu / tau of one configuration as floats; offset 0."""
+    """mu, eta, tau (NaN for None) and mu / tau of one configuration as floats."""
     mu, eta, tau = (math.nan if v is None else float(v)
                     for v in (config.mu, config.eta, config.tau))
-    return _Columns(mu, eta, tau, mu / tau, 0)
+    return _Columns(mu, eta, tau, mu / tau)
 
 
-# The step of one configuration in row arithmetic, from w (d,), p, J, U (K,), the scalar M,
-# the gradient parts (diffs, scale, op) of problems._gradients, float columns c and seeds.  A
-# subgradient row forms only gradient k; epo-al and smooth-max rows form the whole (K, d) stack
-# and make their block update on it.  Either way the operations and operands are the block's.
+# The subgradient step of one configuration in row arithmetic, from w (d,), p, J, U (K,), the
+# scalar M, the gradient parts, float columns c and seeds: it forms only gradient k, with the
+# block's operations on the block's operands.
 def _subgradient_row(r, w, p, J, U, M, parts, c, seeds):
     k = U.argmax()
-    tied = U >= (1.0 - ACTIVE_TIE_RTOL) * M
+    tied = U >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, M)) * M
     if np.count_nonzero(tied) > 1:
         seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
         k = active[seeds[0].integers(active.size)]
     return w - c.mu * r[k] * _gradients(*parts, k), p, k
 
 
-def _on_stack(update):
-    def row_update(r, w, p, J, U, M, parts, c, seeds):
-        return update(r, w, p, J, U, M, _gradients(*parts), c, seeds)
-    return row_update
-
-
-_ROW_UPDATES = {EPO_AL: _on_stack(_epo_al), SUBGRADIENT: _subgradient_row,
-                SMOOTH_MAX: _on_stack(_smooth_max)}
-
-
-class _Dense:
-    """A dense (..., K, d) gradient stack of a generic objective set, read as a
-    problems._Gradients is: ``G[...]`` the stack, ``G.take(at)`` the gradients at flat
-    offsets ``at`` into its (..., K) entries."""
-
-    __slots__ = ("G",)
-
-    def __init__(self, G):
-        self.G = G
-
-    def __getitem__(self, index):
-        return self.G[index]
-
-    def take(self, at):
-        return self.G[np.unravel_index(at, self.G.shape[:-1])]
+_ROW_UPDATES = {**_UPDATES, SUBGRADIENT: _subgradient_row}
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
@@ -295,14 +265,14 @@ _Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
 def _evaluate_block(obj, W, A):
-    """Values (B, K) and gradients (B, K, d) at iterates W (B, d) of ``obj``, or of its kind
-    on anchors A, (K, d) or the rows' (B, K, d); the gradients come as a problems._Gradients
-    or, for another objective set, a _Dense stack."""
+    """Values (B, K) at iterates W (B, d) of ``obj``, or of its kind on anchors A, (K, d) or
+    the rows' (B, K, d), and the parts of their (B, K, d) gradients for problems._gradients."""
     if A is not None:
-        return _anchor_values(obj.kind, A, W)
+        J, *parts = _anchor_parts(obj.kind, A, W)
+        return J, parts
     J, jacs = zip(*(_evaluate(obj, w) for w in W))
     return (np.array(J, dtype=np.float64),
-            _Dense(np.array(jacs, dtype=np.float64).swapaxes(1, 2)))
+            (np.array(jacs, dtype=np.float64).swapaxes(1, 2), None, None))
 
 
 def _screened(m, S, P, limit):
@@ -395,24 +365,25 @@ def _lockstep(algorithm, trials):
         t, obj = trial[rows], objs[trial[s]]
         A = (None if not isinstance(obj, SyntheticProblem) else obj.anchors if t[0] == t[-1]
              else np.array([objs[k].anchors for k in t]))
-        blocks.append([rows, W, r, P, cs, _columns(cs, K), seeds, obj, A])
+        blocks.append([rows, W, r, P, cs, _columns(cs), seeds, obj, A])
     for i in range(last + 1):
         for n, (rows, W, r, P, cs, c, seeds, obj, A) in enumerate(blocks):
-            J, G = _evaluate_block(obj, W, A)
+            J, parts = _evaluate_block(obj, W, A)
             U = r * J
             M = np.maximum.reduce(U, axis=1)
             diverged = []
-            if not (_screened(np.maximum.reduce(np.abs(U), None), G[...], P, limit)
+            if not (_screened(np.maximum.reduce(np.abs(U), None), parts[0], P, limit)
                     if A is None else _screened(np.maximum.reduce(M), W, P, limit)):
-                G = G[...]
+                G = _gradients(*parts)
                 broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
                 diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
                 ok = np.array([m is None for m in broken])
                 rows, W, r, P, J, G, U, M = (a[ok] for a in (rows, W, r, P, J, G, U, M))
                 cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
-                c, A, G = _columns(cs, K), (A if A is None or A.ndim == 2 else A[ok]), _Dense(G)
+                c, parts = _columns(cs), (G, None, None)
+                A = A if A is None or A.ndim == 2 else A[ok]
             W_next, P_next, active = ((W, P, None) if i == last
-                                      else update(r, W, P, J, U, M, G, c, seeds))
+                                      else update(r, W, P, J, U, M, parts, c, seeds))
             blocks[n] = [rows, W_next, r, P_next, cs, c, seeds, obj, A]
             yield _Block(i, rows, M, J, P, active, diverged)
         blocks = [block for block in blocks if block[0].size]

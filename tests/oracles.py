@@ -1,5 +1,7 @@
 """Slow reference implementations that the library's fast paths are tested against."""
 
+import math
+
 import numpy as np
 
 from epoal import (CONVEX, DivergenceError, StationarityResult, as_model_vector,
@@ -24,7 +26,8 @@ def lr_dense(r):
 
 def dense_anchor_values(kind, anchors, W):
     """Values (..., K) and the whole gradient stack (..., K, d) of ``kind``'s anchor family at
-    models W (..., d), for ``problems._anchor_values``, which forms gradients where indexed."""
+    models W (..., d), for ``problems._anchor_parts`` and ``problems._gradients``, which form
+    the gradients at an index from the family's parts."""
     diffs = W[..., None, :] - anchors
     sq = np.einsum("...kd,...kd->...k", diffs, diffs)
     if kind == CONVEX:
@@ -207,7 +210,8 @@ def scalar_update(algorithm, w, p, jvals, jac, r, config, rng):
         return w_new, p + mu * fairness_grad, None
     if algorithm == SUBGRADIENT:
         v = r * jvals
-        active = np.flatnonzero(v >= (1.0 - ACTIVE_TIE_RTOL) * v.max())
+        m = v.max()
+        active = np.flatnonzero(v >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, m)) * m)
         k = int(active[rng.integers(active.size)])
         return w - mu * r[k] * jac[:, k], p, k
     v = (r * jvals) / config.tau

@@ -47,8 +47,10 @@ def test_log_grid_validation():
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             GridSpec(epsilon=bad)
-    with pytest.raises(ValueError):
-        GridSpec(max_iter=-1)
+    for bad in (-1, 2.5, np.nan):
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            GridSpec(max_iter=bad)
+    assert GridSpec(max_iter=np.int64(5)).max_iter == 5
     for empty in ("mu_grid", "eta_grid", "tau_grid"):
         with pytest.raises(ValueError, match=empty):
             GridSpec(**{empty: ()})

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epoal import (SyntheticProblem, eval_convex, eval_nonconvex, fig1_problem,
-                   gen_anchors, load_model, load_problem, make_problem, sample_initial,
-                   sample_preference, save_problem)
-from epoal.problems import _anchor_values
+from epoal import (SyntheticProblem, fig1_problem, gen_anchors, load_model, load_problem,
+                   make_problem, sample_initial, sample_preference, save_problem)
+from epoal.problems import _anchor_parts, _gradients
 
 from oracles import dense_anchor_values, finite_diff_jacobian
 
@@ -17,7 +16,7 @@ SQRT2 = np.sqrt(2.0)
 
 def test_convex_value_zero_at_own_anchor():
     anchors = gen_anchors(5, 3, seed=0)
-    jvals, jac = eval_convex(anchors, anchors[1])
+    jvals, jac = SyntheticProblem("convex-distance", anchors).values_and_jacobian(anchors[1])
     assert jvals[1] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(jac[:, 1], 0.0, atol=1e-15)
     assert np.all(np.delete(jvals, 1) > 0)
@@ -25,13 +24,13 @@ def test_convex_value_zero_at_own_anchor():
 
 def test_convex_value_at_unit_distance():
     anchors = np.array([[1.0, 0.0]])
-    jvals, _ = eval_convex(anchors, np.array([0.0, 0.0]))
+    jvals, _ = SyntheticProblem("convex-distance", anchors).values_and_jacobian([0.0, 0.0])
     assert jvals[0] == pytest.approx(SQRT2 - 1.0)
 
 
 def test_nonconvex_value_zero_at_own_anchor():
     anchors = gen_anchors(4, 2, seed=3)
-    jvals, jac = eval_nonconvex(anchors, anchors[0])
+    jvals, jac = SyntheticProblem("nonconvex-gaussian", anchors).values_and_jacobian(anchors[0])
     assert jvals[0] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(jac[:, 0], 0.0, atol=1e-15)
 
@@ -39,7 +38,7 @@ def test_nonconvex_value_zero_at_own_anchor():
 def test_nonconvex_plateau_far_from_anchor():
     anchors = gen_anchors(3, 2, seed=1)
     far = 100.0 * np.ones(3)
-    jvals, jac = eval_nonconvex(anchors, far)
+    jvals, jac = SyntheticProblem("nonconvex-gaussian", anchors).values_and_jacobian(far)
     np.testing.assert_allclose(jvals, 1.0, atol=1e-12)
     assert np.max(np.abs(jac)) < 1e-12
 
@@ -238,24 +237,28 @@ def test_load_model_errors_name_the_file(tmp_path, content, message):
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_anchor_gradients_match_the_dense_stack_bit_for_bit(kind, stacked):
-    # The kernel's gradient stack forms only the entries it is indexed by, with the dense
-    # oracle's elementwise operations on the same operands: the whole stack, each row's k-th
-    # gradient (the kernel's G[c.at, k]) and any rows', on one trial's (K, d) anchors or a
-    # (B, K, d) stack of them.  Row 1 sits at its own anchor 2.
+    # The kernel forms only the gradients it reads, with the dense oracle's elementwise
+    # operations on the same operands: the whole stack, each row's k-th gradient (a
+    # subgradient block's (rows, k) index), any rows' and one (a row's scalar k), on one
+    # trial's (K, d) anchors or a (B, K, d) stack of them.  A dense stack (G, None, None)
+    # reads the same.  Row 1 sits at its own anchor 2.
     B, K, d = 5, 4, 7
     A = (np.array([gen_anchors(d, K, seed) for seed in range(B)]) if stacked
          else gen_anchors(d, K, seed=3))
     W = np.random.default_rng(0).standard_normal((B, d))
     W[1] = A[1, 2] if stacked else A[2]
-    J, G = _anchor_values(kind, A, W)
+    J, *parts = _anchor_parts(kind, A, W)
     J_ref, G_ref = dense_anchor_values(kind, A, W)
-    assert np.array_equal(J, J_ref) and np.array_equal(G[...], G_ref)
+    assert np.array_equal(J, J_ref)
     at, k, rows = np.arange(B), np.array([2, 2, 0, 3, 1]), np.array([3, 1, 1, 4])
-    assert np.array_equal(G[at, k], G_ref[at, k])
-    assert np.array_equal(G[rows, k[rows]], G_ref[rows, k[rows]])
-    assert J[1, 2] == 0.0 and not G[1, 2].any()
+    for form in (parts, (G_ref, None, None)):
+        assert np.array_equal(_gradients(*form), G_ref)
+        assert np.array_equal(_gradients(*form, (at, k)), G_ref[at, k])
+        assert np.array_equal(_gradients(*form, (rows, k[rows])), G_ref[rows, k[rows]])
+        assert np.array_equal(_gradients(*form, (3, 1)), G_ref[3, 1])
+    assert J[1, 2] == 0.0 and not _gradients(*parts, (1, 2)).any()
     if not stacked:
-        J, G = _anchor_values(kind, A, W[1])
+        J, *parts = _anchor_parts(kind, A, W[1])
         J_ref, G_ref = dense_anchor_values(kind, A, W[1])
-        assert np.array_equal(J, J_ref) and np.array_equal(G[...], G_ref)
-        assert np.array_equal(G[2], G_ref[2])
+        assert np.array_equal(J, J_ref) and np.array_equal(_gradients(*parts), G_ref)
+        assert np.array_equal(_gradients(*parts, 2), G_ref[2])

@@ -14,7 +14,7 @@ from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual
                    make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference, smoothmax_step, subgradient_step)
 from epoal.core import _divergence
-from epoal.problems import _anchor_values
+from epoal.problems import _anchor_parts, _gradients
 from epoal.solvers import _lockstep
 
 from oracles import scalar_trace
@@ -58,7 +58,11 @@ class ExplodingObjectives(ObjectiveSet):
 
 
 class TwinObjectives(ObjectiveSet):
-    """J_1 = J_2 = 1 + ||w||^2: every subgradient step is a tie, and a long step overflows."""
+    """J_1 = J_2 = sign (1 + ||w||^2): every subgradient step is a tie, and a long step
+    overflows."""
+
+    def __init__(self, sign=1.0):
+        self.sign = sign
 
     @property
     def count(self):
@@ -66,8 +70,8 @@ class TwinObjectives(ObjectiveSet):
 
     def values_and_jacobian(self, w):
         with np.errstate(over="ignore"):
-            value = 1.0 + w @ w
-        return np.array([value, value]), np.column_stack([2.0 * w, 2.0 * w])
+            value = self.sign * (1.0 + w @ w)
+        return np.array([value, value]), np.column_stack([2.0 * self.sign * w] * 2)
 
 
 class CountingObjectives(ObjectiveSet):
@@ -92,8 +96,10 @@ def small_problem(kind="convex-distance", d=4, K=3, seed=2):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(mu=0.1, max_iter=-1)
+    for bad in (-1, 2.5, np.nan):
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            SolverConfig(mu=0.1, max_iter=bad)
+    assert SolverConfig(mu=0.1, max_iter=np.int64(4)).max_iter == 4
     with pytest.raises(ValueError):
         SolverConfig(mu=0.1, eta=-1.0)
     with pytest.raises(ValueError):
@@ -178,6 +184,18 @@ def test_subgradient_breaks_ties_uniformly():
         _, k = subgradient_step(np.zeros(K), obj, np.ones(K), mu=0.1, rng=rng)
         counts[k] += 1
     np.testing.assert_allclose(counts / draws, 1.0 / K, atol=0.05)
+
+
+def test_subgradient_ties_below_zero_draw_every_index():
+    # The maximum is in its own tie set whatever its sign: below zero, (1 - 1e-9) M lies
+    # above M, so a tie rule that scales M alone would never see the tie.
+    obj = TwinObjectives(sign=-1.0)
+    records = run("subgradient", obj, [0.5, 0.5], [0.3, 0.1],
+                  SolverConfig(mu=0.1, max_iter=20, seed=1))
+    assert {rec.active_index for rec in records[:-1]} == {0, 1}
+    rng = np.random.default_rng(0)
+    assert {subgradient_step(np.array([0.3, 0.1]), obj, [0.5, 0.5], 0.1, rng)[1]
+            for _ in range(20)} == {0, 1}
 
 
 def test_subgradient_run_improves_minmax():
@@ -609,9 +627,9 @@ def test_a_synthetic_block_that_passes_the_screen_passes_the_row_rule(kind, B, d
     P = draw([0.5, -1.0, 1e308, np.inf, np.nan], B, data.draw(st.sampled_from([0, K])))
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     with np.errstate(all="ignore"):
-        J, G = _anchor_values(problem.kind, problem.anchors, W)
+        J, *parts = _anchor_parts(problem.kind, problem.anchors, W)
         if solvers._screened(np.maximum.reduce(r * J, axis=None), W, P, limit):
-            for row in zip(r, J, G[...], P):
+            for row in zip(r, J, _gradients(*parts), P):
                 assert _divergence(*row)[0] is None
 
 
@@ -626,7 +644,7 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
     W = np.array([[0.1, -0.2, 0.3, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.1, -0.2, 0.3, 0.0]])
     r = np.array([[0.3, 0.3, 0.4], [0.3, 0.3, 0.4], [1e300, 0.3, 0.4]])
     P, limit = np.empty((3, 0)), math.sqrt(np.finfo(np.float64).max / (8 * K))
-    J, G = _anchor_values(problem.kind, problem.anchors, W)
+    J, *parts = _anchor_parts(problem.kind, problem.anchors, W)
     M = np.maximum.reduce(r * J, axis=1)
     assert solvers._screened(M[0], W[[0]], P[[0]], limit)
     assert solvers._screened(M[0], W[0], P[0], limit)          # a single row, as run screens
@@ -636,7 +654,7 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
         assert not solvers._screened(m, np.zeros((2, d)), P[[0, bad]], limit)
         assert not solvers._screened(m, W[[0, bad]], P[[0, bad]], limit)
         assert not solvers._screened(M[bad], W[bad], P[bad], limit)
-    assert [_divergence(*row)[0] for row in zip(r, J, G[...], P)] == [
+    assert [_divergence(*row)[0] for row in zip(r, J, _gradients(*parts), P)] == [
         None, "objective evaluation produced non-finite values",
         "weighted min-max value or fairness residual is not finite"]
     # Through the kernel: the trial weighted 1e300 leaves at iterate 0 beside a trial that
@@ -697,7 +715,7 @@ def lockstep_rows(algorithm, obj, r, w0, configs):
 
 
 @pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin",
-                                        "fig1-pair"])
+                                        "negative-twin", "fig1-pair"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 @OVERFLOWS
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -706,10 +724,12 @@ def lockstep_rows(algorithm, obj, r, w0, configs):
 def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
     # run steps one configuration in row arithmetic; a kernel pass steps it as one row of a
     # block.  Every value must match bit for bit, and a row that leaves must leave where run
-    # raises.  The twin objectives tie at every subgradient step and overflow under a long
-    # one; the fig1 pair ties at the origin, so a row makes its generator at iterate 0.
-    if objectives == "twin":
-        problem, r, w0 = TwinObjectives(), np.array([0.5, 0.5]), sample_initial(d, seed)
+    # raises.  The twin objectives, positive or negative, tie at every subgradient step and
+    # overflow under a long one; the fig1 pair ties at the origin, so a row makes its
+    # generator at iterate 0.
+    if objectives.endswith("twin"):
+        sign = -1.0 if objectives == "negative-twin" else 1.0
+        problem, r, w0 = TwinObjectives(sign), np.array([0.5, 0.5]), sample_initial(d, seed)
     elif objectives == "fig1-pair":
         problem, r, w0 = make_problem(objectives, d, 2, seed), np.array([0.5, 0.5]), np.zeros(d)
     else:
@@ -725,7 +745,7 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         records, err = run(algorithm, problem, r, w0, configs[j]), None
     except DivergenceError as caught:
         records, err = caught.records, caught
-    if diverging and objectives in ("convex-distance", "twin"):
+    if diverging and objectives in ("convex-distance", "twin", "negative-twin"):
         assert err is not None and err.iteration == 1
     assert left == ([] if err is None else [(err.iteration, str(err))])
     assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
