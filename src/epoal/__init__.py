@@ -14,7 +14,7 @@ from .diagnostics import (EpoCertificate, StationarityResult, certify_epo,
 from .harness import (AggregateRecord, GridSpec, HarnessError, TrialRecord,
                       compute_target, iteration_complexity, log_grid, measure_time,
                       run_experiment, trimmed_mean_ci, tune_and_measure)
-from .problems import (CONVEX, FIG1, KINDS, NONCONVEX, SyntheticProblem, fig1_problem,
+from .problems import (CONVEX, FIG1, KINDS, NONCONVEX, SyntheticProblem,
                        gen_anchors, load_model, load_problem, make_problem, sample_initial,
                        sample_preference, save_problem)
 from .solvers import (ALGORITHMS, EPO_AL, SMOOTH_MAX, SUBGRADIENT, DivergenceError,

@@ -192,12 +192,12 @@ def _first_hit(minmax, target: float, epsilon: float):
 
 
 def _race(rounds, target: float, epsilon: float):
-    """:func:`_first_hit` over lockstep ``rounds``, tuples starting ``(i, rows, minmax)`` by
-    ascending i, then rows, as the kernel's blocks come; it stops at the first hit."""
+    """:func:`_first_hit` over lockstep ``rounds``, tuples starting ``(i, rows, minmax)``, one
+    a round by ascending i as the kernel's blocks come; it stops at the first hit."""
     for i, rows, minmax, *_ in rounds:
         hits = np.flatnonzero(np.abs(minmax - target) <= epsilon)
         if hits.size:
-            return i, int(rows[hits[0]])
+            return i, int(rows[hits].min())
     return None, None
 
 
@@ -309,14 +309,14 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     always means a bad argument; a failure inside the protocol raises
     HarnessError.
     """
-    if n_trials < 3:
-        raise ValueError(f"need n_trials >= 3, got {n_trials}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
+    kinds, K_values, algorithms = list(kinds), list(K_values), list(algorithms)
+    for name, value in (("d", d), ("n_trials", n_trials), ("master_seed", master_seed),
+                        ("jobs", jobs), *(("K_values entry", K) for K in K_values)):
+        _check_non_negative_int(name, value)
+    if n_trials < 3 or jobs < 1:
+        raise ValueError(f"need n_trials >= 3 and jobs >= 1, got {n_trials} and {jobs}")
     grid = grid if grid is not None else GridSpec()
-    kinds = list(kinds)
     K_values = [int(K) for K in K_values]
-    algorithms = list(algorithms)
     for name, values in (("kinds", kinds), ("K_values", K_values),
                          ("algorithms", algorithms)):
         if not values or len(set(values)) != len(values):

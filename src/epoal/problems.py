@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ObjectiveSet, as_model_vector
+from .core import ObjectiveSet, _check_non_negative_int, as_model_vector
 
 CONVEX = "convex-distance"
 NONCONVEX = "nonconvex-gaussian"
@@ -83,27 +83,30 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
 
 def _gradients(diffs, scale, op, at=...):
     """Gradients at ``at`` (all at Ellipsis) from the parts of :func:`_anchor_parts`,
-    ``op(diffs[at], scale[at])`` entry by entry (one gradient's scale is a scalar): every form
-    is the same operation on the same operands.  A dense stack (another objective set's) is its
-    own diffs, with scale and op None."""
+    ``op(diffs[at], scale[at])`` entry by entry (one gradient's scale is a scalar).  A dense
+    stack (another objective set's) is its own diffs, with scale and op None."""
     if op is None:
         return diffs[at]
     s = scale[at]
     return op(diffs[at], s[..., None] if s.ndim else s)
 
 
-def _anchor_parts(kind, anchors, W):
-    """Values J (..., K) of ``kind``'s family at models W (..., d), on anchors (K, d) or a
-    (..., K, d) stack row by row, and the parts of their gradients for :func:`_gradients`:
-    ``diffs`` (..., K, d), a ``scale`` (..., K) and its ``op`` (convex: divided by the root;
-    gaussian: times 2 e^-s)."""
-    diffs = W[..., None, :] - anchors                # (..., K, d)
-    sq = np.einsum("...kd,...kd->...k", diffs, diffs)
+def _family(kind, sq):
+    """Values J of ``kind``'s family at squared anchor distances sq, and the ``scale`` and
+    ``op`` of grad J_k = op(w - a_k, scale_k): the convex root, or 2 e^-s times."""
     if kind == CONVEX:
         root = np.sqrt(1.0 + sq)
-        return root - 1.0, diffs, root, np.divide
+        return root - 1.0, root, np.divide
     expo = np.exp(-sq)
-    return 1.0 - expo, diffs, 2.0 * expo, np.multiply
+    return 1.0 - expo, 2.0 * expo, np.multiply
+
+
+def _anchor_parts(kind, anchors, W):
+    """Values J (..., K) of ``kind``'s family at models W (..., d) on anchors (K, d), or a
+    (..., K, d) stack row by row, and their gradients' parts: diffs and :func:`_family`'s."""
+    diffs = W[..., None, :] - anchors                # (..., K, d)
+    J, scale, op = _family(kind, np.einsum("...kd,...kd->...k", diffs, diffs))
+    return J, diffs, scale, op
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,20 +148,15 @@ class SyntheticProblem(ObjectiveSet):
         return jvals, _gradients(*parts).swapaxes(-1, -2)
 
 
-def fig1_problem(d: int) -> SyntheticProblem:
-    """The two-objective visualization instance with anchors +-(1/sqrt(d)) 1."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
-    a = np.full(d, 1.0 / np.sqrt(d))
-    return SyntheticProblem(kind=FIG1, anchors=np.vstack([a, -a]))
-
-
 def make_problem(kind: str, d: int, K: int, seed: int) -> SyntheticProblem:
-    """Problem instance as a pure function of (kind, d, K, seed)."""
+    """Problem instance as a pure function of (kind, d, K, seed); fig1-pair's anchors are fixed."""
+    for name, value in (("d", d), ("K", K), ("seed", seed)):
+        _check_non_negative_int(name, value)
     if kind == FIG1:
-        if K != 2:
-            raise ValueError("fig1-pair is a two-objective problem")
-        return SyntheticProblem(kind=FIG1, anchors=fig1_problem(d).anchors, seed=seed)
+        if K != 2 or d < 1:
+            raise ValueError(f"fig1-pair is a two-objective problem with d >= 1, got K={K}, d={d}")
+        a = np.full(d, 1.0 / np.sqrt(d))
+        return SyntheticProblem(kind=FIG1, anchors=np.vstack([a, -a]), seed=seed)
     if kind not in (CONVEX, NONCONVEX):
         raise ValueError(f"unknown problem kind {kind!r}")
     return SyntheticProblem(kind=kind, anchors=gen_anchors(d, K, seed), seed=seed)

@@ -15,18 +15,10 @@ Three algorithms behind one lockstep kernel:
   smooth-max  gradient descent on the soft maximum log sum_k e^{v_k / tau}
               of the weighted objectives v = r * J(w).
 
-The kernel advances C configurations of one algorithm together as a (C, d)
-iterate stack, one objective/jacobian evaluation per configuration and
-iteration; the configurations may belong to several trials of one synthetic
-kind and (K, d), each row with its trial's anchors, preference and start.
-A single configuration (``run``, so ``epoal trace``, the protocol's timing runs and the public
-steps) steps as one row in row arithmetic: the same evaluations, screen and update operations
-on (d,) and (K,) arrays, with float hyperparameters and a scalar active index whose gradient
-alone a subgradient step forms.
-``run`` shares each evaluation with that iterate's trace record.
-A configuration diverges at the first iterate that breaks ``core._divergence``:
-its kernel row leaves there, and there ``run`` and the public steps raise
-DivergenceError.
+Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  The kernel
+steps many configurations together, in span coordinates on the anchor families; ``run`` (so
+``epoal trace`` and the timing runs) and the public steps step one as a d-space row.  A row
+diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int,  # no
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_parts, _gradients
+from .problems import SyntheticProblem, _anchor_parts, _family, _gradients
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -54,12 +46,6 @@ ALGORITHMS = (EPO_AL, SUBGRADIENT, SMOOTH_MAX)
 
 # Relative tolerance used to detect ties among weighted objective values.
 ACTIVE_TIE_RTOL = 1e-9
-
-# Byte budget of one row block's (rows, K, d) array in the lockstep kernel; a round holds
-# about four.  Not the fastest size for every pass: a C7 cell's ten target scans at K=16
-# (100 rows, d=50, 1000 iterations) took 556 ms in blocks of this size against 445 ms at
-# 4 MiB (median of 3 on a shared 2-vCPU host), while at K=2 larger blocks gained nothing.
-_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,19 +113,14 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-# A step of each block row j: (W+, P+, subgradient indices or None) from W[j], P[j], J[j], U[j]
-# = r[j] J[j], M[j] = max U[j], the gradient parts (diffs, scale, op) of problems._gradients
-# (a dense stack G as (G, None, None)), columns c and seeds, bit for bit.  Each update forms
-# what it reads: epo-al and smooth-max the whole stack, a subgradient block row j's gradient
-# k[j].  A single configuration takes the epo-al and smooth-max updates on (d,) and (K,) rows.
-def _epo_al(r, W, P, J, U, M, parts, c, seeds):
+# The weights of a step, (y, step, p+, subgradient indices or None), from r, J, U = r J,
+# M = max U, the epo-al duals P, columns c and seeds: a block's (rows, K) arrays or a row's (K,).
+def _epo_al(r, J, U, M, P, c, seeds):
     fairness_grad = lr_apply(r, J, _u=U)
-    Y = np.maximum(P, 0.0) + c.eta * fairness_grad
-    return (W - c.mu * np.matmul(Y[..., None, :], _gradients(*parts))[..., 0, :],
-            P + c.mu * fairness_grad, None)
+    return np.maximum(P, 0.0) + c.eta * fairness_grad, c.mu, P + c.mu * fairness_grad, None
 
 
-def _subgradient(r, W, P, J, U, M, parts, c, seeds):
+def _subgradient(r, J, U, M, P, c, seeds):
     # The maximum is in its own tie set whatever its sign.
     tied = U >= ((1.0 - np.copysign(ACTIVE_TIE_RTOL, M)) * M)[:, None]
     k = U.argmax(axis=1)
@@ -149,19 +130,18 @@ def _subgradient(r, W, P, J, U, M, parts, c, seeds):
         for j in np.flatnonzero(tied.sum(axis=1) > 1):
             seeds[j], active = np.random.default_rng(seeds[j]), np.flatnonzero(tied[j])
             k[j] = active[seeds[j].integers(active.size)]
-    at = (np.arange(k.size), k)
-    return W - c.mu * r[at][:, None] * _gradients(*parts, at), P, k
+            tied[j] = np.arange(r.shape[1]) == k[j]
+    return np.where(tied, r, 0.0), c.mu, P, k        # y = r_k e_k: tied holds k alone
 
 
-def _smooth_max(r, W, P, J, U, M, parts, c, seeds):
+def _smooth_max(r, J, U, M, P, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
     weights = np.exp(U / c.tau - M[..., None] / c.tau)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    return (W - c.mu_tau * np.matmul((weights * r)[..., None, :], _gradients(*parts))[..., 0, :],
-            P, None)
+    return weights * r, c.mu_tau, P, None
 
 
-_UPDATES = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
+_WEIGHTS = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
 _Columns = namedtuple("_Columns", "mu eta tau mu_tau")
 
 
@@ -173,24 +153,20 @@ def _columns(configs):
 
 def _row_columns(config):
     """mu, eta, tau (NaN for None) and mu / tau of one configuration as floats."""
-    mu, eta, tau = (math.nan if v is None else float(v)
-                    for v in (config.mu, config.eta, config.tau))
-    return _Columns(mu, eta, tau, mu / tau)
+    return _Columns(*(column.item() for column in _columns([config])))
 
 
-# The subgradient step of one configuration in row arithmetic, from w (d,), p, J, U (K,), the
-# scalar M, the gradient parts, float columns c and seeds: it forms only gradient k, with the
-# block's operations on the block's operands.
-def _subgradient_row(r, w, p, J, U, M, parts, c, seeds):
+def _subgradient_row(r, J, U, M, p, c, seeds):
+    # A row's scalar active index k: its step forms gradient k alone and reads y_k = r_k.
     k = U.argmax()
     tied = U >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, M)) * M
     if np.count_nonzero(tied) > 1:
         seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
         k = active[seeds[0].integers(active.size)]
-    return w - c.mu * r[k] * _gradients(*parts, k), p, k
+    return r, c.mu, p, k
 
 
-_ROW_UPDATES = {**_UPDATES, SUBGRADIENT: _subgradient_row}
+_ROW_WEIGHTS = {**_WEIGHTS, SUBGRADIENT: _subgradient_row}
 
 
 def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
@@ -201,9 +177,10 @@ def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=Non
     if broken := _divergence(r, jvals, jac, P)[0]:
         raise DivergenceError(broken, iteration=iteration, iterate=w)
     U = r * jvals
-    w_new, p_new, k = _ROW_UPDATES[algorithm](r, np.asarray(w), P, jvals, U,
-                                              np.maximum.reduce(U), (jac.T, None, None),
-                                              _row_columns(config), [rng])
+    y, step, p_new, k = _ROW_WEIGHTS[algorithm](r, jvals, U, np.maximum.reduce(U), P,
+                                                _row_columns(config), [rng])
+    w_new = (w - step * np.matmul(y[None, :], jac.T)[0] if k is None
+             else w - step * y[k] * jac.T[k])
     return w_new, None if p is None else p_new, None if k is None else int(k)
 
 
@@ -264,31 +241,18 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 _Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
-def _evaluate_block(obj, W, A):
-    """Values (B, K) at iterates W (B, d) of ``obj``, or of its kind on anchors A, (K, d) or
-    the rows' (B, K, d), and the parts of their (B, K, d) gradients for problems._gradients."""
-    if A is not None:
-        J, *parts = _anchor_parts(obj.kind, A, W)
-        return J, parts
-    J, jacs = zip(*(_evaluate(obj, w) for w in W))
-    return (np.array(J, dtype=np.float64),
-            (np.array(jacs, dtype=np.float64).swapaxes(1, 2), None, None))
-
-
 def _screened(m, S, P, limit):
-    """Whether no row of a block, or a single row, breaks the divergence rule: largest |U|
-    m < limit and finite sums of S and of the duals P (an overflowing sum goes to the row rule;
-    so does a NaN).  S is the gradient stack, or a synthetic block's iterates W, with m its
-    largest row maximum of U (J >= 0 and r > 0 there): with finite values and iterates, a
-    convex gradient is a finite difference over a root >= 1, a gaussian one 2 e^-s (w - a) has
-    |w - a| <= sqrt(s) or is 0 where s = ||w - a||^2 overflows."""
+    """Whether a row cannot break the divergence rule: largest |U| m < limit, finite sums of S
+    and of the duals P.  S is the gradient stack, or a synthetic row's w with m its max U: then
+    a convex gradient is a difference over a root >= 1, and a gaussian one 2 e^-s (w - a) has
+    |w - a| <= sqrt(s) or is 0 where s overflows."""
     return (m < limit and math.isfinite(np.add.reduce(S, None))
-            and (not P.size or math.isfinite(np.add.reduce(P, None))))
+            and math.isfinite(np.add.reduce(P, None)))
 
 
 def _checked(algorithm, trials):
     """The objectives, preferences, starts and configurations of ``trials``, each checked, and
-    K, d and the divergence screen's limit: the argument checks of both kernel loops."""
+    K and the divergence screen's limit: the argument checks of every kernel pass."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     configs = [c for *_, cs in trials for c in cs]
@@ -301,26 +265,23 @@ def _checked(algorithm, trials):
     for obj, w0 in zip(objs, w0s):
         if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
             raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
-    K, d = objs[0].count, w0s[0].size
-    if any(obj.count != K for obj in objs) or any(w0.size != d for w0 in w0s):
+    K = objs[0].count
+    if any(obj.count != K for obj in objs) or any(w0.size != w0s[0].size for w0 in w0s):
         raise ValueError("the trials of one kernel pass must share K and d")
-    if len(trials) > 1 and not all(isinstance(obj, SyntheticProblem)
-                                   and obj.kind == objs[0].kind for obj in objs):
-        raise ValueError("the trials of one kernel pass must be synthetic problems of one kind")
     # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
-    return objs, rs, w0s, configs, K, d, math.sqrt(np.finfo(np.float64).max / (8 * K))
+    return objs, rs, w0s, configs, K, math.sqrt(np.finfo(np.float64).max / (8 * K))
 
 
-def _row(algorithm, obj, r, w0, config):
-    """The kernel on one configuration, in row arithmetic: (i, J, max r J, p, subgradient
-    step or None) for each iterate i, p empty unless epo-al.  It makes :func:`_lockstep`'s
-    evaluations and screen and the same steps on the same operands, and raises
-    DivergenceError where that row would leave."""
-    (obj,), (r,), (w,), _, K, _, limit = _checked(algorithm, [(obj, r, w0, [config])])
-    update, c, seeds = _ROW_UPDATES[algorithm], _row_columns(config), [config.seed]
-    last, p = config.max_iter, np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
+def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
+    """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None) for
+    each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence rule
+    (DivergenceError).  Without a limit it checks its arguments and starts at 0, p uniform."""
+    if limit is None:
+        (obj,), (r,), (w,), _, K, limit = _checked(algorithm, [(obj, r, w, [config])])
+        p, seeds = np.full(K if algorithm == EPO_AL else 0, 1.0 / K), [config.seed]
+    weights, c, last = _ROW_WEIGHTS[algorithm], _row_columns(config), config.max_iter
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
-    for i in range(last + 1):
+    for i in range(i, last + 1):
         if A is not None:
             J, *parts = _anchor_parts(obj.kind, A, w)
         else:
@@ -333,59 +294,99 @@ def _row(algorithm, obj, r, w0, config):
                 else _screened(np.maximum.reduce(np.abs(U)), parts[0], p, limit)):
             if broken := _divergence(r, J, _gradients(*parts), p)[0]:
                 raise DivergenceError(broken, i, w)
-        w_next, p_next, k = (w, p, None) if i == last else update(r, w, p, J, U, M, parts, c,
-                                                                  seeds)
+        w_next, p_next, k = w, p, None
+        if i < last:
+            y, step, p_next, k = weights(r, J, U, M, p, c, seeds)
+            w_next = (w - step * np.matmul(y[None, :], _gradients(*parts))[0] if k is None
+                      else w - step * y[k] * _gradients(*parts, k))
         yield i, J, M, p, k
         w, p = w_next, p_next
 
 
-def _lockstep(algorithm, trials):
-    """Advance the configurations of ``trials`` together, row j the j-th in trial order.
+def _span_values(kind, G, dg, Z):
+    """Values J (R, K) of ``kind``'s family, and its gradient's scale and op, at span rows Z on
+    Gram matrices G (1 or R, K+1, K+1): s_k = z^T G z - 2 (G z)_k + dg_k, clamped at 0."""
+    V = np.einsum("rij,rj->ri", G, Z)
+    return _family(kind, np.maximum(np.einsum("ri,ri->r", Z, V)[:, None] - 2.0 * V[:, 1:] + dg,
+                                    0.0))
 
-    ``trials`` holds ``(obj, r, w0, configs)`` tuples with one K, d and max_iter; a pass of
-    several trials takes synthetic problems of one kind.  Round i evaluates and steps iterate i
-    of every live row, with its trial's objectives, its own preference row and seed, in
-    blocks of consecutive rows whose (rows, K, d) arrays fit in ``_BLOCK_BYTES``, yielding a
-    _Block for each.  A block of one trial evaluates its objectives; one spanning trials stacks
-    its rows' anchors.  A row leaves at the first iterate that breaks ``core._divergence``,
-    where ``run`` stops; only a block that fails :func:`_screened` is ruled by row.  A pass of
-    one configuration is :func:`_row`.
+
+def _lockstep(algorithm, trials):
+    """Advance the configurations of ``trials``, ``(obj, r, w0, configs)`` with one K, d and
+    max_iter, together: round i steps iterate i of every live row (row j the j-th configuration
+    in trial order) and yields one _Block.  A row leaves at the first iterate that breaks
+    ``core._divergence``, where ``run`` stops.
+
+    Synthetic problems of one kind step in span coordinates: a row holds z, w = B^T z on its
+    trial's basis B = [w0; anchors], so a step w+ = w - step sum_k y_k c_k (w - a_k) is
+    z+ = (1 - sum g) z + [0; g] with g = step y c, and ||w - a_k||^2 comes from Gamma = B B^T,
+    formed once a trial.  A row failing the screen (values not finite or near overflow, duals
+    without a finite sum, a z whose span sums could overflow) goes on from B^T z as a d-space
+    :func:`_row`, which leaves, or keeps going, where ``run`` would; so do other passes' rows.
     """
-    objs, rs, w0s, configs, K, d, limit = _checked(algorithm, trials)
-    C, last = len(configs), configs[0].max_iter
-    trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
-    # Row state: grid index, iterate, preference, epo-al dual (no columns otherwise),
-    # configuration, seed (a row's generator from its first tie on).
-    state = (np.arange(C), np.array(w0s)[trial], np.array(rs)[trial],
-             np.full((C, K if algorithm == EPO_AL else 0), 1.0 / K), configs,
-             [c.seed for c in configs])
-    size, update, blocks = max(1, _BLOCK_BYTES // (8 * K * d)), _UPDATES[algorithm], []
-    for s in range(0, C, size):
-        rows, W, r, P, cs, seeds = (a[s:s + size] for a in state)
-        t, obj = trial[rows], objs[trial[s]]
-        A = (None if not isinstance(obj, SyntheticProblem) else obj.anchors if t[0] == t[-1]
-             else np.array([objs[k].anchors for k in t]))
-        blocks.append([rows, W, r, P, cs, _columns(cs), seeds, obj, A])
+    objs, rs, w0s, configs, K, limit = _checked(algorithm, trials)
+    last, weights, T = configs[0].max_iter, _WEIGHTS[algorithm], len(trials)
+    trial = np.repeat(np.arange(T), [len(cs) for *_, cs in trials])
+    P0 = np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
+    if not all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs):
+        loose = [(j, _row(algorithm, objs[t], rs[t], w0s[t], cfg, P0, [cfg.seed], 0, limit))
+                 for j, (t, cfg) in enumerate(zip(trial, configs))]
+        empty = (np.arange(0), np.empty((0, K)), np.empty(0), np.tile(P0, (0, 1)), np.arange(0))
+        yield from (_joined(i, empty, loose) for i in range(last + 1) if loose)
+        return
+    bases = [np.vstack([w0, obj.anchors]) for obj, w0 in zip(objs, w0s)]
+    Gammas = np.array([np.einsum("id,jd->ij", B, B) for B in bases])
+    # No span sum, nor B^T z, can overflow while z's entries stay below zlim.
+    zlim = math.sqrt(np.finfo(np.float64).max / (8 * np.max(np.abs(Gammas)))) / (K + 1)
+    # Rows: grid index, trial, z, r, dual, configuration, seed (a generator from its first tie).
+    rows, tr, Z = np.arange(trial.size), trial, np.eye(1, K + 1).repeat(trial.size, axis=0)
+    r, P, cs = np.array(rs)[trial], np.tile(P0, (trial.size, 1)), configs
+    seeds, c, loose = [c.seed for c in configs], _columns(configs), []
+    dg = np.diagonal(Gammas, axis1=1, axis2=2)[:, 1:]
+    G, dg = (Gammas, dg) if T == 1 else (Gammas[tr], dg[tr])
     for i in range(last + 1):
-        for n, (rows, W, r, P, cs, c, seeds, obj, A) in enumerate(blocks):
-            J, parts = _evaluate_block(obj, W, A)
-            U = r * J
-            M = np.maximum.reduce(U, axis=1)
-            diverged = []
-            if not (_screened(np.maximum.reduce(np.abs(U), None), parts[0], P, limit)
-                    if A is None else _screened(np.maximum.reduce(M), W, P, limit)):
-                G = _gradients(*parts)
-                broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
-                diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
-                ok = np.array([m is None for m in broken])
-                rows, W, r, P, J, G, U, M = (a[ok] for a in (rows, W, r, P, J, G, U, M))
-                cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
-                c, parts = _columns(cs), (G, None, None)
-                A = A if A is None or A.ndim == 2 else A[ok]
-            W_next, P_next, active = ((W, P, None) if i == last
-                                      else update(r, W, P, J, U, M, parts, c, seeds))
-            blocks[n] = [rows, W_next, r, P_next, cs, c, seeds, obj, A]
-            yield _Block(i, rows, M, J, P, active, diverged)
-        blocks = [block for block in blocks if block[0].size]
-        if not blocks:
+        if not (rows.size or loose):
             return
+        J, scale, op = _span_values(objs[0].kind, G, dg, Z)
+        U = r * J
+        M = np.maximum.reduce(U, axis=1)
+        if not (np.maximum.reduce(M, initial=-math.inf) < limit
+                and np.maximum.reduce(np.abs(Z), None, initial=0.0) < zlim
+                and math.isfinite(np.add.reduce(P, None))):
+            ok = ((M < limit) & (np.maximum.reduce(np.abs(Z), axis=1) < zlim)
+                  & np.isfinite(np.add.reduce(P, axis=1)))
+            for b in np.flatnonzero(~ok):
+                w = np.einsum("j,jd->d", Z[b], bases[tr[b]])
+                loose.append((rows[b], _row(algorithm, objs[tr[b]], rs[tr[b]], w, cs[b], P[b],
+                                            [seeds[b]], i, limit)))
+            loose.sort(key=lambda entry: entry[0])
+            rows, tr, Z, r, P, J, scale, U, M = (
+                a[ok] for a in (rows, tr, Z, r, P, J, scale, U, M))
+            cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
+            c, (G, dg) = _columns(cs), (G, dg) if T == 1 else (G[ok], dg[ok])
+        P_next, active = P, None
+        if i < last:
+            y, step, P_next, active = weights(r, J, U, M, P, c, seeds)
+            g = op(step * y, scale)
+            Z = (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
+            Z[:, 1:] += g
+        yield _joined(i, (rows, J, M, P, active), loose)
+        P = P_next
+
+
+def _joined(i, span, loose):
+    """The _Block of round i: the span rows' (rows, J, minmax, P, active), then the next
+    iterate of each ``(row, generator)`` of ``loose``; a generator that raises leaves."""
+    out, diverged = [], []
+    for entry in list(loose):
+        try:
+            out.append((entry[0], *next(entry[1])[1:]))
+        except DivergenceError as err:
+            diverged.append(err)
+            loose.remove(entry)
+    rows, J, M, P, active = span
+    if out:
+        j, J_, M_, P_, k = zip(*out)
+        rows, J, M, P = (np.concatenate([a, b]) for a, b in ((rows, j), (J, J_), (M, M_), (P, P_)))
+        active = None if k[0] is None else np.concatenate([active, k])
+    return _Block(i, rows, M, J, P, active, diverged)

@@ -6,7 +6,9 @@ import numpy as np
 
 from epoal import (CONVEX, DivergenceError, StationarityResult, as_model_vector,
                    as_preference, lr_apply, run)
+from epoal.core import _divergence
 from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
+from epoal.problems import _anchor_parts, _gradients
 from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL
 
 
@@ -243,3 +245,63 @@ def scalar_trace(algorithm, obj, r, w0, config):
         out.append((float(np.max(r * jvals)), p, active))
         w, p = w_next, p_next
     return out
+
+
+def dspace_lockstep(algorithm, trials):
+    """The lockstep kernel in d-space, the reference of the span rows of ``solvers._lockstep``.
+
+    ``trials`` holds ``(problem, r, w0, configs)`` tuples of synthetic problems of one kind,
+    K and d.  Row j, the j-th configuration in trial order, holds its iterate w; each round
+    evaluates every live row on its trial's anchors through ``problems._anchor_parts``, takes
+    out the rows that break ``core._divergence`` and steps the rest by w+ = w - mu G^T y, the
+    subgradient row along its active gradient alone, with a row's generator made from its seed
+    at its first tie.  Yields ``(i, rows, minmax, J, P, active, diverged)`` a round, as the
+    kernel's blocks.
+    """
+    configs = [cfg for *_, cfgs in trials for cfg in cfgs]
+    trial = np.repeat(np.arange(len(trials)), [len(cfgs) for *_, cfgs in trials])
+    kind, K = trials[0][0].kind, trials[0][0].count
+    rows = np.arange(trial.size)
+    A = np.array([problem.anchors for problem, *_ in trials])[trial]
+    W = np.array([as_model_vector(w0) for *_, w0, _ in trials])[trial]
+    r = np.array([as_preference(r) for _, r, *_ in trials])[trial]
+    P = np.full((trial.size, K if algorithm == EPO_AL else 0), 1.0 / K)
+    seeds = [cfg.seed for cfg in configs]
+    for i in range(configs[0].max_iter + 1):
+        J, *parts = _anchor_parts(kind, A, W)
+        G = _gradients(*parts)
+        broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
+        diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
+        ok = np.array([m is None for m in broken], dtype=bool)
+        rows, A, W, r, P, J, G = (a[ok] for a in (rows, A, W, r, P, J, G))
+        seeds = [seed for seed, keep in zip(seeds, ok) if keep]
+        U = r * J
+        M = U.max(axis=1)
+        active = None
+        if i < configs[0].max_iter:
+            cfgs = [configs[j] for j in rows]
+            mu = np.array([cfg.mu for cfg in cfgs])[:, None]
+            if algorithm == EPO_AL:
+                fairness_grad = lr_apply(r, J)
+                eta = np.array([cfg.eta for cfg in cfgs])[:, None]
+                Y, P_next = np.maximum(P, 0.0) + eta * fairness_grad, P + mu * fairness_grad
+                W_next = W - mu * np.einsum("bk,bkd->bd", Y, G)
+            elif algorithm == SUBGRADIENT:
+                active = U.argmax(axis=1)
+                for b, m in enumerate(M):
+                    tied = np.flatnonzero(U[b] >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, m)) * m)
+                    if tied.size > 1:
+                        seeds[b] = np.random.default_rng(seeds[b])
+                        active[b] = tied[seeds[b].integers(tied.size)]
+                at = (np.arange(rows.size), active)
+                W_next, P_next = W - mu * r[at][:, None] * G[at], P
+            else:
+                tau = np.array([cfg.tau for cfg in cfgs])[:, None]
+                weights = np.exp((U - M[:, None]) / tau)
+                weights /= weights.sum(axis=1, keepdims=True)
+                W_next, P_next = W - (mu / tau) * np.einsum("bk,bkd->bd", weights * r, G), P
+        yield i, rows, M, J, P, active, diverged
+        if i < configs[0].max_iter:
+            W, P = W_next, P_next
+        if not rows.size:
+            return

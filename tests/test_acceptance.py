@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from epoal import (GridSpec, SolverConfig, certify_epo, compute_target, dual_mass,
-                   epo_al_step, fig1_problem, initial_state, lr_apply, make_problem,
+                   epo_al_step, initial_state, lr_apply, make_problem,
                    pareto_stationarity_gap, run, run_experiment, sample_initial,
                    sample_preference, tune_and_measure)
 from epoal.cli import main
@@ -148,7 +148,7 @@ def _sign_changes(minmax_series, window=100):
 
 
 def test_c6_two_objective_reproduction():
-    problem = fig1_problem(3)
+    problem = make_problem("fig1-pair", 3, 2, 0)
     r = [0.2, 0.8]
     w0 = sample_initial(3, seed=0)
     _, oracle_jvals = two_objective_epo_oracle(r, problem, tol=1e-10)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epoal.cli as cli
-from epoal import (AggregateRecord, certify_epo, epo_al_step, fig1_problem, initial_state,
+from epoal import (AggregateRecord, certify_epo, epo_al_step, initial_state,
                    make_problem, sample_initial, sample_preference, save_problem)
 from epoal.cli import CSV_COLUMNS, _parser, build_parser, main
 
@@ -131,7 +131,7 @@ def test_trace_fig1_epo_al_matches_oracle(tmp_path):
     assert len(records) == 501
     final = records[-1]
     assert final["fairness"] <= 1e-4
-    _, oracle_jvals = two_objective_epo_oracle([0.2, 0.8], fig1_problem(3))
+    _, oracle_jvals = two_objective_epo_oracle([0.2, 0.8], make_problem("fig1-pair", 3, 2, 0))
     assert np.linalg.norm(np.array(final["jvals"]) - oracle_jvals) <= 1e-2
     assert all("p" in rec and len(rec["p"]) == 2 for rec in records)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from epoal import (DivergenceError, certify_epo, epo_al_step, fairness_residual, fig1_problem,
+from epoal import (DivergenceError, certify_epo, epo_al_step, fairness_residual,
                    initial_state, make_problem, minmax_value, pareto_stationarity_gap,
                    sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
@@ -262,13 +262,13 @@ def test_certified_point_is_minmax_optimal_among_probes():
 
 
 def test_oracle_balanced_preferences_sit_at_midpoint():
-    t, jvals = two_objective_epo_oracle([0.5, 0.5], fig1_problem(3))
+    t, jvals = two_objective_epo_oracle([0.5, 0.5], make_problem("fig1-pair", 3, 2, 0))
     assert t == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(jvals, 1.0 - np.exp(-1.0), atol=1e-9)
 
 
 def test_oracle_biases_toward_heavily_weighted_objective():
-    problem = fig1_problem(3)
+    problem = make_problem("fig1-pair", 3, 2, 0)
     t, jvals = two_objective_epo_oracle([0.2, 0.8], problem, tol=1e-10)
     assert t > 0.0  # positive t moves toward the second anchor, J2's minimizer
     assert abs(0.2 * jvals[0] - 0.8 * jvals[1]) <= 1e-10
@@ -276,7 +276,7 @@ def test_oracle_biases_toward_heavily_weighted_objective():
 
 
 def test_oracle_point_agrees_between_t_and_values():
-    problem = fig1_problem(4)
+    problem = make_problem("fig1-pair", 4, 2, 0)
     t, jvals = two_objective_epo_oracle([0.3, 0.7], problem)
     axis = 0.5 * (problem.anchors[1] - problem.anchors[0])
     np.testing.assert_allclose(problem.values_and_jacobian(t * axis)[0], jvals)

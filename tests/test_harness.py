@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from epoal import (GridSpec, SyntheticProblem, compute_target, gen_anchors,
                    iteration_complexity, log_grid, make_problem, minmax_value,
                    run_experiment, sample_initial, sample_preference,
-                   trimmed_mean_ci, tune_and_measure, fig1_problem)
+                   trimmed_mean_ci, tune_and_measure)
 import epoal.harness as harness
 from epoal.harness import _first_hit, _grid_configs, _race, _tune_chunk, trial_seed
 from epoal.solvers import ALGORITHMS, DivergenceError, IterationRecord, _lockstep
@@ -169,7 +169,7 @@ def test_compute_target_single_objective_reaches_anchor_value():
 
 
 def test_compute_target_fig1_matches_bisection_oracle():
-    problem = fig1_problem(3)
+    problem = make_problem("fig1-pair", 3, 2, 0)
     r = [0.2, 0.8]
     target = compute_target(problem, r, sample_initial(3, 0), GridSpec(), seed=0)
     _, jvals = two_objective_epo_oracle(r, problem)
@@ -296,7 +296,9 @@ def assert_chunk_matches_oracle(task):
         target = exhaustive_target(problem, r, w0, grid, seed)
         assert [rec.algorithm for rec in trial] == list(algorithms)
         for rec in trial:
-            assert rec.target == target and rec.seed == seed
+            # The target scan steps in span coordinates: its minimum differs from the d-space
+            # oracle's in the last bits.
+            assert rec.target == pytest.approx(target, rel=1e-13, abs=0) and rec.seed == seed
             expected = exhaustive_tune(rec.algorithm, problem, r, w0, grid, seed, target)
             assert (rec.i_o, rec.best_config) == expected, rec.algorithm
 
@@ -356,8 +358,10 @@ def test_race_matches_exhaustive_minimum(traces, target):
 
 
 def scan_rounds(minmax):
-    """The race rounds ``(i, rows, minmax)`` of a (rows, iterates) min-max array."""
-    return ((i, np.arange(len(minmax)), column) for i, column in enumerate(minmax.T))
+    """The race rounds ``(i, rows, minmax)`` of a (rows, iterates) min-max array, the rows of a
+    round in descending order: a round's rows come in any order."""
+    return ((i, np.arange(len(minmax))[::-1], column[::-1])
+            for i, column in enumerate(minmax.T))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -553,6 +557,21 @@ def test_run_experiment_checks_arguments_before_any_run(monkeypatch, bad):
                   grid=small_grid(max_iter=20))
     with pytest.raises(ValueError):
         run_experiment(**{**kwargs, **bad})
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, bad", [("K_values", [2.5]), ("d", 3.5), ("n_trials", 3.5),
+                                       ("jobs", 1.5), ("master_seed", 0.5)],
+                         ids=["K", "d", "n_trials", "jobs", "master_seed"])
+def test_run_experiment_rejects_an_integer_argument_that_is_not_one(monkeypatch, name, bad):
+    # K_values=[2.5] used to run as K=2, and a fractional d, n_trials or jobs raised TypeError:
+    # each is a ValueError naming the argument, before any kernel pass.
+    calls = []
+    monkeypatch.setattr(harness, "_lockstep", lambda *args: calls.append(args))
+    kwargs = dict(kinds=["convex-distance"], K_values=[2], d=3, n_trials=3, master_seed=0,
+                  algorithms=["subgradient"], grid=small_grid(max_iter=20))
+    with pytest.raises(ValueError, match=f"{name}.* must be a non-negative integer"):
+        run_experiment(**{**kwargs, name: bad})
     assert calls == []
 
 

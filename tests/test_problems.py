@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epoal import (SyntheticProblem, fig1_problem, gen_anchors, load_model, load_problem,
+from epoal import (SyntheticProblem, gen_anchors, load_model, load_problem,
                    make_problem, sample_initial, sample_preference, save_problem)
 from epoal.problems import _anchor_parts, _gradients
 
@@ -117,9 +117,9 @@ def test_sample_initial_stream_independent_of_anchors():
 
 def test_fig1_problem_geometry():
     for d in (1, 3, 10):
-        prob = fig1_problem(d)
+        prob = make_problem("fig1-pair", d, 2, 0)
         np.testing.assert_allclose(np.linalg.norm(prob.anchors, axis=1), 1.0, atol=1e-12)
-    prob = fig1_problem(3)
+    prob = make_problem("fig1-pair", 3, 2, 0)
     jvals = prob.values_and_jacobian(prob.anchors[0])[0]
     assert jvals[0] == pytest.approx(0.0, abs=1e-15)
     assert jvals[1] == pytest.approx(1.0 - np.exp(-4.0))
@@ -135,6 +135,18 @@ def test_make_problem_is_pure_function_of_arguments():
         make_problem("fig1-pair", 3, 4, seed=0)
     with pytest.raises(ValueError):
         make_problem("mystery", 3, 2, seed=0)
+
+
+@pytest.mark.parametrize("name", ["d", "K", "seed"])
+@pytest.mark.parametrize("kind", ["convex-distance", "fig1-pair"])
+def test_make_problem_rejects_an_argument_that_is_not_a_non_negative_integer(kind, name):
+    # A fractional argument is a ValueError naming it, before any draw; seed=2.5 used to draw
+    # seed 2's anchors and d=2.5 to raise TypeError.
+    args = {"d": 3, "K": 2, "seed": 4}
+    for bad in (2.5, -1, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            make_problem(kind, **{**args, name: bad})
+    assert make_problem(kind, **{**args, name: np.int64(args[name])}).count == 2
 
 
 def test_problem_rejects_non_unit_anchors():
@@ -180,7 +192,8 @@ def test_serialization_round_trip(tmp_path):
 
 
 def test_serialization_unknown_seed(tmp_path):
-    problem = fig1_problem(3)
+    anchors = make_problem("fig1-pair", 3, 2, 0).anchors
+    problem = SyntheticProblem(kind="fig1-pair", anchors=anchors)
     path = tmp_path / "fig1.txt"
     save_problem(problem, path)
     loaded = load_problem(path)

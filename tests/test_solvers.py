@@ -10,14 +10,14 @@ import epoal.harness as harness
 import epoal.problems as problems
 import epoal.solvers as solvers
 from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual_mass,
-                   epo_al_step, fairness_residual, fig1_problem, initial_state, log_grid,
+                   epo_al_step, fairness_residual, initial_state, log_grid,
                    make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference, smoothmax_step, subgradient_step)
 from epoal.core import _divergence
 from epoal.problems import _anchor_parts, _gradients
 from epoal.solvers import _lockstep
 
-from oracles import scalar_trace
+from oracles import dspace_lockstep, scalar_trace
 
 # The suite turns RuntimeWarnings into errors; a test that overflows on purpose carries this.
 OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -357,7 +357,9 @@ def test_divergence_error_carries_iteration_and_partial_trace():
 
 
 def assert_kernel_stops_where_run_does(algorithm, obj, r, w0, configs):
-    """Each kernel row leaves where ``run`` of its configuration stops, with its message."""
+    """Each kernel row leaves where ``run`` of its configuration stops, with its message, and
+    its min-max values are run's: bit for bit on a d-space row, within SPAN_RTOL on a span row
+    (a synthetic problem's)."""
     left = [(block.i, str(err)) for block in _lockstep(algorithm, [(obj, r, w0, configs)])
             for err in block.diverged]
     stops = []
@@ -368,7 +370,11 @@ def assert_kernel_stops_where_run_does(algorithm, obj, r, w0, configs):
             assert err.iterate is not None
             stops.append((err.iteration, str(err)))
             records = err.records
-        assert [m for m, _, _ in trace] == [rec.minmax for rec in records]
+        reference = [(rec.minmax, rec.p_snapshot, rec.active_index) for rec in records]
+        if isinstance(obj, problems.SyntheticProblem):
+            assert_traces_close(trace, reference)
+        else:
+            assert [m for m, _, _ in trace] == [m for m, _, _ in reference]
     assert left == sorted(stops, key=lambda stop: stop[0])   # by iterate, then row
     return stops
 
@@ -380,7 +386,7 @@ def test_run_diverges_where_weighted_scores_overflow(algorithm, hyper):
     # Finite values whose weighted fairness residual overflows end the run like a
     # non-finite evaluation, before any record holds inf or NaN.  At (1e160, 1e150)
     # the min-max value is finite and only the residual overflows.
-    problem, w0 = fig1_problem(3), sample_initial(3, 0)
+    problem, w0 = make_problem("fig1-pair", 3, 2, 0), sample_initial(3, 0)
     cfg = SolverConfig(mu=0.1, max_iter=5, **hyper)
     for r in ([1e300, 1e300], [1e160, 1e150]):
         with pytest.raises(DivergenceError, match="fairness residual is not finite") as excinfo:
@@ -429,16 +435,33 @@ def test_fixed_point_implies_fair_and_stationary():
     assert pareto_stationarity_gap(jac).gap <= 1e-4
 
 
+def block_traces(algorithm, trials, blocks):
+    """Per row of a pass over ``trials``, (obj, r, w0, configs) tuples, in trial order,
+    (minmax, p, active index) of every iterate its ``blocks`` yield, and the pass's
+    (iterate, message) of each row that left."""
+    traces, left = [[] for *_, configs in trials for _ in configs], []
+    for i, rows, minmax, J, P, active, diverged in blocks:
+        for b, j in enumerate(rows):
+            traces[j].append((float(minmax[b]), P[b] if algorithm == "epo-al" else None,
+                              None if active is None else int(active[b])))
+        left += [(err.iteration, str(err)) for err in diverged]
+    return traces, left
+
+
 def pass_traces(algorithm, trials):
-    """Per kernel row, in trial order, (minmax, p, active index) of every iterate that one
-    kernel pass over ``trials``, (obj, r, w0, configs) tuples, yields."""
-    traces = [[] for *_, configs in trials for _ in configs]
-    for block in _lockstep(algorithm, trials):
-        for b, j in enumerate(block.rows):
-            traces[j].append((float(block.minmax[b]),
-                              block.P[b] if algorithm == "epo-al" else None,
-                              None if block.active is None else int(block.active[b])))
-    return traces
+    """Per kernel row, :func:`block_traces` of one kernel pass over ``trials``."""
+    return block_traces(algorithm, trials, _lockstep(algorithm, trials))[0]
+
+
+def assert_pass_matches_dspace_oracle(algorithm, trials):
+    """A kernel pass of synthetic problems against the d-space lockstep oracle: each row within
+    SPAN_RTOL (assert_traces_close), and the same rows leaving at the same iterates with the
+    same messages."""
+    kernel, left = block_traces(algorithm, trials, _lockstep(algorithm, trials))
+    oracle, oracle_left = block_traces(algorithm, trials, dspace_lockstep(algorithm, trials))
+    assert left == oracle_left
+    for row, reference in zip(kernel, oracle, strict=True):
+        assert_traces_close(row, reference)
 
 
 def kernel_traces(algorithm, obj, r, w0, configs):
@@ -457,6 +480,37 @@ def assert_traces_equal(kernel, oracle):
             np.testing.assert_array_equal(p, p_ref)
 
 
+# A span row (a synthetic problem's row of a kernel pass) makes the d-space step in span
+# coordinates, so its values differ from a d-space reference's in the last bits: the largest
+# relative min-max difference over this file's passes is 2e-15.
+SPAN_RTOL = 1e-12
+
+
+def assert_traces_close(kernel, oracle):
+    """A span row against its d-space reference: the same iterates and active indices, min-max
+    values and duals within SPAN_RTOL (the duals of the largest), and the same first iterate
+    in each band around the reference's smallest value (bands relative to it past 1)."""
+    assert len(kernel) == len(oracle)
+    for (m, p, k), (m_ref, p_ref, k_ref) in zip(kernel, oracle):
+        assert k == k_ref
+        assert abs(m - m_ref) <= SPAN_RTOL * abs(m_ref)
+        if p_ref is None:
+            assert p is None
+        else:
+            np.testing.assert_allclose(p, p_ref, rtol=0,
+                                       atol=SPAN_RTOL * np.abs(p_ref).max())
+    if oracle:
+        target = min(m for m, _, _ in oracle)
+        for epsilon in (1e-3, 1e-2, 1e-1):
+            epsilon *= max(1.0, abs(target))
+            assert first_hit(kernel, target, epsilon) == first_hit(oracle, target, epsilon)
+
+
+def first_hit(trace, target, epsilon):
+    """The first iterate of ``trace`` whose min-max value is within epsilon of target."""
+    return next((i for i, (m, _, _) in enumerate(trace) if abs(m - target) <= epsilon), None)
+
+
 def grid_configs(algorithm, max_iter, seeds=(0, 1, 2, 3, 4)):
     mus = log_grid(1e-2, 2e-1, len(seeds))
     return [SolverConfig(mu=float(mu), eta=float(eta) if algorithm == "epo-al" else None,
@@ -469,19 +523,22 @@ def grid_configs(algorithm, max_iter, seeds=(0, 1, 2, 3, 4)):
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 def test_lockstep_matches_scalar_oracle(algorithm, kind, K):
+    # Span rows against the scalar d-space oracle; at K = 16 and 64 > d = 12, Gamma is
+    # singular.
     problem, r, w0 = small_problem(kind=kind, d=12, K=K, seed=K)
     configs = grid_configs(algorithm, max_iter=60)
     kernel = kernel_traces(algorithm, problem, r, w0, configs)
     for cfg, trace in zip(configs, kernel):
         assert len(trace) == 61
-        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+        assert_traces_close(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+    assert_pass_matches_dspace_oracle(algorithm, [(problem, r, w0, configs)])
 
 
 def test_lockstep_subgradient_ties_use_each_rows_generator():
     # Far out on the bisector of the fig1 anchors both values round to 1.0
     # and stay there, so every step is a tie drawn from the row's generator.
     d = 4
-    problem = fig1_problem(d)
+    problem = make_problem("fig1-pair", d, 2, 0)
     w0 = 10.0 * np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     r = np.array([0.5, 0.5])
     configs = grid_configs("subgradient", max_iter=80)
@@ -515,33 +572,22 @@ def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives)
     assert diverged == [(1, 1)]
     kernel = kernel_traces(algorithm, problem, r, w0, configs)
     assert [len(trace) for trace in kernel] == [41, 1, 41]
+    compare = assert_traces_close if objectives == "synthetic" else assert_traces_equal
     for cfg, trace in zip(configs, kernel):
-        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
-
-
-@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
-def test_lockstep_row_blocks_of_one_give_identical_results(monkeypatch, algorithm):
-    problem, r, w0 = small_problem(kind="nonconvex-gaussian", d=8, K=5, seed=7)
-    configs = grid_configs(algorithm, max_iter=50)
-    whole = kernel_traces(algorithm, problem, r, w0, configs)
-    monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
-    blocks = list(_lockstep(algorithm, [(problem, r, w0, configs)]))
-    assert {len(block.rows) for block in blocks} == {1}
-    # The race relies on this order: ascending iterate, then ascending row.
-    order = [(block.i, int(block.rows[0])) for block in blocks]
-    assert order == sorted(order) == [(i, j) for i in range(51) for j in range(len(configs))]
-    for single, full in zip(kernel_traces(algorithm, problem, r, w0, configs), whole):
-        assert_traces_equal(single, full)
+        compare(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+    if objectives == "synthetic":
+        assert_pass_matches_dspace_oracle(algorithm, [(problem, r, w0, configs)])
 
 
 @pytest.mark.parametrize("K", [2, 16, 64])
 @pytest.mark.parametrize("kind", [pytest.param("convex-distance", marks=OVERFLOWS),
                                   "nonconvex-gaussian"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
-def test_lockstep_trials_of_one_pass_match_their_own_passes(monkeypatch, algorithm, kind, K):
+def test_lockstep_trials_of_one_pass_match_their_own_passes(algorithm, kind, K):
     # Three trials of one (kind, K, d) cell in one pass, as the target scan runs them.  On
     # the convex family row 1 of the middle trial (mu = 1e200) leaves at iterate 1 while every
-    # other row goes on; on the gaussian plateau its values and gradients stay finite.
+    # other row goes on; on the gaussian plateau its values stay finite, and its z, too large
+    # for the span sums, sends it on in d-space.  Each row is bit for bit its trial's own pass.
     d = 12
     trials = [(*small_problem(kind=kind, d=d, K=K, seed=seed),
                grid_configs(algorithm, max_iter=40, seeds=range(seed, seed + 5)))
@@ -552,36 +598,40 @@ def test_lockstep_trials_of_one_pass_match_their_own_passes(monkeypatch, algorit
               for obj, r, w0, configs in trials for cfg in configs]
     diverges = kind == "convex-distance"
     assert [len(trace) for trace in oracle] == [41] * 6 + [1 if diverges else 41] + [41] * 8
-    # One block of all 15 rows, one row a block, and blocks of 4 that span trial boundaries.
-    for rows_per_block in (None, 1, 4):
-        if rows_per_block is not None:
-            monkeypatch.setattr(solvers, "_BLOCK_BYTES", rows_per_block * 8 * K * d)
-        blocks = list(_lockstep(algorithm, trials))
-        assert max(len(block.rows) for block in blocks) == (rows_per_block or 15)
-        assert [(block.i, err.iteration) for block in blocks for err in block.diverged] == (
-            [(1, 1)] if diverges else [])
-        together = pass_traces(algorithm, trials)
-        for row, own, scalar in zip(together, alone, oracle, strict=True):
-            assert_traces_equal(row, own)
-            assert_traces_equal(row, scalar)
+    blocks = list(_lockstep(algorithm, trials))
+    assert [block.i for block in blocks] == list(range(41))                 # one a round
+    assert [(block.i, err.iteration) for block in blocks for err in block.diverged] == (
+        [(1, 1)] if diverges else [])
+    together = pass_traces(algorithm, trials)
+    for row, own, scalar in zip(together, alone, oracle, strict=True):
+        assert_traces_equal(row, own)
+        assert_traces_close(row, scalar)
+    assert_pass_matches_dspace_oracle(algorithm, trials)
 
 
-def test_lockstep_rejects_a_multi_trial_pass_that_cannot_stack_anchors():
-    # A block that spans trials evaluates its rows' stacked anchors, so a pass of several
-    # trials takes synthetic problems of one kind; a generic objective set or mixed kinds
-    # raise before the first evaluation, and trials of other sizes before that.
+def test_lockstep_runs_a_pass_of_other_objective_sets_as_rows():
+    # A pass with another objective set, or synthetic problems of two kinds, steps each row
+    # in d-space as run does, bit for bit, one block a round; trials of other sizes raise
+    # before the first evaluation.
     d = 3
     r, w0 = np.array([0.3, 0.7]), sample_initial(d, 1)
     configs = grid_configs("subgradient", max_iter=30, seeds=(0, 1, 2))
     convex = (make_problem("convex-distance", d, 2, 5), r, w0, configs)
-    generic = CountingObjectives(TwinObjectives())
-    for other in (generic, make_problem("nonconvex-gaussian", d, 2, 6)):
-        with pytest.raises(ValueError, match="synthetic problems of one kind"):
-            list(_lockstep("subgradient", [convex, (other, r, w0, configs)]))
-    assert generic.evaluations == 0
+    gaussian = make_problem("nonconvex-gaussian", d, 2, 6)
+    for other in (CountingObjectives(TwinObjectives()), gaussian):
+        trials = [convex, (other, r, w0, configs)]
+        blocks = list(_lockstep("subgradient", trials))
+        assert [block.i for block in blocks] == list(range(31))
+        assert all(list(block.rows) == list(range(6)) for block in blocks)
+        for row, (obj, cfg) in zip(pass_traces("subgradient", trials),
+                                   [(obj, cfg) for obj, _, _, cfgs in trials for cfg in cfgs]):
+            records = run("subgradient", obj, r, w0, cfg)
+            assert_traces_equal(row, [(rec.minmax, None, rec.active_index) for rec in records])
     bigger = (make_problem("convex-distance", d + 1, 2, 5), r, sample_initial(d + 1, 1), configs)
+    generic = CountingObjectives(TwinObjectives())
     with pytest.raises(ValueError, match="must share K and d"):
-        list(_lockstep("subgradient", [convex, bigger]))
+        list(_lockstep("subgradient", [(generic, r, w0, configs), bigger]))
+    assert generic.evaluations == 0
 
 
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
@@ -668,10 +718,11 @@ def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(ki
 
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkeypatch, kind):
-    # A subgradient round forms only its rows' active gradients; epo-al and smooth-max rounds
-    # form the whole stack once a block.  So do run and the timing runs, which step one row.
-    # Every gradient is formed by the op that problems._anchor_parts hands out: count what
-    # it forms, a whole stack or one gradient a row.
+    # A screened kernel pass steps in span coordinates and forms no gradient at all.  Run and
+    # the timing runs step one row in d-space: a subgradient step forms the active gradient
+    # alone, an epo-al or smooth-max step the whole stack.  Every d-space gradient is formed by
+    # the op that problems._anchor_parts hands out: count what it forms, a whole stack or one
+    # gradient a row.
     problem, r, w0 = small_problem(kind=kind, d=6, K=5, seed=3)
     formed, anchor_parts = [], problems._anchor_parts
 
@@ -691,9 +742,9 @@ def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkey
         configs = grid_configs(algorithm, max_iter=30)
         formed.clear()
         traces = kernel_traces(algorithm, problem, r, w0, configs)
-        assert formed == each                                               # one block
+        assert formed == []
         for cfg, trace in zip(configs, traces):
-            assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+            assert_traces_close(trace, scalar_trace(algorithm, problem, r, w0, cfg))
         formed.clear()
         assert len(run(algorithm, problem, r, w0, configs[0])) == 31
         assert formed == each
@@ -723,10 +774,12 @@ def lockstep_rows(algorithm, obj, r, w0, configs):
        rows=st.integers(2, 4), data=st.data())
 def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
     # run steps one configuration in row arithmetic; a kernel pass steps it as one row of a
-    # block.  Every value must match bit for bit, and a row that leaves must leave where run
-    # raises.  The twin objectives, positive or negative, tie at every subgradient step and
-    # overflow under a long one; the fig1 pair ties at the origin, so a row makes its
-    # generator at iterate 0.
+    # block, in span coordinates on a synthetic problem.  Every value must match, bit for bit
+    # on the twin objectives and within SPAN_RTOL on a span row, with the same active indices,
+    # and a row that leaves must leave where run raises.  The twin objectives, positive or
+    # negative, tie at every subgradient step and overflow under a long one; the fig1 pair
+    # ties at the origin, so a row makes its generator at iterate 0, and there a long epo-al or
+    # smooth-max step leaves w at 0 while z grows past the span sums' limit.
     if objectives.endswith("twin"):
         sign = -1.0 if objectives == "negative-twin" else 1.0
         problem, r, w0 = TwinObjectives(sign), np.array([0.5, 0.5]), sample_initial(d, seed)
@@ -749,6 +802,14 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         assert err is not None and err.iteration == 1
     assert left == ([] if err is None else [(err.iteration, str(err))])
     assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
+    if isinstance(problem, problems.SyntheticProblem):
+        for rec, (J, *_) in zip(records, kernel[j]):
+            np.testing.assert_allclose(J, rec.jvals, rtol=0,
+                                       atol=SPAN_RTOL * np.abs(rec.jvals).max())
+        assert_traces_close([(m, p if algorithm == "epo-al" else None, k)
+                             for _, m, p, k in kernel[j]],
+                            [(rec.minmax, rec.p_snapshot, rec.active_index) for rec in records])
+        return
     for rec, (J, minmax, p, active) in zip(records, kernel[j]):
         assert np.array_equal(rec.jvals, J) and np.array_equal(rec.minmax, minmax)
         assert np.array_equal(rec.p_snapshot, p) if algorithm == "epo-al" else (
@@ -775,7 +836,7 @@ def test_gaussian_row_whose_iterate_overflows_leaves_where_run_stops(algorithm, 
     jvals, jac = problem.values_and_jacobian(iterate)
     assert (jvals == 1.0).all() and np.isnan(jac).any()
     for cfg, trace in zip(configs, kernel_traces(algorithm, problem, r, w0, configs)):
-        assert_traces_equal(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+        assert_traces_close(trace, scalar_trace(algorithm, problem, r, w0, cfg))
 
 
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
@@ -783,7 +844,7 @@ def test_a_row_makes_its_generator_at_its_first_tie(monkeypatch, algorithm):
     # Generator.integers(1) draws nothing, so only a tie needs a row's stream: epo-al and
     # smooth-max passes, and subgradient rows that never tie, make no generator.
     problem, r, w0 = small_problem(d=6, K=3, seed=4)
-    fig1, far = fig1_problem(4), 5.0 * np.array([1.0, -1.0, 1.0, -1.0])
+    fig1, far = make_problem("fig1-pair", 4, 2, 0), 5.0 * np.array([1.0, -1.0, 1.0, -1.0])
     configs = grid_configs(algorithm, max_iter=40)
     made, default_rng = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed)
@@ -797,3 +858,96 @@ def test_a_row_makes_its_generator_at_its_first_tie(monkeypatch, algorithm):
         assert [seed for seed in made if not isinstance(seed, np.random.Generator)] == [
             cfg.seed for cfg in configs]
         assert len(made) == len(configs) * configs[0].max_iter
+
+
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+def test_a_span_row_at_an_anchor_reads_zero_there(kind):
+    # At z = e_k the row's iterate is anchor k: s_k = Gamma_kk - 2 Gamma_kk + Gamma_kk is 0,
+    # so J_k = 0, and every value is the d-space one at a_k.  Next to e_k, s_k cancels to a few
+    # ulps of either sign, and the clamp keeps every value at 0 or above.
+    K, d = 4, 5
+    problem, r, w0 = small_problem(kind=kind, d=d, K=K, seed=2)
+    B = np.vstack([w0, problem.anchors])
+    G = np.einsum("id,jd->ij", B, B)[None]
+    dg = np.diagonal(G[0])[1:]
+    at = np.eye(K + 1)[1:]
+    J, _, _ = solvers._span_values(kind, G, dg, at)
+    assert (np.diagonal(J) == 0.0).all()
+    for k in range(K):
+        np.testing.assert_allclose(J[k], problem.values_and_jacobian(problem.anchors[k])[0],
+                                   rtol=SPAN_RTOL, atol=1e-15)
+    step = np.random.default_rng(0).normal(scale=1e-9, size=(1000, K + 1))
+    near = np.repeat(at, 250, axis=0) + step - step.mean(axis=1, keepdims=True)
+    J, _, _ = solvers._span_values(kind, G, dg, near)
+    assert (J >= 0.0).all()
+    # A pass that starts at anchor 1 reads J_1 = 0 there, and its rows follow the d-space
+    # oracle.
+    configs = grid_configs("epo-al", max_iter=40)
+    rows, left = lockstep_rows("epo-al", problem, r, problem.anchors[1], configs)
+    assert left == []
+    for cfg, row in zip(configs, rows):
+        assert row[0][0][1] == 0.0
+        assert_traces_close([(m, p, k) for _, m, p, k in row],
+                            scalar_trace("epo-al", problem, r, problem.anchors[1], cfg))
+
+
+@pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_span_rows_with_K_at_least_d_never_invert_gamma(monkeypatch, algorithm, kind):
+    # K + 1 = 9 basis rows in d = 3 dimensions: Gamma has rank 3, and nothing inverts it.
+    problem, r, w0 = small_problem(kind=kind, d=3, K=8, seed=5)
+    B = np.vstack([w0, problem.anchors])
+    assert np.linalg.matrix_rank(np.einsum("id,jd->ij", B, B)) == 3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel inverted Gamma")
+
+    for name in ("inv", "pinv", "solve", "lstsq", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    configs = grid_configs(algorithm, max_iter=80)
+    for cfg, trace in zip(configs, kernel_traces(algorithm, problem, r, w0, configs)):
+        assert len(trace) == 81
+        assert_traces_close(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+    assert_pass_matches_dspace_oracle(algorithm, [(problem, r, w0, configs)])
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
+def test_span_rows_on_the_fig1_pair(algorithm):
+    # The fig1 pair takes the gaussian formulas on two antipodal anchors.  From a start off
+    # the axis, span rows follow the d-space oracle.  From the origin with equal weights, an
+    # epo-al or smooth-max step pulls equally toward both anchors, so w stays at 0 whatever mu
+    # is while z = (1 - 2g, g, g) grows by |1 - 2g| a step: at mu = 1e200 z passes the span
+    # sums' limit at iterate 1, and the row goes on in d-space from B^T z = 0 to the last
+    # iterate, as run does.  A subgradient step there lands on the plateau and stays.
+    problem = make_problem("fig1-pair", 3, 2, 0)
+    r, w0 = np.array([0.2, 0.8]), sample_initial(3, 0)
+    configs = grid_configs(algorithm, max_iter=60)
+    for cfg, trace in zip(configs, kernel_traces(algorithm, problem, r, w0, configs)):
+        assert len(trace) == 61
+        assert_traces_close(trace, scalar_trace(algorithm, problem, r, w0, cfg))
+    configs = [replace(cfg, mu=1e200) for cfg in configs[:2]]
+    origin = np.zeros(3)
+    assert assert_kernel_stops_where_run_does(algorithm, problem, [0.5, 0.5], origin,
+                                              configs) == []
+    assert_pass_matches_dspace_oracle(algorithm, [(problem, [0.5, 0.5], origin, configs)])
+    for cfg, trace in zip(configs, kernel_traces(algorithm, problem, [0.5, 0.5], origin,
+                                                 configs)):
+        assert len(trace) == 61
+
+
+@pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
+                                               ("smooth-max", {"tau": 0.1})])
+@OVERFLOWS
+def test_a_gaussian_row_whose_span_sums_overflow_goes_on_where_run_does(algorithm, hyper):
+    # r = 1e150 and mu = 1e-2: the first epo-al step moves w out to about 1e297, where
+    # z^T Gamma z overflows.  run reads J = 1 there, on the gaussian plateau, and goes on; the
+    # row goes on in d-space from B^T z and reads J = 1 as well, to the last iterate.
+    problem, w0 = make_problem("nonconvex-gaussian", 3, 2, seed=0), sample_initial(3, 0)
+    r, cfg = np.array([1e150, 1e150]), SolverConfig(mu=1e-2, max_iter=5, **hyper)
+    records = run(algorithm, problem, r, w0, cfg)
+    (kernel,), left = lockstep_rows(algorithm, problem, r, w0, [cfg])
+    assert left == [] and len(kernel) == len(records) == 6
+    for rec, (J, *_) in zip(records[1:], kernel[1:]):
+        assert (rec.jvals == 1.0).all() and (J == 1.0).all()
+    assert assert_kernel_stops_where_run_does(algorithm, problem, r, w0, [cfg]) == []
