@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DivergenceError, ObjectiveSet, _divergence, _evaluate, _preference_for,
-                   as_model_vector, minmax_value)
+from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int, _divergence,
+                   _evaluate, _preference_for, as_model_vector, minmax_value)
 
 # Wolfe's stop test: p.q - min q <= WOLFE_TOL * max_k ||g_k||^2.
 WOLFE_TOL = 1e-12
@@ -56,6 +56,7 @@ def pareto_stationarity_gap(G: np.ndarray, max_fw_iter: int = 500) -> Stationari
     p.q - min q <= WOLFE_TOL * max_k ||g_k||^2, which bounds ||G p||^2 - min^2 by
     twice that; ``max_fw_iter`` caps the major cycles as a guard.
     """
+    _check_non_negative_int("max_fw_iter", max_fw_iter)
     if max_fw_iter < 1:
         raise ValueError(f"need max_fw_iter >= 1, got {max_fw_iter}")
     G = np.asarray(G, dtype=np.float64)

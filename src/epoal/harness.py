@@ -57,6 +57,7 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n geometrically spaced values with exact endpoints lo and hi."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    _check_non_negative_int("n", n)
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     return np.geomspace(lo, hi, n)

@@ -16,9 +16,10 @@ Three algorithms behind one lockstep kernel:
               of the weighted objectives v = r * J(w).
 
 Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  The kernel
-steps many configurations together, in span coordinates on the anchor families; ``run`` (so
-``epoal trace`` and the timing runs) and the public steps step one as a d-space row.  A row
-diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
+steps many configurations together, in span coordinates on the anchor families.  ``_row`` is
+the single path of a single configuration, a d-space row: ``run`` (so ``epoal trace`` and the
+timing runs) iterates it, and each public step is one of its iterates, with ``run``'s checks.
+A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
 """
 
 from __future__ import annotations
@@ -138,22 +139,17 @@ def _smooth_max(r, J, U, M, P, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
     weights = np.exp(U / c.tau - M[..., None] / c.tau)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    return weights * r, c.mu_tau, P, None
+    return weights * r, c.mu / c.tau, P, None
 
 
 _WEIGHTS = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
-_Columns = namedtuple("_Columns", "mu eta tau mu_tau")
+_Columns = namedtuple("_Columns", "mu eta tau")
 
 
 def _columns(configs):
-    """(B, 1) columns mu, eta, tau (NaN for None) and mu / tau of ``configs``."""
+    """(B, 1) columns mu, eta and tau (NaN for None) of ``configs``."""
     H = np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64).reshape(-1, 3)
-    return _Columns(*H.T[:, :, None], H[:, :1] / H[:, 2:])
-
-
-def _row_columns(config):
-    """mu, eta, tau (NaN for None) and mu / tau of one configuration as floats."""
-    return _Columns(*(column.item() for column in _columns([config])))
+    return _Columns(*H.T[:, :, None])
 
 
 def _subgradient_row(r, J, U, M, p, c, seeds):
@@ -169,26 +165,11 @@ def _subgradient_row(r, J, U, M, p, c, seeds):
 _ROW_WEIGHTS = {**_WEIGHTS, SUBGRADIENT: _subgradient_row}
 
 
-def _step(algorithm, obj, r, w, p, config: SolverConfig, rng=None, iteration=None):
-    """One public step: the checks and the evaluation ``run`` makes, then the update."""
-    r = _preference_for(r, obj)
-    jvals, jac = _evaluate(obj, w)
-    P = np.empty(0) if p is None else p
-    if broken := _divergence(r, jvals, jac, P)[0]:
-        raise DivergenceError(broken, iteration=iteration, iterate=w)
-    U = r * jvals
-    y, step, p_new, k = _ROW_WEIGHTS[algorithm](r, jvals, U, np.maximum.reduce(U), P,
-                                                _row_columns(config), [rng])
-    w_new = (w - step * np.matmul(y[None, :], jac.T)[0] if k is None
-             else w - step * y[k] * jac.T[k])
-    return w_new, None if p is None else p_new, None if k is None else int(k)
-
-
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
                 mu: float, eta: float) -> EpoAlState:
     """One primal-dual step from ``state``; both updates use the incoming w."""
-    w_new, p_new, _ = _step(EPO_AL, obj, r, state.w, state.p, SolverConfig(mu=mu, eta=eta),
-                            iteration=state.iter)
+    config = SolverConfig(mu, eta, max_iter=state.iter + 1)
+    *_, w_new, p_new = next(_row(EPO_AL, obj, r, state.w, config, state.p, i=state.iter))
     return EpoAlState(w=w_new, p=p_new, iter=state.iter + 1)
 
 
@@ -200,8 +181,9 @@ def subgradient_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray, mu: float,
     relative tolerance of the maximum; the step index is sampled uniformly
     from it.
     """
-    w_new, _, k = _step(SUBGRADIENT, obj, r, w, None, SolverConfig(mu=mu), rng)
-    return w_new, k
+    *_, k, w_new, _ = next(_row(SUBGRADIENT, obj, r, w, SolverConfig(mu, max_iter=1),
+                                seeds=[rng]))
+    return w_new, int(k)
 
 
 def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
@@ -212,7 +194,7 @@ def smoothmax_step(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     length scales like mu / tau; softmax weights are computed with
     max-subtraction for stability.
     """
-    return _step(SMOOTH_MAX, obj, r, w, None, SolverConfig(mu=mu, tau=tau))[0]
+    return next(_row(SMOOTH_MAX, obj, r, w, SolverConfig(mu, tau=tau, max_iter=1)))[5]
 
 
 def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
@@ -225,7 +207,7 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
     """
     records: list[IterationRecord] = []
     try:
-        for i, J, M, p, k in _row(algorithm, obj, r, w0, config):
+        for i, J, M, p, k, _, _ in _row(algorithm, obj, r, w0, config):
             records.append(IterationRecord(
                 iter=i, jvals=J, minmax=float(M), fairness=fairness_residual(r, J),
                 p_snapshot=p if algorithm == EPO_AL else None,
@@ -272,14 +254,22 @@ def _checked(algorithm, trials):
     return objs, rs, w0s, configs, K, math.sqrt(np.finfo(np.float64).max / (8 * K))
 
 
+def _moved(w, parts, y, step, k):
+    """w - step sum_k y_k grad J_k(w) from the gradients' parts, gradient k alone if given."""
+    return (w - step * np.matmul(y[None, :], _gradients(*parts))[0] if k is None
+            else w - step * y[k] * _gradients(*parts, k))
+
+
 def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
-    """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None) for
-    each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence rule
-    (DivergenceError).  Without a limit it checks its arguments and starts at 0, p uniform."""
+    """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None, w+, p+)
+    for each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence
+    rule (DivergenceError).  Without a limit it checks its arguments, and a p or seeds not given
+    start uniform and at config.seed."""
     if limit is None:
         (obj,), (r,), (w,), _, K, limit = _checked(algorithm, [(obj, r, w, [config])])
-        p, seeds = np.full(K if algorithm == EPO_AL else 0, 1.0 / K), [config.seed]
-    weights, c, last = _ROW_WEIGHTS[algorithm], _row_columns(config), config.max_iter
+        p = np.full(K if algorithm == EPO_AL else 0, 1.0 / K) if p is None else p
+        seeds = [config.seed] if seeds is None else seeds
+    weights, last = _ROW_WEIGHTS[algorithm], config.max_iter
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
     for i in range(i, last + 1):
         if A is not None:
@@ -296,10 +286,9 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
                 raise DivergenceError(broken, i, w)
         w_next, p_next, k = w, p, None
         if i < last:
-            y, step, p_next, k = weights(r, J, U, M, p, c, seeds)
-            w_next = (w - step * np.matmul(y[None, :], _gradients(*parts))[0] if k is None
-                      else w - step * y[k] * _gradients(*parts, k))
-        yield i, J, M, p, k
+            y, step, p_next, k = weights(r, J, U, M, p, config, seeds)
+            w_next = _moved(w, parts, y, step, k)
+        yield i, J, M, p, k, w_next, p_next
         w, p = w_next, p_next
 
 
@@ -323,6 +312,8 @@ def _lockstep(algorithm, trials):
     formed once a trial.  A row failing the screen (values not finite or near overflow, duals
     without a finite sum, a z whose span sums could overflow) goes on from B^T z as a d-space
     :func:`_row`, which leaves, or keeps going, where ``run`` would; so do other passes' rows.
+    B^T z can lose w0's part to the step that took z that far (both anchors on w0, say), so a
+    row leaving for its z makes that step again in d-space.
     """
     objs, rs, w0s, configs, K, limit = _checked(algorithm, trials)
     last, weights, T = configs[0].max_iter, _WEIGHTS[algorithm], len(trials)
@@ -356,7 +347,12 @@ def _lockstep(algorithm, trials):
             ok = ((M < limit) & (np.maximum.reduce(np.abs(Z), axis=1) < zlim)
                   & np.isfinite(np.add.reduce(P, axis=1)))
             for b in np.flatnonzero(~ok):
-                w = np.einsum("j,jd->d", Z[b], bases[tr[b]])
+                if i and not np.maximum.reduce(np.abs(Z[b])) < zlim:  # the last step, in d-space
+                    w = np.einsum("j,jd->d", Z_prev[b], bases[tr[b]])
+                    w = _moved(w, _anchor_parts(objs[0].kind, objs[tr[b]].anchors, w)[1:], y[b],
+                               step[b], None if active is None else active[b])
+                else:
+                    w = np.einsum("j,jd->d", Z[b], bases[tr[b]])
                 loose.append((rows[b], _row(algorithm, objs[tr[b]], rs[tr[b]], w, cs[b], P[b],
                                             [seeds[b]], i, limit)))
             loose.sort(key=lambda entry: entry[0])
@@ -368,7 +364,7 @@ def _lockstep(algorithm, trials):
         if i < last:
             y, step, P_next, active = weights(r, J, U, M, P, c, seeds)
             g = op(step * y, scale)
-            Z = (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
+            Z_prev, Z = Z, (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
             Z[:, 1:] += g
         yield _joined(i, (rows, J, M, P, active), loose)
         P = P_next
@@ -380,7 +376,7 @@ def _joined(i, span, loose):
     out, diverged = [], []
     for entry in list(loose):
         try:
-            out.append((entry[0], *next(entry[1])[1:]))
+            out.append((entry[0], *next(entry[1])[1:5]))
         except DivergenceError as err:
             diverged.append(err)
             loose.remove(entry)

@@ -104,6 +104,12 @@ def test_gap_input_validation():
         pareto_stationarity_gap(np.ones((2, 2)), max_fw_iter=0)
 
 
+@pytest.mark.parametrize("cap", [2.5, "3", None])
+def test_gap_rejects_a_cap_that_is_not_an_integer(cap):
+    with pytest.raises(ValueError, match="max_fw_iter must be a non-negative integer"):
+        pareto_stationarity_gap(np.ones((2, 2)), max_fw_iter=cap)
+
+
 def test_grid_oracle_rejects_large_k():
     with pytest.raises(ValueError):
         min_norm_grid_search(np.ones((2, 4)))

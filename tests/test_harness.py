@@ -37,6 +37,12 @@ def test_log_grid_small_example():
     np.testing.assert_allclose(log_grid(1.0, 100.0, 3), [1.0, 10.0, 100.0])
 
 
+@pytest.mark.parametrize("n", [10.0, "3", None])
+def test_log_grid_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be a non-negative integer"):
+        log_grid(1e-3, 1e-1, n)
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(0.0, 1.0, 5)

@@ -34,3 +34,18 @@ def test_every_epoal_name_the_micro_grid_calls_exists():
             and node.value.id in modules}
     assert {"problems", "solvers"} <= modules and len(used) > 10
     assert [name for name in sorted(used) if not hasattr(getattr(epoal, name[0]), name[1])] == []
+
+
+def test_the_micro_grid_calls_each_epoal_function_it_times(monkeypatch):
+    # One call per entry on a tiny grid: a signature the micro-grid no longer matches fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import microgrid
+
+    def once(fn, **_):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(microgrid, "GRID", [(2, 3)])
+    monkeypatch.setattr(microgrid, "per_call_us", once)
+    out = microgrid.measure(0)
+    assert len(out) == 10 and all(name.endswith("_us.K2.d3") for name in out)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +308,40 @@ def test_public_steps_agree_with_run(algorithm, kind):
             assert k == rec.active_index or rec is records[-1]
         else:
             w = smoothmax_step(w, problem, r, config.mu, config.tau)
+
+
+def step_from(algorithm, w, obj, r, eta, tau, iteration):
+    """One public step of ``algorithm`` from w at mu 0.1, an epo-al one from a state at
+    ``iteration`` with uniform duals."""
+    if algorithm == "epo-al":
+        state = EpoAlState(w=w, p=np.full(obj.count, 1.0 / obj.count), iter=iteration)
+        return epo_al_step(state, obj, r, 0.1, eta)
+    if algorithm == "subgradient":
+        return subgradient_step(w, obj, r, 0.1, np.random.default_rng(0))
+    return smoothmax_step(w, obj, r, 0.1, tau)
+
+
+@pytest.mark.parametrize("algorithm, case", [
+    ("epo-al", "no eta"), ("smooth-max", "no tau"),
+    *((algorithm, case) for algorithm in ("epo-al", "subgradient", "smooth-max")
+      for case in ("non-finite w", "wrong-size w", "diverging"))])
+def test_a_public_step_makes_the_checks_of_run(algorithm, case):
+    # A public step is one iterate of run's row: it raises the ValueError run raises on the
+    # same arguments, and a DivergenceError carrying the index of its iterate, which is
+    # state.iter for epo-al and 0 otherwise.
+    problem, r, w = small_problem(d=3, K=2)
+    eta, tau = None if case == "no eta" else 1.0, None if case == "no tau" else 0.5
+    if case == "diverging":
+        problem, r, w = ExplodingObjectives(d=3), np.array([0.5, 0.5]), np.array([100.0, 0, 0])
+    w = {"non-finite w": np.array([0.0, np.nan, 0.0]), "wrong-size w": np.zeros(4)}.get(case, w)
+    iteration = 7 if algorithm == "epo-al" else 0
+    with pytest.raises((ValueError, DivergenceError)) as by_run:
+        run(algorithm, problem, r, w, SolverConfig(mu=0.1, eta=eta, tau=tau, max_iter=3))
+    with pytest.raises(type(by_run.value), match=re.escape(str(by_run.value))) as by_step:
+        step_from(algorithm, w, problem, r, eta, tau, iteration)
+    if case == "diverging":
+        assert by_run.value.iteration == 0 and by_step.value.iteration == iteration
+        assert np.array_equal(by_step.value.iterate, w)
 
 
 def test_run_epo_al_fairness_trends_down_on_convex_family():
@@ -798,7 +833,10 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         records, err = run(algorithm, problem, r, w0, configs[j]), None
     except DivergenceError as caught:
         records, err = caught.records, caught
-    if diverging and objectives in ("convex-distance", "twin", "negative-twin"):
+    # A long step leaves at iterate 1 unless every gradient at the start is 0: at d = 1 both
+    # anchors can lie on the start (see the test below).
+    if (diverging and objectives in ("convex-distance", "twin", "negative-twin")
+            and problem.values_and_jacobian(w0)[1].any()):
         assert err is not None and err.iteration == 1
     assert left == ([] if err is None else [(err.iteration, str(err))])
     assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
@@ -815,6 +853,27 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         assert np.array_equal(rec.p_snapshot, p) if algorithm == "epo-al" else (
             rec.p_snapshot is None)
         assert rec.active_index == active
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_a_start_on_both_anchors_keeps_every_row_there(algorithm):
+    # At d = 1, seed 2 puts both convex anchors on the start, where every value and gradient
+    # is 0: no row moves, not even at mu = 1e200, and none diverges.
+    problem, r, w0 = small_problem(d=1, K=2, seed=2)
+    assert (problem.anchors == w0).all()
+    configs = grid_configs(algorithm, max_iter=30, seeds=range(2))
+    configs[1] = replace(configs[1], mu=1e200)
+    kernel, left = lockstep_rows(algorithm, problem, r, w0, configs)
+    assert left == []
+    for config, rows in zip(configs, kernel):
+        records = run(algorithm, problem, r, w0, config)
+        assert len(records) == len(rows) == 31
+        for rec, (J, minmax, p, _) in zip(records, rows):
+            assert np.array_equal(J, records[0].jvals) and np.array_equal(rec.jvals, J)
+            assert minmax == rec.minmax == records[0].minmax
+            if algorithm == "epo-al":
+                assert np.array_equal(p, records[0].p_snapshot)
+                assert np.array_equal(rec.p_snapshot, p)
 
 
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
