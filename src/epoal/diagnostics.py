@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int, _divergence,
-                   _evaluate, _preference_for, as_model_vector, minmax_value)
+                   _evaluate, _preference_for, minmax_value)
+from .problems import _model_for
 
 # Wolfe's stop test: p.q - min q <= WOLFE_TOL * max_k ||g_k||^2.
 WOLFE_TOL = 1e-12
@@ -130,7 +131,7 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
         if tol is not None and not 0 < tol < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
     r = _preference_for(r, obj)
-    w = as_model_vector(w)
+    w = _model_for(w, obj)
     jvals, jac = _evaluate(obj, w)
     broken, fairness = _divergence(r, jvals, jac)
     if broken:

@@ -148,6 +148,14 @@ class SyntheticProblem(ObjectiveSet):
         return jvals, _gradients(*parts).swapaxes(-1, -2)
 
 
+def _model_for(w, obj: ObjectiveSet) -> np.ndarray:
+    """``as_model_vector(w)``, also rejecting a size other than d for a synthetic ``obj``."""
+    w = as_model_vector(w)
+    if isinstance(obj, SyntheticProblem) and w.size != obj.d:
+        raise ValueError(f"model of size {w.size}, objective set has d={obj.d}")
+    return w
+
+
 def make_problem(kind: str, d: int, K: int, seed: int) -> SyntheticProblem:
     """Problem instance as a pure function of (kind, d, K, seed); fig1-pair's anchors are fixed."""
     for name, value in (("d", d), ("K", K), ("seed", seed)):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int,  # no
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_parts, _family, _gradients
+from .problems import SyntheticProblem, _anchor_parts, _family, _gradients, _model_for
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -146,12 +145,6 @@ _WEIGHTS = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
 _Columns = namedtuple("_Columns", "mu eta tau")
 
 
-def _columns(configs):
-    """(B, 1) columns mu, eta and tau (NaN for None) of ``configs``."""
-    H = np.array([(c.mu, c.eta, c.tau) for c in configs], dtype=np.float64).reshape(-1, 3)
-    return _Columns(*H.T[:, :, None])
-
-
 def _subgradient_row(r, J, U, M, p, c, seeds):
     # A row's scalar active index k: its step forms gradient k alone and reads y_k = r_k.
     k = U.argmax()
@@ -242,12 +235,8 @@ def _checked(algorithm, trials):
     if needs and any(getattr(c, needs) is None for c in configs):
         raise ValueError(f"{algorithm} requires config.{needs}")
     objs = [obj for obj, *_ in trials]
-    rs = [_preference_for(r, obj) for obj, r, *_ in trials]
-    w0s = [as_model_vector(w0) for *_, w0, _ in trials]
-    for obj, w0 in zip(objs, w0s):
-        if isinstance(obj, SyntheticProblem) and w0.size != obj.d:
-            raise ValueError(f"model of size {w0.size}, objective set has d={obj.d}")
-    K = objs[0].count
+    K, rs = objs[0].count, [_preference_for(r, obj) for obj, r, *_ in trials]
+    w0s = [_model_for(w0, obj) for obj, _, w0, _ in trials]
     if any(obj.count != K for obj in objs) or any(w0.size != w0s[0].size for w0 in w0s):
         raise ValueError("the trials of one kernel pass must share K and d")
     # |r_k J_k| < limit bounds the fairness residual by 4 K limit^2 = max / 2, so it is finite.
@@ -263,11 +252,13 @@ def _moved(w, parts, y, step, k):
 def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
     """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None, w+, p+)
     for each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence
-    rule (DivergenceError).  Without a limit it checks its arguments, and a p or seeds not given
-    start uniform and at config.seed."""
+    rule (DivergenceError).  Without a limit it checks its arguments, a given p of shape (K,),
+    and a p or seeds not given start uniform and at config.seed."""
     if limit is None:
         (obj,), (r,), (w,), _, K, limit = _checked(algorithm, [(obj, r, w, [config])])
         p = np.full(K if algorithm == EPO_AL else 0, 1.0 / K) if p is None else p
+        if algorithm == EPO_AL and np.shape(p) != (K,):
+            raise ValueError(f"dual p has shape {np.shape(p)}, objective set has K={K}")
         seeds = [config.seed] if seeds is None else seeds
     weights, last = _ROW_WEIGHTS[algorithm], config.max_iter
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
@@ -294,7 +285,7 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
 
 def _span_values(kind, G, dg, Z):
     """Values J (R, K) of ``kind``'s family, and its gradient's scale and op, at span rows Z on
-    Gram matrices G (1 or R, K+1, K+1): s_k = z^T G z - 2 (G z)_k + dg_k, clamped at 0."""
+    Gram matrices G (R, K+1, K+1): s_k = z^T G z - 2 (G z)_k + dg_k, clamped at 0."""
     V = np.einsum("rij,rj->ri", G, Z)
     return _family(kind, np.maximum(np.einsum("ri,ri->r", Z, V)[:, None] - 2.0 * V[:, 1:] + dg,
                                     0.0))
@@ -316,8 +307,8 @@ def _lockstep(algorithm, trials):
     row leaving for its z makes that step again in d-space.
     """
     objs, rs, w0s, configs, K, limit = _checked(algorithm, trials)
-    last, weights, T = configs[0].max_iter, _WEIGHTS[algorithm], len(trials)
-    trial = np.repeat(np.arange(T), [len(cs) for *_, cs in trials])
+    last, weights = configs[0].max_iter, _WEIGHTS[algorithm]
+    trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
     P0 = np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
     if not all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs):
         loose = [(j, _row(algorithm, objs[t], rs[t], w0s[t], cfg, P0, [cfg.seed], 0, limit))
@@ -329,12 +320,12 @@ def _lockstep(algorithm, trials):
     Gammas = np.array([np.einsum("id,jd->ij", B, B) for B in bases])
     # No span sum, nor B^T z, can overflow while z's entries stay below zlim.
     zlim = math.sqrt(np.finfo(np.float64).max / (8 * np.max(np.abs(Gammas)))) / (K + 1)
-    # Rows: grid index, trial, z, r, dual, configuration, seed (a generator from its first tie).
+    # The live rows, one table that one mask filters: grid index (into configs), trial, z, r,
+    # dual, Gamma, its diagonal, seed (a generator from its first tie) and mu, eta and tau.
     rows, tr, Z = np.arange(trial.size), trial, np.eye(1, K + 1).repeat(trial.size, axis=0)
-    r, P, cs = np.array(rs)[trial], np.tile(P0, (trial.size, 1)), configs
-    seeds, c, loose = [c.seed for c in configs], _columns(configs), []
-    dg = np.diagonal(Gammas, axis1=1, axis2=2)[:, 1:]
-    G, dg = (Gammas, dg) if T == 1 else (Gammas[tr], dg[tr])
+    r, P, G, loose = np.array(rs)[trial], np.tile(P0, (trial.size, 1)), Gammas[trial], []
+    dg, seeds = G.diagonal(axis1=1, axis2=2)[:, 1:], np.array([f.seed for f in configs], object)
+    c = _Columns(*np.array([(f.mu, f.eta, f.tau) for f in configs], float).T[:, :, None])
     for i in range(last + 1):
         if not (rows.size or loose):
             return
@@ -353,13 +344,12 @@ def _lockstep(algorithm, trials):
                                step[b], None if active is None else active[b])
                 else:
                     w = np.einsum("j,jd->d", Z[b], bases[tr[b]])
-                loose.append((rows[b], _row(algorithm, objs[tr[b]], rs[tr[b]], w, cs[b], P[b],
-                                            [seeds[b]], i, limit)))
+                loose.append((rows[b], _row(algorithm, objs[tr[b]], rs[tr[b]], w,
+                                            configs[rows[b]], P[b], [seeds[b]], i, limit)))
             loose.sort(key=lambda entry: entry[0])
-            rows, tr, Z, r, P, J, scale, U, M = (
-                a[ok] for a in (rows, tr, Z, r, P, J, scale, U, M))
-            cs, seeds = list(compress(cs, ok)), list(compress(seeds, ok))
-            c, (G, dg) = _columns(cs), (G, dg) if T == 1 else (G[ok], dg[ok])
+            rows, tr, Z, r, P, G, dg, seeds, J, scale, U, M, *H = (
+                a[ok] for a in (rows, tr, Z, r, P, G, dg, seeds, J, scale, U, M, *c))
+            c = _Columns(*H)
         P_next, active = P, None
         if i < last:
             y, step, P_next, active = weights(r, J, U, M, P, c, seeds)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from epoal import (DivergenceError, certify_epo, epo_al_step, fairness_residual,
-                   initial_state, make_problem, minmax_value, pareto_stationarity_gap,
+from epoal import (DivergenceError, SolverConfig, certify_epo, epo_al_step, fairness_residual,
+                   initial_state, make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
 
@@ -229,6 +230,19 @@ def test_certify_rejects_mismatched_model_and_preference_lengths():
         certify_epo([0.3], problem, r)
     with pytest.raises(ValueError, match="preference has 2 weights, objective set has K=4"):
         certify_epo(np.zeros(5), problem, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_certify_checks_the_model_size_as_run_does(size):
+    # A model of another size than d would broadcast against the anchors, or be caught only
+    # by the shapes the objectives return; certify names the sizes in run's words.
+    problem = make_problem("convex-distance", 3, 2, seed=1)
+    r, cfg = np.array([0.5, 0.5]), SolverConfig(mu=0.1, max_iter=3)
+    message = f"model of size {size}, objective set has d=3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run("subgradient", problem, r, np.zeros(size), cfg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certify_epo(np.zeros(size), problem, r)
 
 
 def test_certify_raises_divergence_where_objectives_are_not_finite():

@@ -1,6 +1,4 @@
-import importlib.util
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,26 +424,6 @@ def test_subgradient_tuning_reads_the_scan_without_running(monkeypatch):
     assert calls == []
     assert (record.i_o, record.best_config) == exhaustive_tune(
         "subgradient", problem, r, w0, grid, 4, target)
-
-
-def test_benchmark_tracer_patches_and_restores_harness_names():
-    # The benchmark's tracer replaces epoal functions by name; a renamed
-    # function must fail here, not only in a traced benchmark run.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
-    names = ("run", "run_experiment", "compute_target", "measure_time",
-             "tune_and_measure", "iteration_complexity")
-    originals = {name: getattr(harness, name) for name in names}
-    tracer = tracer_module.Tracer()
-    tracer.traced(_tune_chunk, ("convex-distance", 3, 6, [4, 5], ALGORITHMS,
-                                small_grid(max_iter=40)))
-    assert {name: getattr(harness, name) for name in names} == originals
-    assert tracer.calls["harness.compute_target"] == 2
-    for algo in ALGORITHMS:
-        assert tracer.calls[f"harness.tune_and_measure[{algo}]"] == 2
-    assert tracer.layer_metrics()["harness.tune_s.subgradient"][0] > 0
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

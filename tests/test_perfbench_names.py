@@ -7,6 +7,9 @@ from pathlib import Path
 
 import epoal
 from epoal import harness, problems, solvers
+from epoal.harness import _tune_chunk
+
+from test_harness import small_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,6 +26,25 @@ def test_the_tracer_installs_and_restores_its_patches(monkeypatch):
     with tracer.Tracer().installed():
         assert not any(now is was for now, was in zip(patched(), originals))
     assert patched() == originals
+
+
+def test_benchmark_tracer_patches_and_restores_harness_names(monkeypatch):
+    # A traced tuning chunk: every harness name the tracer replaces is back afterwards, and the
+    # tracer counted each call it wraps.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    names = ("run", "run_experiment", "compute_target", "measure_time",
+             "tune_and_measure", "iteration_complexity")
+    originals = {name: getattr(harness, name) for name in names}
+    benchmark = tracer.Tracer()
+    benchmark.traced(_tune_chunk, ("convex-distance", 3, 6, [4, 5], solvers.ALGORITHMS,
+                                   small_grid(max_iter=40)))
+    assert {name: getattr(harness, name) for name in names} == originals
+    assert benchmark.calls["harness.compute_target"] == 2
+    for algo in solvers.ALGORITHMS:
+        assert benchmark.calls[f"harness.tune_and_measure[{algo}]"] == 2
+    assert benchmark.layer_metrics()["harness.tune_s.subgradient"][0] > 0
 
 
 def test_every_epoal_name_the_micro_grid_calls_exists():

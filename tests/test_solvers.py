@@ -322,14 +322,22 @@ def step_from(algorithm, w, obj, r, eta, tau, iteration):
 
 
 @pytest.mark.parametrize("algorithm, case", [
-    ("epo-al", "no eta"), ("smooth-max", "no tau"),
+    ("epo-al", "no eta"), ("smooth-max", "no tau"), ("epo-al", "(1,) dual"),
+    ("epo-al", "(3,) dual"),
     *((algorithm, case) for algorithm in ("epo-al", "subgradient", "smooth-max")
       for case in ("non-finite w", "wrong-size w", "diverging"))])
 def test_a_public_step_makes_the_checks_of_run(algorithm, case):
     # A public step is one iterate of run's row: it raises the ValueError run raises on the
     # same arguments, and a DivergenceError carrying the index of its iterate, which is
-    # state.iter for epo-al and 0 otherwise.
+    # state.iter for epo-al and 0 otherwise.  A dual of another shape than (K,), which run
+    # never takes, is rejected rather than broadcast.
     problem, r, w = small_problem(d=3, K=2)
+    if case.endswith("dual"):
+        p = np.full(int(case[1]), 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dual p has shape {p.shape}, objective set has K=2")):
+            epo_al_step(EpoAlState(w, p, 7), problem, r, 0.1, 1.0)
+        return
     eta, tau = None if case == "no eta" else 1.0, None if case == "no tau" else 0.5
     if case == "diverging":
         problem, r, w = ExplodingObjectives(d=3), np.array([0.5, 0.5]), np.array([100.0, 0, 0])
@@ -584,6 +592,31 @@ def test_lockstep_subgradient_ties_use_each_rows_generator():
         # Alone (C = 1, as in run) a single two-way tie must draw from the generator too.
         assert_traces_equal(kernel_traces("subgradient", problem, r, w0, [cfg])[0], trace)
     assert len({tuple(k for _, _, k in trace) for trace in kernel}) == len(configs)
+
+
+def test_lockstep_tied_rows_keep_their_generators_when_a_row_leaves_the_span(monkeypatch):
+    # The fig1 bisector of the test above, where every step is a tie.  mu = 1e200 sends the
+    # middle row's z past zlim at iterate 1: it goes on in d-space with the generator it drew
+    # its first step from, and every row left in the span goes on drawing from its own.
+    d = 4
+    problem = make_problem("fig1-pair", d, 2, 0)
+    w0 = 10.0 * np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+    r = np.array([0.5, 0.5])
+    configs = grid_configs("subgradient", max_iter=80)
+    configs[2] = replace(configs[2], mu=1e200)
+    row, dspace = solvers._row, []
+
+    def recording_row(algorithm, obj, r, w, config, *args):
+        dspace.append((args[2], config))      # the iterate the d-space row starts at
+        return row(algorithm, obj, r, w, config, *args)
+
+    monkeypatch.setattr(solvers, "_row", recording_row)
+    kernel = kernel_traces("subgradient", problem, r, w0, configs)
+    assert dspace == [(1, configs[2])]
+    for cfg, trace in zip(configs, kernel):
+        assert {k for _, _, k in trace[:-1]} == {0, 1}
+        assert_traces_close(trace, scalar_trace("subgradient", problem, r, w0, cfg))
+    assert_pass_matches_dspace_oracle("subgradient", [(problem, r, w0, configs)])
 
 
 @pytest.mark.parametrize("objectives", ["synthetic", "twin"])
