@@ -35,6 +35,7 @@ _INITIAL_TAG = 0x1217
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
+    _check_non_negative_int("seed", seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), tag]))
 
 
@@ -52,6 +53,8 @@ def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 def gen_anchors(d: int, K: int, seed: int) -> np.ndarray:
     """K independent points drawn uniformly on the unit sphere in R^d, as rows."""
+    _check_non_negative_int("d", d)
+    _check_non_negative_int("K", K)
     if d < 1 or K < 2:
         raise ValueError(f"need d >= 1 and K >= 2, got d={d}, K={K}")
     return _unit_rows(_stream(seed, _ANCHOR_TAG), K, d)
@@ -66,6 +69,7 @@ def sample_preference(K: int, seed: int) -> np.ndarray:
     is exact for any K (rejection sampling would almost never accept for
     large K).
     """
+    _check_non_negative_int("K", K)
     if K < 2:
         raise ValueError(f"need K >= 2, got K={K}")
     rng = _stream(seed, _PREFERENCE_TAG)
@@ -76,6 +80,7 @@ def sample_preference(K: int, seed: int) -> np.ndarray:
 
 def sample_initial(d: int, seed: int) -> np.ndarray:
     """Initial model drawn uniformly on the unit sphere in R^d."""
+    _check_non_negative_int("d", d)
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     return _unit_rows(_stream(seed, _INITIAL_TAG), 1, d)[0]

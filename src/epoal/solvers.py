@@ -18,7 +18,8 @@ Three algorithms behind one lockstep kernel:
 Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  The kernel
 steps many configurations together, in span coordinates on the anchor families.  ``_row`` is
 the single path of a single configuration, a d-space row: ``run`` (so ``epoal trace`` and the
-timing runs) iterates it, and each public step is one of its iterates, with ``run``'s checks.
+timing runs) iterates it, the kernel replays it for a configuration that leaves the span, and
+each public step is one of its iterates, with ``run``'s checks.
 A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -252,14 +254,14 @@ def _moved(w, parts, y, step, k):
 def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
     """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None, w+, p+)
     for each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence
-    rule (DivergenceError).  Without a limit it checks its arguments, a given p of shape (K,),
-    and a p or seeds not given start uniform and at config.seed."""
+    rule (DivergenceError).  Without a limit it checks its arguments and a given p of shape (K,);
+    a p or seeds not given start uniform and at config.seed."""
     if limit is None:
         (obj,), (r,), (w,), _, K, limit = _checked(algorithm, [(obj, r, w, [config])])
-        p = np.full(K if algorithm == EPO_AL else 0, 1.0 / K) if p is None else p
-        if algorithm == EPO_AL and np.shape(p) != (K,):
+        if algorithm == EPO_AL and p is not None and np.shape(p) != (K,):
             raise ValueError(f"dual p has shape {np.shape(p)}, objective set has K={K}")
-        seeds = [config.seed] if seeds is None else seeds
+    p = np.full(r.size if algorithm == EPO_AL else 0, 1.0 / r.size) if p is None else p
+    seeds = [config.seed] if seeds is None else seeds
     weights, last = _ROW_WEIGHTS[algorithm], config.max_iter
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
     for i in range(i, last + 1):
@@ -300,29 +302,34 @@ def _lockstep(algorithm, trials):
     Synthetic problems of one kind step in span coordinates: a row holds z, w = B^T z on its
     trial's basis B = [w0; anchors], so a step w+ = w - step sum_k y_k c_k (w - a_k) is
     z+ = (1 - sum g) z + [0; g] with g = step y c, and ||w - a_k||^2 comes from Gamma = B B^T,
-    formed once a trial.  A row failing the screen (values not finite or near overflow, duals
-    without a finite sum, a z whose span sums could overflow) goes on from B^T z as a d-space
-    :func:`_row`, which leaves, or keeps going, where ``run`` would; so do other passes' rows.
-    B^T z can lose w0's part to the step that took z that far (both anchors on w0, say), so a
-    row leaving for its z makes that step again in d-space.
+    formed once a trial.  A row failing the screen at iterate i (values not finite or near
+    overflow, duals without a finite sum, a z whose span sums could overflow) is replayed as its
+    configuration's own d-space :func:`_row` from w0, which passes on its iterates from i: from
+    there the row is ``run``'s, bit for bit, and leaves, or keeps going, where ``run`` does.
+    Other passes' rows are such rows from iterate 0.  A replay that raises before i (``run``
+    diverging before the span row left) leaves at round i with ``run``'s iteration index.
     """
     objs, rs, w0s, configs, K, limit = _checked(algorithm, trials)
     last, weights = configs[0].max_iter, _WEIGHTS[algorithm]
     trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
+
+    def replayed(j, i):
+        t = trial[j]
+        return j, islice(_row(algorithm, objs[t], rs[t], w0s[t], configs[j], limit=limit), i, None)
+
     P0 = np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
     if not all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs):
-        loose = [(j, _row(algorithm, objs[t], rs[t], w0s[t], cfg, P0, [cfg.seed], 0, limit))
-                 for j, (t, cfg) in enumerate(zip(trial, configs))]
+        loose = [replayed(j, 0) for j in range(trial.size)]
         empty = (np.arange(0), np.empty((0, K)), np.empty(0), np.tile(P0, (0, 1)), np.arange(0))
         yield from (_joined(i, empty, loose) for i in range(last + 1) if loose)
         return
-    bases = [np.vstack([w0, obj.anchors]) for obj, w0 in zip(objs, w0s)]
-    Gammas = np.array([np.einsum("id,jd->ij", B, B) for B in bases])
-    # No span sum, nor B^T z, can overflow while z's entries stay below zlim.
+    Gammas = np.array([np.einsum("id,jd->ij", B, B)
+                       for B in (np.vstack([w0, obj.anchors]) for obj, w0 in zip(objs, w0s))])
+    # No span sum can overflow while z's entries stay below zlim.
     zlim = math.sqrt(np.finfo(np.float64).max / (8 * np.max(np.abs(Gammas)))) / (K + 1)
-    # The live rows, one table that one mask filters: grid index (into configs), trial, z, r,
-    # dual, Gamma, its diagonal, seed (a generator from its first tie) and mu, eta and tau.
-    rows, tr, Z = np.arange(trial.size), trial, np.eye(1, K + 1).repeat(trial.size, axis=0)
+    # The live rows, one table that one mask filters: grid index (into configs), z, r, dual,
+    # Gamma, its diagonal, seed (a generator from its first tie) and mu, eta and tau.
+    rows, Z = np.arange(trial.size), np.eye(1, K + 1).repeat(trial.size, axis=0)
     r, P, G, loose = np.array(rs)[trial], np.tile(P0, (trial.size, 1)), Gammas[trial], []
     dg, seeds = G.diagonal(axis1=1, axis2=2)[:, 1:], np.array([f.seed for f in configs], object)
     c = _Columns(*np.array([(f.mu, f.eta, f.tau) for f in configs], float).T[:, :, None])
@@ -337,24 +344,15 @@ def _lockstep(algorithm, trials):
                 and math.isfinite(np.add.reduce(P, None))):
             ok = ((M < limit) & (np.maximum.reduce(np.abs(Z), axis=1) < zlim)
                   & np.isfinite(np.add.reduce(P, axis=1)))
-            for b in np.flatnonzero(~ok):
-                if i and not np.maximum.reduce(np.abs(Z[b])) < zlim:  # the last step, in d-space
-                    w = np.einsum("j,jd->d", Z_prev[b], bases[tr[b]])
-                    w = _moved(w, _anchor_parts(objs[0].kind, objs[tr[b]].anchors, w)[1:], y[b],
-                               step[b], None if active is None else active[b])
-                else:
-                    w = np.einsum("j,jd->d", Z[b], bases[tr[b]])
-                loose.append((rows[b], _row(algorithm, objs[tr[b]], rs[tr[b]], w,
-                                            configs[rows[b]], P[b], [seeds[b]], i, limit)))
-            loose.sort(key=lambda entry: entry[0])
-            rows, tr, Z, r, P, G, dg, seeds, J, scale, U, M, *H = (
-                a[ok] for a in (rows, tr, Z, r, P, G, dg, seeds, J, scale, U, M, *c))
+            loose = sorted(loose + [replayed(j, i) for j in rows[~ok]], key=lambda e: e[0])
+            rows, Z, r, P, G, dg, seeds, J, scale, U, M, *H = (
+                a[ok] for a in (rows, Z, r, P, G, dg, seeds, J, scale, U, M, *c))
             c = _Columns(*H)
         P_next, active = P, None
         if i < last:
             y, step, P_next, active = weights(r, J, U, M, P, c, seeds)
             g = op(step * y, scale)
-            Z_prev, Z = Z, (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
+            Z = (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
             Z[:, 1:] += g
         yield _joined(i, (rows, J, M, P, active), loose)
         P = P_next

@@ -149,6 +149,20 @@ def test_make_problem_rejects_an_argument_that_is_not_a_non_negative_integer(kin
     assert make_problem(kind, **{**args, name: np.int64(args[name])}).count == 2
 
 
+@pytest.mark.parametrize("sampler, args", [(gen_anchors, {"d": 3, "K": 2, "seed": 4}),
+                                           (sample_preference, {"K": 4, "seed": 4}),
+                                           (sample_initial, {"d": 3, "seed": 4})])
+def test_samplers_reject_an_argument_that_is_not_a_non_negative_integer(sampler, args):
+    # As make_problem does: sample_initial(3, 1.7) used to draw seed 1's point, and
+    # sample_initial(2.5, 0) to raise TypeError.
+    for name in args:
+        for bad in (2.5, 1.7, 0.9, -1, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+                sampler(**{**args, name: bad})
+        np.testing.assert_array_equal(sampler(**{**args, name: np.int64(args[name])}),
+                                      sampler(**args))
+
+
 def test_problem_rejects_non_unit_anchors():
     with pytest.raises(ValueError):
         SyntheticProblem(kind="convex-distance", anchors=np.ones((2, 3)))

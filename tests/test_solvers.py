@@ -529,14 +529,27 @@ def assert_traces_equal(kernel, oracle):
 SPAN_RTOL = 1e-12
 
 
-def assert_traces_close(kernel, oracle):
+def span_atol(obj, w0):
+    """The absolute rounding of a span value J beyond SPAN_RTOL, eps max |Gamma| on B = [w0;
+    anchors].  Where the values near 0, z is near a vertex e_k and s_k = z^T Gamma z - 2 (Gamma
+    z)_k + Gamma_kk cancels terms of about Gamma_kk, 2 Gamma_kk and Gamma_kk.  Its largest term
+    carries twice the half-ulp rounding of (Gamma z)_k, 2 * eps / 2 * max |Gamma|.  J's slope
+    in s is at most 1 (1/2 on the convex family), and a min-max value's at most max r.  Over
+    all three algorithms, both kinds, K 2, 3 and 6, d 1, 2 and 8, seeds 0-40, 2 rows and 30
+    iterations, the largest excess over SPAN_RTOL is exactly this bound."""
+    B = np.vstack([w0, obj.anchors])
+    return np.finfo(np.float64).eps * np.abs(np.einsum("id,jd->ij", B, B)).max()
+
+
+def assert_traces_close(kernel, oracle, atol=0.0):
     """A span row against its d-space reference: the same iterates and active indices, min-max
-    values and duals within SPAN_RTOL (the duals of the largest), and the same first iterate
-    in each band around the reference's smallest value (bands relative to it past 1)."""
+    values within SPAN_RTOL relative plus ``atol`` and duals within SPAN_RTOL of the largest,
+    and the same first iterate in each band around the reference's smallest value (bands
+    relative to it past 1)."""
     assert len(kernel) == len(oracle)
     for (m, p, k), (m_ref, p_ref, k_ref) in zip(kernel, oracle):
         assert k == k_ref
-        assert abs(m - m_ref) <= SPAN_RTOL * abs(m_ref)
+        assert abs(m - m_ref) <= SPAN_RTOL * abs(m_ref) + atol
         if p_ref is None:
             assert p is None
         else:
@@ -596,23 +609,17 @@ def test_lockstep_subgradient_ties_use_each_rows_generator():
 
 def test_lockstep_tied_rows_keep_their_generators_when_a_row_leaves_the_span(monkeypatch):
     # The fig1 bisector of the test above, where every step is a tie.  mu = 1e200 sends the
-    # middle row's z past zlim at iterate 1: it goes on in d-space with the generator it drew
-    # its first step from, and every row left in the span goes on drawing from its own.
+    # middle row's z past zlim at iterate 1: the pass replays its configuration in d-space from
+    # w0, drawing its ties from its own seed again, so from iterate 1 on it is its run, and
+    # every row left in the span goes on drawing from its own generator.
     d = 4
     problem = make_problem("fig1-pair", d, 2, 0)
     w0 = 10.0 * np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     r = np.array([0.5, 0.5])
     configs = grid_configs("subgradient", max_iter=80)
     configs[2] = replace(configs[2], mu=1e200)
-    row, dspace = solvers._row, []
-
-    def recording_row(algorithm, obj, r, w, config, *args):
-        dspace.append((args[2], config))      # the iterate the d-space row starts at
-        return row(algorithm, obj, r, w, config, *args)
-
-    monkeypatch.setattr(solvers, "_row", recording_row)
+    assert_span_exits_are_runs(monkeypatch, "subgradient", problem, r, w0, configs, {2: 1})
     kernel = kernel_traces("subgradient", problem, r, w0, configs)
-    assert dspace == [(1, configs[2])]
     for cfg, trace in zip(configs, kernel):
         assert {k for _, _, k in trace[:-1]} == {0, 1}
         assert_traces_close(trace, scalar_trace("subgradient", problem, r, w0, cfg))
@@ -622,10 +629,11 @@ def test_lockstep_tied_rows_keep_their_generators_when_a_row_leaves_the_span(mon
 @pytest.mark.parametrize("objectives", ["synthetic", "twin"])
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 @OVERFLOWS
-def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives):
-    # mu = 1e200 overflows the values at iterate 1 of the middle row.  The
-    # twin objectives go row by row through the gate and tie at every step,
-    # so the rows after the diverged one must keep their own generators.
+def test_lockstep_diverging_row_leaves_while_others_go_on(monkeypatch, algorithm, objectives):
+    # mu = 1e200 overflows the values at iterate 1 of the middle row: its span row leaves
+    # there as a d-space replay that raises where run does.  The twin objectives go row by row
+    # through the gate, each a d-space row from iterate 0, and tie at every step, so the rows
+    # after the diverged one must keep their own generators.
     if objectives == "synthetic":
         problem, r, w0 = small_problem(d=6, K=3, seed=4)
     else:
@@ -645,6 +653,8 @@ def test_lockstep_diverging_row_leaves_while_others_go_on(algorithm, objectives)
         compare(trace, scalar_trace(algorithm, problem, r, w0, cfg))
     if objectives == "synthetic":
         assert_pass_matches_dspace_oracle(algorithm, [(problem, r, w0, configs)])
+    assert_span_exits_are_runs(monkeypatch, algorithm, problem, r, w0, configs,
+                               {1: 1} if objectives == "synthetic" else {0: 0, 1: 0, 2: 0})
 
 
 @pytest.mark.parametrize("K", [2, 16, 64])
@@ -821,11 +831,11 @@ def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkey
         assert formed == each * harness.TIMING_REPS
 
 
-def lockstep_rows(algorithm, obj, r, w0, configs):
-    """Per configuration, (jvals, minmax, p, active index) of every iterate of one kernel pass,
-    and the pass's (iterate, message) of each row that left."""
+def lockstep_rows(algorithm, obj, r, w0, configs, blocks=None):
+    """Per configuration, (jvals, minmax, p, active index) of every iterate of one kernel pass
+    (or of its ``blocks``), and the pass's (iterate, message) of each row that left."""
     rows, left = [[] for _ in configs], []
-    for block in _lockstep(algorithm, [(obj, r, w0, configs)]):
+    for block in _lockstep(algorithm, [(obj, r, w0, configs)]) if blocks is None else blocks:
         for b, j in enumerate(block.rows):
             rows[j].append((block.J[b], block.minmax[b], block.P[b],
                             None if block.active is None else block.active[b]))
@@ -833,21 +843,52 @@ def lockstep_rows(algorithm, obj, r, w0, configs):
     return rows, left
 
 
-@pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin",
-                                        "negative-twin", "fig1-pair"])
-@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
-@OVERFLOWS
-@settings(derandomize=True, deadline=None, max_examples=12)
-@given(K=st.integers(2, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       rows=st.integers(2, 4), data=st.data())
-def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
-    # run steps one configuration in row arithmetic; a kernel pass steps it as one row of a
-    # block, in span coordinates on a synthetic problem.  Every value must match, bit for bit
-    # on the twin objectives and within SPAN_RTOL on a span row, with the same active indices,
-    # and a row that leaves must leave where run raises.  The twin objectives, positive or
-    # negative, tie at every subgradient step and overflow under a long one; the fig1 pair
-    # ties at the origin, so a row makes its generator at iterate 0, and there a long epo-al or
-    # smooth-max step leaves w at 0 while z grows past the span sums' limit.
+def assert_row_is_run(row, records):
+    """A kernel row's (jvals, minmax, p, active index) per iterate are run's records, bit for
+    bit."""
+    assert len(row) == len(records)
+    for rec, (J, minmax, p, active) in zip(records, row):
+        assert np.array_equal(rec.jvals, J) and np.array_equal(rec.minmax, minmax)
+        assert np.array_equal(rec.p_snapshot, p) if p.size else rec.p_snapshot is None
+        assert rec.active_index == active
+
+
+def assert_span_exits_are_runs(monkeypatch, algorithm, obj, r, w0, configs, exits):
+    """One kernel pass makes a d-space row for the rows of ``exits``, {row: iterate}, alone,
+    each in that iterate's round, from w0 with the row's own configuration.  From that iterate
+    on each row is its run, bit for bit: values, min-max, duals and active indices; and it
+    leaves where run raises, with run's message."""
+    row, made, seen, blocks = solvers._row, [], [], []
+
+    def recording_row(algorithm, obj, r, w, config, **kwargs):
+        made.append((w, config))
+        return row(algorithm, obj, r, w, config, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_row", recording_row)
+        for block in _lockstep(algorithm, [(obj, r, w0, configs)]):
+            for w, config in made:
+                assert np.array_equal(w, w0)
+                seen.append((next(j for j, cfg in enumerate(configs) if cfg is config), block.i))
+            made.clear()
+            blocks.append(block)
+    assert sorted(seen) == sorted(exits.items())
+    kernel, left = lockstep_rows(algorithm, obj, r, w0, configs, blocks)
+    for j, i in exits.items():
+        try:
+            records, err = run(algorithm, obj, r, w0, configs[j]), None
+        except DivergenceError as caught:
+            records, err = caught.records, caught
+        assert len(kernel[j]) == len(records)
+        assert_row_is_run(kernel[j][i:], records[i:])
+        assert err is None or (err.iteration, str(err)) in left
+
+
+def assert_run_is_its_row(algorithm, objectives, K, d, seed, rows, j, diverging):
+    """Row j of a kernel pass of ``rows`` grid configurations (row j's mu 1e200 if
+    ``diverging``) is run of its configuration: every value and active index bit for bit on
+    the twin objectives, and within SPAN_RTOL plus span_atol on a span row; and it leaves where
+    run raises."""
     if objectives.endswith("twin"):
         sign = -1.0 if objectives == "negative-twin" else 1.0
         problem, r, w0 = TwinObjectives(sign), np.array([0.5, 0.5]), sample_initial(d, seed)
@@ -857,8 +898,6 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
         problem = make_problem(objectives, d, K, seed)
         r, w0 = sample_preference(K, seed), sample_initial(d, seed)
     configs = grid_configs(algorithm, max_iter=30, seeds=range(seed % 1000, seed % 1000 + rows))
-    j = data.draw(st.integers(0, rows - 1))
-    diverging = data.draw(st.booleans())
     if diverging:
         configs[j] = replace(configs[j], mu=1e200)
     kernel, left = lockstep_rows(algorithm, problem, r, w0, configs)
@@ -874,18 +913,42 @@ def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, ro
     assert left == ([] if err is None else [(err.iteration, str(err))])
     assert len(records) == len(kernel[j]) == (31 if err is None else err.iteration)
     if isinstance(problem, problems.SyntheticProblem):
+        atol = span_atol(problem, w0)
         for rec, (J, *_) in zip(records, kernel[j]):
             np.testing.assert_allclose(J, rec.jvals, rtol=0,
-                                       atol=SPAN_RTOL * np.abs(rec.jvals).max())
+                                       atol=SPAN_RTOL * np.abs(rec.jvals).max() + atol)
         assert_traces_close([(m, p if algorithm == "epo-al" else None, k)
                              for _, m, p, k in kernel[j]],
-                            [(rec.minmax, rec.p_snapshot, rec.active_index) for rec in records])
+                            [(rec.minmax, rec.p_snapshot, rec.active_index) for rec in records],
+                            atol=atol * np.max(r))
         return
-    for rec, (J, minmax, p, active) in zip(records, kernel[j]):
-        assert np.array_equal(rec.jvals, J) and np.array_equal(rec.minmax, minmax)
-        assert np.array_equal(rec.p_snapshot, p) if algorithm == "epo-al" else (
-            rec.p_snapshot is None)
-        assert rec.active_index == active
+    assert_row_is_run(kernel[j], records)
+
+
+@pytest.mark.parametrize("objectives", ["convex-distance", "nonconvex-gaussian", "twin",
+                                        "negative-twin", "fig1-pair"])
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(K=st.integers(2, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(2, 4), data=st.data())
+def test_run_is_its_row_of_a_lockstep_pass(algorithm, objectives, K, d, seed, rows, data):
+    # run steps one configuration in row arithmetic; a kernel pass steps it as one row of a
+    # block, in span coordinates on a synthetic problem.  Every value must match, bit for bit
+    # on the twin objectives and within SPAN_RTOL plus span_atol on a span row, with the same
+    # active indices, and a row that leaves must leave where run raises.  The twin objectives,
+    # positive or negative, tie at every subgradient step and overflow under a long one; the
+    # fig1 pair ties at the origin, so a row makes its generator at iterate 0, and there a long
+    # epo-al or smooth-max step leaves w at 0 while z grows past the span sums' limit.
+    assert_run_is_its_row(algorithm, objectives, K, d, seed, rows,
+                          data.draw(st.integers(0, rows - 1)), data.draw(st.booleans()))
+
+
+def test_a_span_row_whose_values_near_zero_is_its_run_within_span_atol():
+    # Epo-al on a convex K = 2, d = 1 pass at seed 18: at iterate 22 of row 1 the values' largest
+    # is 2.16e-4, and a value is 2.2e-16 off run's, past SPAN_RTOL of it but within span_atol.
+    assert_run_is_its_row("epo-al", "convex-distance", K=2, d=1, seed=18, rows=2, j=1,
+                          diverging=False)
 
 
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
@@ -1010,8 +1073,8 @@ def test_span_rows_on_the_fig1_pair(algorithm):
     # the axis, span rows follow the d-space oracle.  From the origin with equal weights, an
     # epo-al or smooth-max step pulls equally toward both anchors, so w stays at 0 whatever mu
     # is while z = (1 - 2g, g, g) grows by |1 - 2g| a step: at mu = 1e200 z passes the span
-    # sums' limit at iterate 1, and the row goes on in d-space from B^T z = 0 to the last
-    # iterate, as run does.  A subgradient step there lands on the plateau and stays.
+    # sums' limit at iterate 1, and the row's d-space replay stays at 0 to the last iterate,
+    # as run does.  A subgradient step there lands on the plateau and stays.
     problem = make_problem("fig1-pair", 3, 2, 0)
     r, w0 = np.array([0.2, 0.8]), sample_initial(3, 0)
     configs = grid_configs(algorithm, max_iter=60)
@@ -1031,10 +1094,12 @@ def test_span_rows_on_the_fig1_pair(algorithm):
 @pytest.mark.parametrize("algorithm, hyper", [("epo-al", {"eta": 1.0}), ("subgradient", {}),
                                                ("smooth-max", {"tau": 0.1})])
 @OVERFLOWS
-def test_a_gaussian_row_whose_span_sums_overflow_goes_on_where_run_does(algorithm, hyper):
+def test_a_gaussian_row_whose_span_sums_overflow_goes_on_where_run_does(monkeypatch, algorithm,
+                                                                        hyper):
     # r = 1e150 and mu = 1e-2: the first epo-al step moves w out to about 1e297, where
     # z^T Gamma z overflows.  run reads J = 1 there, on the gaussian plateau, and goes on; the
-    # row goes on in d-space from B^T z and reads J = 1 as well, to the last iterate.
+    # row leaves the span at iterate 1 as its d-space replay and is run's from there on, bit for
+    # bit, to the last iterate.  Subgradient and smooth-max steps stay in the span.
     problem, w0 = make_problem("nonconvex-gaussian", 3, 2, seed=0), sample_initial(3, 0)
     r, cfg = np.array([1e150, 1e150]), SolverConfig(mu=1e-2, max_iter=5, **hyper)
     records = run(algorithm, problem, r, w0, cfg)
@@ -1043,3 +1108,5 @@ def test_a_gaussian_row_whose_span_sums_overflow_goes_on_where_run_does(algorith
     for rec, (J, *_) in zip(records[1:], kernel[1:]):
         assert (rec.jvals == 1.0).all() and (J == 1.0).all()
     assert assert_kernel_stops_where_run_does(algorithm, problem, r, w0, [cfg]) == []
+    assert_span_exits_are_runs(monkeypatch, algorithm, problem, r, w0, [cfg],
+                               {0: 1} if algorithm == "epo-al" else {})
