@@ -308,7 +308,7 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
 
     Every argument is checked before the first solver run, so a ValueError
     always means a bad argument; a failure inside the protocol raises
-    HarnessError.
+    HarnessError, tuning arrays too large to allocate included.
     """
     kinds, K_values, algorithms = list(kinds), list(K_values), list(algorithms)
     for name, value in (("d", d), ("n_trials", n_trials), ("master_seed", master_seed),
@@ -339,12 +339,15 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
         tasks += [(kind, K, d, seeds[lo:hi], algorithms, grid)
                   for lo, hi in zip(bounds, bounds[1:])]
 
-    if jobs > 1:
-        # Fork-based pools start all their workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_tune_chunk, tasks))
-    else:
-        chunks = [_tune_chunk(task) for task in tasks]
+    try:
+        if jobs > 1:
+            # Fork-based pools start all their workers at the first submit.
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                chunks = list(pool.map(_tune_chunk, tasks))
+        else:
+            chunks = [_tune_chunk(task) for task in tasks]
+    except MemoryError as err:      # numpy's names the array's shape
+        raise HarnessError(f"tuning ran out of memory: {err}") from None
 
     tuned = [trial for chunk in chunks for trial in chunk]
     for (problem, r, w0), trial in tuned:

@@ -11,7 +11,9 @@ formulas.  Every objective is positive except exactly at its own anchor.
 
 All randomness flows through a single integer seed.  Anchors, preference
 vectors and initial models draw from domain-separated sub-streams of that
-seed, so the three sources can be reproduced independently.
+seed, so the three sources can be reproduced independently, on one BLAS
+kernel: the unit rows are normalized with ``np.linalg.norm``, whose last bits
+depend on the kernel (see ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -86,16 +88,6 @@ def sample_initial(d: int, seed: int) -> np.ndarray:
     return _unit_rows(_stream(seed, _INITIAL_TAG), 1, d)[0]
 
 
-def _gradients(diffs, scale, op, at=...):
-    """Gradients at ``at`` (all at Ellipsis) from the parts of :func:`_anchor_parts`,
-    ``op(diffs[at], scale[at])`` entry by entry (one gradient's scale is a scalar).  A dense
-    stack (another objective set's) is its own diffs, with scale and op None."""
-    if op is None:
-        return diffs[at]
-    s = scale[at]
-    return op(diffs[at], s[..., None] if s.ndim else s)
-
-
 def _family(kind, sq):
     """Values J of ``kind``'s family at squared anchor distances sq, and the ``scale`` and
     ``op`` of grad J_k = op(w - a_k, scale_k): the convex root, or 2 e^-s times."""
@@ -104,14 +96,6 @@ def _family(kind, sq):
         return root - 1.0, root, np.divide
     expo = np.exp(-sq)
     return 1.0 - expo, 2.0 * expo, np.multiply
-
-
-def _anchor_parts(kind, anchors, W):
-    """Values J (..., K) of ``kind``'s family at models W (..., d) on anchors (K, d), or a
-    (..., K, d) stack row by row, and their gradients' parts: diffs and :func:`_family`'s."""
-    diffs = W[..., None, :] - anchors                # (..., K, d)
-    J, scale, op = _family(kind, np.einsum("...kd,...kd->...k", diffs, diffs))
-    return J, diffs, scale, op
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +133,9 @@ class SyntheticProblem(ObjectiveSet):
         return self.anchors.shape[0]
 
     def values_and_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jvals, *parts = _anchor_parts(self.kind, self.anchors, np.asarray(w, dtype=np.float64))
-        return jvals, _gradients(*parts).swapaxes(-1, -2)
+        diffs = np.asarray(w, dtype=np.float64) - self.anchors
+        jvals, scale, op = _family(self.kind, np.einsum("kd,kd->k", diffs, diffs))
+        return jvals, op(diffs, scale[:, None]).T
 
 
 def _model_for(w, obj: ObjectiveSet) -> np.ndarray:
@@ -162,7 +147,8 @@ def _model_for(w, obj: ObjectiveSet) -> np.ndarray:
 
 
 def make_problem(kind: str, d: int, K: int, seed: int) -> SyntheticProblem:
-    """Problem instance as a pure function of (kind, d, K, seed); fig1-pair's anchors are fixed."""
+    """Problem instance as a pure function of (kind, d, K, seed) on one BLAS kernel (see ROADMAP
+    item 8); fig1-pair's anchors are fixed."""
     for name, value in (("d", d), ("K", K), ("seed", seed)):
         _check_non_negative_int(name, value)
     if kind == FIG1:

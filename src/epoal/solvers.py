@@ -18,8 +18,12 @@ Three algorithms behind one lockstep kernel:
 Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  The kernel
 steps many configurations together, in span coordinates on the anchor families.  ``_row`` is
 the single path of a single configuration, a d-space row: ``run`` (so ``epoal trace`` and the
-timing runs) iterates it, the kernel replays it for a configuration that leaves the span, and
-each public step is one of its iterates, with ``run``'s checks.
+timing runs behind t_o) iterates it, the kernel replays it for a configuration that leaves the
+span, and each public step is one of its iterates, with ``run``'s checks.  A row is one loop of
+arithmetic on (d,) and (K,) arrays: it evaluates w - a_k and ||w - a_k||^2 on the anchors
+(another objective set through its jacobian), screens M = max r J and ||w - a_0||^2, and forms
+only the gradients its step reads, the active one for subgradient and the (K, d) stack for
+epo-al and smooth-max.
 A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
 """
 
@@ -32,14 +36,15 @@ from itertools import islice
 
 import numpy as np
 
-# DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError.
+# DivergenceError is re-exported: callers catch it as epoal.solvers.DivergenceError; and
+# lr_apply, which the perfbench tracer patches here.
 from .core import (DivergenceError, ObjectiveSet, _check_non_negative_int,  # noqa: F401
-                   _divergence, _evaluate, _preference_for, as_model_vector, fairness_residual,
-                   lr_apply)
+                   _divergence, _evaluate, _lr_product, _preference_for, as_model_vector,
+                   fairness_residual, lr_apply)
 # pareto_stationarity_gap is re-exported until the perfbench tracer wraps the kernel (ROADMAP
 # item 1): the tracer patches it here.
 from .diagnostics import pareto_stationarity_gap  # noqa: F401
-from .problems import SyntheticProblem, _anchor_parts, _family, _gradients, _model_for
+from .problems import SyntheticProblem, _family, _model_for
 
 EPO_AL = "epo-al"
 SUBGRADIENT = "subgradient"
@@ -118,7 +123,7 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
 # The weights of a step, (y, step, p+, subgradient indices or None), from r, J, U = r J,
 # M = max U, the epo-al duals P, columns c and seeds: a block's (rows, K) arrays or a row's (K,).
 def _epo_al(r, J, U, M, P, c, seeds):
-    fairness_grad = lr_apply(r, J, _u=U)
+    fairness_grad = _lr_product(r, U)
     return np.maximum(P, 0.0) + c.eta * fairness_grad, c.mu, P + c.mu * fairness_grad, None
 
 
@@ -145,19 +150,6 @@ def _smooth_max(r, J, U, M, P, c, seeds):
 
 _WEIGHTS = {EPO_AL: _epo_al, SUBGRADIENT: _subgradient, SMOOTH_MAX: _smooth_max}
 _Columns = namedtuple("_Columns", "mu eta tau")
-
-
-def _subgradient_row(r, J, U, M, p, c, seeds):
-    # A row's scalar active index k: its step forms gradient k alone and reads y_k = r_k.
-    k = U.argmax()
-    tied = U >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, M)) * M
-    if np.count_nonzero(tied) > 1:
-        seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
-        k = active[seeds[0].integers(active.size)]
-    return r, c.mu, p, k
-
-
-_ROW_WEIGHTS = {**_WEIGHTS, SUBGRADIENT: _subgradient_row}
 
 
 def epo_al_step(state: EpoAlState, obj: ObjectiveSet, r: np.ndarray,
@@ -218,15 +210,6 @@ def run(algorithm: str, obj: ObjectiveSet, r: np.ndarray, w0: np.ndarray,
 _Block = namedtuple("_Block", "i rows minmax J P active diverged")
 
 
-def _screened(m, S, P, limit):
-    """Whether a row cannot break the divergence rule: largest |U| m < limit, finite sums of S
-    and of the duals P.  S is the gradient stack, or a synthetic row's w with m its max U: then
-    a convex gradient is a difference over a root >= 1, and a gaussian one 2 e^-s (w - a) has
-    |w - a| <= sqrt(s) or is 0 where s overflows."""
-    return (m < limit and math.isfinite(np.add.reduce(S, None))
-            and math.isfinite(np.add.reduce(P, None)))
-
-
 def _checked(algorithm, trials):
     """The objectives, preferences, starts and configurations of ``trials``, each checked, and
     K and the divergence screen's limit: the argument checks of every kernel pass."""
@@ -245,12 +228,6 @@ def _checked(algorithm, trials):
     return objs, rs, w0s, configs, K, math.sqrt(np.finfo(np.float64).max / (8 * K))
 
 
-def _moved(w, parts, y, step, k):
-    """w - step sum_k y_k grad J_k(w) from the gradients' parts, gradient k alone if given."""
-    return (w - step * np.matmul(y[None, :], _gradients(*parts))[0] if k is None
-            else w - step * y[k] * _gradients(*parts, k))
-
-
 def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
     """One configuration in row arithmetic: (i, J, max r J, p, subgradient step or None, w+, p+)
     for each iterate from i to max_iter, p empty unless epo-al, until one breaks the divergence
@@ -262,26 +239,50 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
             raise ValueError(f"dual p has shape {np.shape(p)}, objective set has K={K}")
     p = np.full(r.size if algorithm == EPO_AL else 0, 1.0 / r.size) if p is None else p
     seeds = [config.seed] if seeds is None else seeds
-    weights, last = _ROW_WEIGHTS[algorithm], config.max_iter
+    weights, last = _WEIGHTS[algorithm], config.max_iter
     A = obj.anchors if isinstance(obj, SyntheticProblem) else None
     for i in range(i, last + 1):
+        # diffs holds the rows w - a_k and op(diffs, scale) the gradients; another objective
+        # set's diffs are its gradients (op None).
         if A is not None:
-            J, *parts = _anchor_parts(obj.kind, A, w)
+            diffs = w - A
+            sq = np.einsum("kd,kd->k", diffs, diffs)
+            J, scale, op = _family(obj.kind, sq)
         else:
             J, jac = _evaluate(obj, w)
-            J, parts = np.array(J, dtype=np.float64), (np.array(jac, dtype=np.float64).T,
-                                                       None, None)
+            J, diffs, op = np.array(J, dtype=np.float64), np.array(jac, dtype=np.float64).T, None
         U = r * J
-        M = np.maximum.reduce(U)
-        if not (_screened(M, w, p, limit) if A is not None
-                else _screened(np.maximum.reduce(np.abs(U)), parts[0], p, limit)):
-            if broken := _divergence(r, J, _gradients(*parts), p)[0]:
+        k = U.argmax()
+        M = U[k]            # np.maximum.reduce(U), bit for bit: the first of equal values, or NaN
+        # The screen: a row that passes it cannot break the divergence rule, so only a row
+        # that fails it forms the whole stack for the rule.  |r_k J_k| < limit bounds the
+        # values and the fairness residual.  On the anchor families J >= 0, so M bounds every
+        # |r_k J_k|.  A non-finite entry of w makes every s_k = ||w - a_k||^2 non-finite, so a
+        # finite s_0 puts w and every w - a_k finite; then a convex gradient (w - a_k) / root,
+        # a root >= 1, and a gaussian one 2 e^-s_k (w - a_k) are finite.  Another set's
+        # gradients are screened by their sum, and an epo-al row's duals by theirs.
+        if op is None:
+            sound = (np.maximum.reduce(np.abs(U)) < limit
+                     and math.isfinite(np.add.reduce(diffs, None)))
+        else:
+            sound = M < limit and math.isfinite(sq[0])
+        if not (sound and (algorithm != EPO_AL or math.isfinite(np.add.reduce(p)))):
+            G = diffs if op is None else op(diffs, scale[:, None])
+            if broken := _divergence(r, J, G, p)[0]:
                 raise DivergenceError(broken, i, w)
-        w_next, p_next, k = w, p, None
-        if i < last:
-            y, step, p_next, k = weights(r, J, U, M, p, config, seeds)
-            w_next = _moved(w, parts, y, step, k)
-        yield i, J, M, p, k, w_next, p_next
+        w_next, p_next, step_k = w, p, None
+        if i < last and algorithm == SUBGRADIENT:
+            # The step reads y_k = r_k and forms gradient k alone; only a tie redraws k.
+            tied = U >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, M)) * M
+            if np.count_nonzero(tied) > 1:
+                seeds[0], active = np.random.default_rng(seeds[0]), np.flatnonzero(tied)
+                k = active[seeds[0].integers(active.size)]
+            step_k = k
+            w_next = w - config.mu * r[k] * (diffs[k] if op is None else op(diffs[k], scale[k]))
+        elif i < last:
+            y, step, p_next, _ = weights(r, J, U, M, p, config, seeds)
+            w_next = w - step * (y @ (diffs if op is None else op(diffs, scale[:, None])))
+        yield i, J, M, p, step_k, w_next, p_next
         w, p = w_next, p_next
 
 

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 
-from epoal import (CONVEX, DivergenceError, StationarityResult, as_model_vector,
-                   as_preference, lr_apply, run)
+from epoal import (CONVEX, DivergenceError, StationarityResult, SyntheticProblem,
+                   as_model_vector, as_preference, lr_apply, run)
 from epoal.core import _divergence
 from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
-from epoal.problems import _anchor_parts, _gradients
-from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL
+from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL, SMOOTH_MAX
 
 
 class InfeasibilityError(RuntimeError):
@@ -28,8 +27,8 @@ def lr_dense(r):
 
 def dense_anchor_values(kind, anchors, W):
     """Values (..., K) and the whole gradient stack (..., K, d) of ``kind``'s anchor family at
-    models W (..., d), for ``problems._anchor_parts`` and ``problems._gradients``, which form
-    the gradients at an index from the family's parts."""
+    models W (..., d) on anchors (K, d), or a (..., K, d) stack of them row by row: the
+    reference of the d-space row's evaluation, which forms only the gradients it reads."""
     diffs = W[..., None, :] - anchors
     sq = np.einsum("...kd,...kd->...k", diffs, diffs)
     if kind == CONVEX:
@@ -247,12 +246,63 @@ def scalar_trace(algorithm, obj, r, w0, config):
     return out
 
 
+def row_oracle(algorithm, obj, r, w, config):
+    """The reference of ``solvers._row`` with its arguments checked: (i, J, max r J, p,
+    subgradient step or None, w+, p+) per iterate of one configuration, DivergenceError at the
+    first iterate that breaks ``core._divergence``.
+
+    Every iterate forms the whole gradient stack (``dense_anchor_values``, or another set's
+    jacobian), takes M by ``np.maximum.reduce``, screens by the largest |r J|, the sum of the
+    screened stack (a synthetic row's w) and of the duals, and steps by w - step y^T G, the
+    subgradient by its active gradient alone, with its generator made at its first tie.
+    """
+    r, w = as_preference(r), as_model_vector(w)
+    K, mu = r.size, config.mu
+    limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
+    p = np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
+    seed = config.seed
+    synthetic = isinstance(obj, SyntheticProblem)
+    for i in range(config.max_iter + 1):
+        if synthetic:
+            J, G = dense_anchor_values(obj.kind, obj.anchors, w)
+        else:
+            J, jac = obj.values_and_jacobian(w)
+            J, G = np.array(J, dtype=np.float64), np.array(jac, dtype=np.float64).T
+        U = r * J
+        M = np.maximum.reduce(U)
+        top = M if synthetic else np.maximum.reduce(np.abs(U))
+        screened = (top < limit and math.isfinite(np.add.reduce(w if synthetic else G, None))
+                    and math.isfinite(np.add.reduce(p, None)))
+        if not screened and (broken := _divergence(r, J, G, p)[0]):
+            raise DivergenceError(broken, i, w)
+        w_next, p_next, k = w, p, None
+        if i < config.max_iter and algorithm == SUBGRADIENT:
+            k = U.argmax()
+            tied = U >= (1.0 - math.copysign(ACTIVE_TIE_RTOL, M)) * M
+            if np.count_nonzero(tied) > 1:
+                seed, active = np.random.default_rng(seed), np.flatnonzero(tied)
+                k = active[seed.integers(active.size)]
+            w_next = w - mu * r[k] * G[k]
+        elif i < config.max_iter:
+            if algorithm == EPO_AL:
+                fairness_grad = lr_apply(r, J)
+                y, step, p_next = (np.maximum(p, 0.0) + config.eta * fairness_grad, mu,
+                                   p + mu * fairness_grad)
+            else:
+                assert algorithm == SMOOTH_MAX
+                y = np.exp(U / config.tau - M / config.tau)
+                y, step = y / np.add.reduce(y) * r, mu / config.tau
+            w_next = w - step * np.matmul(y[None, :], G)[0]
+        yield i, J, M, p, k, w_next, p_next
+        w, p = w_next, p_next
+
+
 def dspace_lockstep(algorithm, trials):
     """The lockstep kernel in d-space, the reference of the span rows of ``solvers._lockstep``.
 
     ``trials`` holds ``(problem, r, w0, configs)`` tuples of synthetic problems of one kind,
     K and d.  Row j, the j-th configuration in trial order, holds its iterate w; each round
-    evaluates every live row on its trial's anchors through ``problems._anchor_parts``, takes
+    evaluates every live row on its trial's anchors through ``dense_anchor_values``, takes
     out the rows that break ``core._divergence`` and steps the rest by w+ = w - mu G^T y, the
     subgradient row along its active gradient alone, with a row's generator made from its seed
     at its first tie.  Yields ``(i, rows, minmax, J, P, active, diverged)`` a round, as the
@@ -268,8 +318,7 @@ def dspace_lockstep(algorithm, trials):
     P = np.full((trial.size, K if algorithm == EPO_AL else 0), 1.0 / K)
     seeds = [cfg.seed for cfg in configs]
     for i in range(configs[0].max_iter + 1):
-        J, *parts = _anchor_parts(kind, A, W)
-        G = _gradients(*parts)
+        J, G = dense_anchor_values(kind, A, W)
         broken = [_divergence(*row)[0] for row in zip(r, J, G, P)]
         diverged = [DivergenceError(m, i, w) for m, w in zip(broken, W) if m]
         ok = np.array([m is None for m in broken], dtype=bool)

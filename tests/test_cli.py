@@ -257,6 +257,20 @@ def test_bench_usage_error_leaves_existing_out_untouched(tmp_path):
     assert not out.with_suffix(".meta.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_too_large_to_allocate_is_a_harness_error(tmp_path, capfd, jobs):
+    # The target scans' (step sizes, max_iter + 1) array is petabytes here, beyond any
+    # address space, so its allocation fails at once, in this process or in a worker.
+    out = tmp_path / "b.csv"
+    code = main(["bench", "--kinds", "convex", "--K", "2", "--d", "2", "--trials", "3",
+                 "--max-iter", "100000000000000", "--jobs", jobs, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.startswith("epoal: harness error: tuning ran out of memory")
+    assert "100000000000001)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_rejects_unknown_kind(capsys):
     code = main(["bench", "--kinds", "spherical", "--K", "2", "--d", "4",
                  "--trials", "3", "--out", "x.csv"])

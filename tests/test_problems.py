@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from epoal import (SyntheticProblem, gen_anchors, load_model, load_problem,
                    make_problem, sample_initial, sample_preference, save_problem)
-from epoal.problems import _anchor_parts, _gradients
+from epoal.problems import _family
 
 from oracles import dense_anchor_values, finite_diff_jacobian
 
@@ -264,28 +264,24 @@ def test_load_model_errors_name_the_file(tmp_path, content, message):
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 def test_anchor_gradients_match_the_dense_stack_bit_for_bit(kind, stacked):
-    # The kernel forms only the gradients it reads, with the dense oracle's elementwise
-    # operations on the same operands: the whole stack, each row's k-th gradient (a
-    # subgradient block's (rows, k) index), any rows' and one (a row's scalar k), on one
-    # trial's (K, d) anchors or a (B, K, d) stack of them.  A dense stack (G, None, None)
-    # reads the same.  Row 1 sits at its own anchor 2.
+    # A row forms the gradients it reads, op(w - a_k, scale_k) with _family's op and scale,
+    # with the dense oracle's elementwise operations on the same operands: the whole stack, as
+    # values_and_jacobian does, or one gradient, a subgradient step's.  The oracle's stack form
+    # (B models on one trial's (K, d) anchors, or on a (B, K, d) stack of them) reads each
+    # model's row.  Row 1 sits at its own anchor 2.
     B, K, d = 5, 4, 7
     A = (np.array([gen_anchors(d, K, seed) for seed in range(B)]) if stacked
-         else gen_anchors(d, K, seed=3))
+         else np.array([gen_anchors(d, K, seed=3)] * B))
     W = np.random.default_rng(0).standard_normal((B, d))
-    W[1] = A[1, 2] if stacked else A[2]
-    J, *parts = _anchor_parts(kind, A, W)
-    J_ref, G_ref = dense_anchor_values(kind, A, W)
-    assert np.array_equal(J, J_ref)
-    at, k, rows = np.arange(B), np.array([2, 2, 0, 3, 1]), np.array([3, 1, 1, 4])
-    for form in (parts, (G_ref, None, None)):
-        assert np.array_equal(_gradients(*form), G_ref)
-        assert np.array_equal(_gradients(*form, (at, k)), G_ref[at, k])
-        assert np.array_equal(_gradients(*form, (rows, k[rows])), G_ref[rows, k[rows]])
-        assert np.array_equal(_gradients(*form, (3, 1)), G_ref[3, 1])
-    assert J[1, 2] == 0.0 and not _gradients(*parts, (1, 2)).any()
-    if not stacked:
-        J, *parts = _anchor_parts(kind, A, W[1])
-        J_ref, G_ref = dense_anchor_values(kind, A, W[1])
-        assert np.array_equal(J, J_ref) and np.array_equal(_gradients(*parts), G_ref)
-        assert np.array_equal(_gradients(*parts, 2), G_ref[2])
+    W[1] = A[1, 2]
+    J_ref, G_ref = dense_anchor_values(kind, A if stacked else A[0], W)
+    for b, w in enumerate(W):
+        diffs = w - A[b]
+        J, scale, op = _family(kind, np.einsum("kd,kd->k", diffs, diffs))
+        jvals, jac = SyntheticProblem(kind, A[b]).values_and_jacobian(w)
+        assert np.array_equal(J, J_ref[b]) and np.array_equal(jvals, J_ref[b])
+        assert np.array_equal(op(diffs, scale[:, None]), G_ref[b])
+        assert np.array_equal(jac, G_ref[b].T)
+        for k in range(K):
+            assert np.array_equal(op(diffs[k], scale[k]), G_ref[b, k])
+    assert J_ref[1, 2] == 0.0 and not G_ref[1, 2].any()

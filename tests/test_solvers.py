@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epoal.harness as harness
@@ -15,10 +15,9 @@ from epoal import (DivergenceError, EpoAlState, ObjectiveSet, SolverConfig, dual
                    make_problem, minmax_value, pareto_stationarity_gap, run,
                    sample_initial, sample_preference, smoothmax_step, subgradient_step)
 from epoal.core import _divergence
-from epoal.problems import _anchor_parts, _gradients
-from epoal.solvers import _lockstep
+from epoal.solvers import _lockstep, _row
 
-from oracles import dspace_lockstep, scalar_trace
+from oracles import dense_anchor_values, dspace_lockstep, row_oracle, scalar_trace
 
 # The suite turns RuntimeWarnings into errors; a test that overflows on purpose carries this.
 OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -736,59 +735,127 @@ HUGE = [0.0, 0.5, -1.0, 1e154, -1e160, 1e200, 1.7976931348623157e308,
         -1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
+def row_bytes(row):
+    """The bytes of each (i, J, M, p, k, w+, p+) of ``row``, then the (iteration, message,
+    iterate) of the DivergenceError that ends it, or None."""
+    out = []
+    try:
+        for i, J, M, p, k, w_next, p_next in row:
+            out.append((i, J.tobytes(), M.tobytes(), p.tobytes(), None if k is None else int(k),
+                        w_next.tobytes(), p_next.tobytes()))
+    except DivergenceError as err:
+        return out, (err.iteration, str(err), err.iterate.tobytes())
+    return out, None
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["convex-distance", "nonconvex-gaussian", "fig1-pair"]),
+       dense=st.booleans(), K=st.integers(2, 64), d=st.integers(1, 500),
+       mu=st.sampled_from([1e-3, 0.1, 10.0, 1e200]), seed=st.integers(0, 99),
+       max_iter=st.integers(0, 30), bisector=st.booleans())
+@example(kind="fig1-pair", dense=False, K=2, d=4, mu=0.1, seed=0, max_iter=30, bisector=True)
+@example(kind="fig1-pair", dense=True, K=2, d=7, mu=0.1, seed=1, max_iter=30, bisector=True)
+@example(kind="convex-distance", dense=False, K=16, d=50, mu=1e200, seed=2, max_iter=10,
+         bisector=False)
+@example(kind="nonconvex-gaussian", dense=True, K=3, d=5, mu=1e200, seed=3, max_iter=10,
+         bisector=False)
+@example(kind="convex-distance", dense=False, K=64, d=500, mu=0.1, seed=4, max_iter=20,
+         bisector=False)
+def test_the_row_is_its_oracle_bit_for_bit(algorithm, kind, dense, K, d, mu, seed, max_iter,
+                                          bisector):
+    # solvers._row evaluates, screens and steps in written-out row arithmetic; the oracle forms
+    # the whole stack each iterate, reads M by a reduction and steps through the stack.  Every
+    # yield is the same bytes, and both raise at the same iterate with the same message.  On
+    # the fig1 bisector far out (both values 1.0 at uniform weights) every subgradient step is
+    # a tie; mu = 1e200 overflows at iterate 1.
+    K = 2 if kind == "fig1-pair" else K
+    problem = make_problem(kind, d, K, seed)
+    obj = CountingObjectives(problem) if dense else problem
+    r, w0 = sample_preference(K, seed), sample_initial(d, seed)
+    if bisector:
+        r, w0 = np.full(K, 1.0 / K), 5.0 * np.resize([1.0, -1.0], d)
+        w0[-1] *= 1 - d % 2             # entries summing to 0: on the bisector
+    config = SolverConfig(mu=mu, eta=float(seed % 5), tau=0.5 + seed % 3, max_iter=max_iter,
+                          seed=seed)
+    fast = row_bytes(_row(algorithm, obj, r, w0, config))
+    assert fast == row_bytes(row_oracle(algorithm, obj, r, w0, config))
+    ties = bisector and kind == "fig1-pair" and algorithm == "subgradient" and d > 1
+    if ties and max_iter == 30:
+        assert {k for _, _, _, _, k, _, _ in fast[0][:-1]} == {0, 1}      # the examples' ties
+
+
+def row_outcome(algorithm, obj, r, w, p, limit):
+    """The message with which iterate 0 of a max_iter=0 row raises, or None if it yields."""
+    config = SolverConfig(mu=0.1, eta=1.0, tau=0.5, max_iter=0)
+    try:
+        list(_row(algorithm, obj, r, w, config, p, limit=limit))
+    except DivergenceError as err:
+        assert err.iteration == 0 and err.iterate is w
+        return str(err)
+    return None
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(kind=st.sampled_from(["convex-distance", "nonconvex-gaussian", "fig1-pair"]),
-       B=st.integers(1, 3), d=st.integers(1, 3), K=st.integers(2, 3), data=st.data())
-def test_a_synthetic_block_that_passes_the_screen_passes_the_row_rule(kind, B, d, K, data):
-    # A synthetic block screens its iterates, not its gradients: finite values and iterates
-    # must imply finite gradients, so that no row the rule would stop goes on.
+       algorithm=st.sampled_from(["epo-al", "subgradient", "smooth-max"]),
+       d=st.integers(1, 3), K=st.integers(2, 3), data=st.data())
+def test_a_synthetic_row_raises_exactly_where_the_divergence_rule_breaks(kind, algorithm, d,
+                                                                          K, data):
+    # A synthetic row screens M = max r J, s_0 = ||w - a_0||^2 and its duals' sum, not its
+    # gradients: it must raise, with the rule's message, exactly where core._divergence breaks
+    # on its values, whole gradient stack and duals, whatever the iterate's entries.
     K = 2 if kind == "fig1-pair" else K
     problem = make_problem(kind, d, K, seed=1)
 
-    def draw(values, rows, cols):
-        flat = data.draw(st.lists(st.sampled_from(values), min_size=rows * cols,
-                                  max_size=rows * cols))
-        return np.array(flat, dtype=np.float64).reshape(rows, cols)
+    def draw(values, size):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size,
+                                           max_size=size)), dtype=np.float64)
 
-    W = draw(HUGE, B, d)
-    r = draw([1.0, 1e-300, 1e150, 1e300], B, K)
-    P = draw([0.5, -1.0, 1e308, np.inf, np.nan], B, data.draw(st.sampled_from([0, K])))
+    w = draw(HUGE, d)
+    r = draw([1.0, 1e-300, 1e150, 1e300], K)
+    p = draw([0.5, -1.0, 1e300, 1e308, np.inf, -np.inf, np.nan], K if algorithm == "epo-al" else 0)
     limit = math.sqrt(np.finfo(np.float64).max / (8 * K))
     with np.errstate(all="ignore"):
-        J, *parts = _anchor_parts(problem.kind, problem.anchors, W)
-        if solvers._screened(np.maximum.reduce(r * J, axis=None), W, P, limit):
-            for row in zip(r, J, _gradients(*parts), P):
-                assert _divergence(*row)[0] is None
+        J, G = dense_anchor_values(problem.kind, problem.anchors, w)
+        assert row_outcome(algorithm, problem, r, w, p, limit) == _divergence(r, J, G, p)[0]
 
 
 @pytest.mark.parametrize("kind", ["convex-distance", "nonconvex-gaussian"])
 @OVERFLOWS
-def test_a_synthetic_block_with_a_nan_or_overflowing_row_goes_to_the_row_rule(kind):
-    # A synthetic block screens the row maxima M of U = r J, not |U|.  A NaN iterate makes
-    # its row's M NaN, and a weight of 1e300 puts its row's M past the limit: each fails the
-    # screen on M alone, and the row rule stops that row and keeps the good one.
+def test_a_synthetic_row_with_a_nan_or_overflowing_entry_raises_at_its_iterate(kind):
+    # Each entry fails the row's screen alone and breaks the rule: a NaN iterate makes M NaN,
+    # a weight of 1e300 puts M past the limit, an infinite entry makes s_0 infinite (a gaussian
+    # row's values stay 1 there and only its gradients are NaN) and an infinite or NaN dual
+    # makes the duals' sum not finite.  A finite iterate of 1e200 fails the screen too, and
+    # the rule keeps it: the gaussian gradients underflow to 0 there.
     K, d = 3, 4
     problem = make_problem(kind, d, K, seed=1)
-    W = np.array([[0.1, -0.2, 0.3, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.1, -0.2, 0.3, 0.0]])
-    r = np.array([[0.3, 0.3, 0.4], [0.3, 0.3, 0.4], [1e300, 0.3, 0.4]])
-    P, limit = np.empty((3, 0)), math.sqrt(np.finfo(np.float64).max / (8 * K))
-    J, *parts = _anchor_parts(problem.kind, problem.anchors, W)
-    M = np.maximum.reduce(r * J, axis=1)
-    assert solvers._screened(M[0], W[[0]], P[[0]], limit)
-    assert solvers._screened(M[0], W[0], P[0], limit)          # a single row, as run screens
-    assert np.isnan(M[1]) and np.isfinite(M[2]) and M[2] >= limit
-    for bad in (1, 2):
-        m = np.maximum.reduce(M[[0, bad]])
-        assert not solvers._screened(m, np.zeros((2, d)), P[[0, bad]], limit)
-        assert not solvers._screened(m, W[[0, bad]], P[[0, bad]], limit)
-        assert not solvers._screened(M[bad], W[bad], P[bad], limit)
-    assert [_divergence(*row)[0] for row in zip(r, J, _gradients(*parts), P)] == [
-        None, "objective evaluation produced non-finite values",
-        "weighted min-max value or fairness residual is not finite"]
+    w, r = np.array([0.1, -0.2, 0.3, 0.0]), np.array([0.3, 0.3, 0.4])
+    p, limit = np.full(K, 1.0 / K), math.sqrt(np.finfo(np.float64).max / (8 * K))
+    nan_w, inf_w, far_w = w.copy(), w.copy(), w.copy()
+    nan_w[1], inf_w[2], far_w[0] = np.nan, -np.inf, 1e200
+    values = "objective evaluation produced non-finite values"
+    cases = [("subgradient", w, r, p[:0], None),
+             ("subgradient", nan_w, r, p[:0], values),
+             ("smooth-max", w, np.array([1e300, 0.3, 0.4]), p[:0],
+              "weighted min-max value or fairness residual is not finite"),
+             ("subgradient", inf_w, r, p[:0], values),
+             ("epo-al", w, r, np.array([0.5, np.inf, 0.5]), "epo-al dual weights are not finite"),
+             ("epo-al", w, r, np.array([np.nan, 0.5, 0.5]), "epo-al dual weights are not finite"),
+             ("epo-al", far_w, r, p, values if kind == "convex-distance" else None)]
+    for algorithm, iterate, weights, duals, message in cases:
+        assert row_outcome(algorithm, problem, weights, iterate, duals, limit) == message
+    J, G = dense_anchor_values(problem.kind, problem.anchors, inf_w)
+    if kind == "nonconvex-gaussian":
+        assert (J == 1.0).all() and np.isnan(G).any()
+        assert (dense_anchor_values(problem.kind, problem.anchors, far_w)[1] == 0.0).all()
     # Through the kernel: the trial weighted 1e300 leaves at iterate 0 beside a trial that
     # goes on, in one block.
     w0 = sample_initial(d, 1)
-    trials = [(problem, r[j], w0, [SolverConfig(mu=0.1, max_iter=5, seed=j)]) for j in (0, 2)]
+    trials = [(problem, rk, w0, [SolverConfig(mu=0.1, max_iter=5, seed=j)])
+              for j, rk in enumerate((r, np.array([1e300, 0.3, 0.4])))]
     left = [(block.i, list(block.rows), str(err)) for block in _lockstep("subgradient", trials)
             for err in block.diverged]
     assert left == [(0, [0], "weighted min-max value or fairness residual is not finite")]
@@ -799,22 +866,25 @@ def test_a_screened_subgradient_pass_never_forms_the_whole_gradient_stack(monkey
     # A screened kernel pass steps in span coordinates and forms no gradient at all.  Run and
     # the timing runs step one row in d-space: a subgradient step forms the active gradient
     # alone, an epo-al or smooth-max step the whole stack.  Every d-space gradient is formed by
-    # the op that problems._anchor_parts hands out: count what it forms, a whole stack or one
+    # the op that problems._family hands out for one model's (K,) distances (a span round's
+    # are (rows, K), and its op scales steps): count what it forms, a whole stack or one
     # gradient a row.
     problem, r, w0 = small_problem(kind=kind, d=6, K=5, seed=3)
-    formed, anchor_parts = [], problems._anchor_parts
+    formed, family = [], problems._family
 
-    def counted(kind, anchors, W):
-        J, diffs, scale, op = anchor_parts(kind, anchors, W)
+    def counted(kind, sq):
+        J, scale, op = family(kind, sq)
+        if sq.ndim > 1:
+            return J, scale, op
 
         def counting(x, s):
             out = op(x, s)
-            formed.append("whole" if out.ndim == diffs.ndim else "active")
+            formed.append("whole" if out.ndim == 2 else "active")
             return out
-        return J, diffs, scale, counting
+        return J, scale, counting
 
-    monkeypatch.setattr(problems, "_anchor_parts", counted)
-    monkeypatch.setattr(solvers, "_anchor_parts", counted)
+    monkeypatch.setattr(problems, "_family", counted)
+    monkeypatch.setattr(solvers, "_family", counted)
     for algorithm in ("subgradient", "epo-al", "smooth-max"):
         each = ["active" if algorithm == "subgradient" else "whole"] * 30   # none at the end
         configs = grid_configs(algorithm, max_iter=30)
