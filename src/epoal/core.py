@@ -131,7 +131,7 @@ def lr_apply(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-free product L_r v in O(K) arithmetic, for each row of a (..., K) stack v.
 
     ``r`` is one (K,) preference or a (..., K) stack of them, each row applied to the
-    matching row of v, as the solver kernel does for rows of different trials.
+    matching row of v.
     Uses the identity L_r v = r * (u - mean(u)) with u = r * v, so no
     K x K matrix is ever formed; the mean is taken as sum / K, as ``np.mean`` does.
     """

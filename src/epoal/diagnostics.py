@@ -66,8 +66,9 @@ def pareto_stationarity_gap(G: np.ndarray, max_fw_iter: int = 500) -> Stationari
     if not np.all(np.isfinite(G)):
         raise ValueError("G contains non-finite entries")
 
-    # Scaled by a power of two, which is exact, M neither overflows nor underflows.
-    G_unit = np.ldexp(G, -np.frexp(np.abs(G).max())[1])
+    # Scaled by a power of two, which is exact, neither M nor G p overflows or underflows.
+    e = np.frexp(np.abs(G).max())[1]
+    G_unit = np.ldexp(G, -e)
     M = G_unit.T @ G_unit
     scale = float(M.diagonal().max()) or 1.0        # all-zero G: the test passes at once
     # M + c 1 1^T with c = min_k ||g_k||^2 (>= ||x*||^2); max_k would ill-condition A_SS.
@@ -112,7 +113,7 @@ def pareto_stationarity_gap(G: np.ndarray, max_fw_iter: int = 500) -> Stationari
             B[np.ix_(active, active)] = np.linalg.inv(A[np.ix_(active, active)])
             cap = 1.0
 
-    return StationarityResult(gap=float(np.linalg.norm(G @ p)), weights=p,
+    return StationarityResult(gap=float(np.ldexp(np.linalg.norm(G_unit @ p), e)), weights=p,
                               fw_iterations=iterations)
 
 
@@ -139,8 +140,9 @@ def certify_epo(w: np.ndarray, obj: ObjectiveSet, r: np.ndarray,
     mm = minmax_value(r, jvals)
     if fair_tol is None:
         fair_tol = 1e-8 * mm * mm
-    if gap_tol is None:
-        gap_tol = 1e-4 * float(np.max(np.linalg.norm(jac, axis=0)))
+    if gap_tol is None:     # scaled as the gap is, so that neither underflows alone
+        e = np.frexp(np.abs(jac).max())[1]
+        gap_tol = float(np.ldexp(1e-4 * np.max(np.linalg.norm(np.ldexp(jac, -e), axis=0)), e))
     gap = pareto_stationarity_gap(jac).gap
     return EpoCertificate(fairness=fairness, stationarity_gap=gap,
                           is_fair=fairness <= fair_tol,

@@ -1,30 +1,21 @@
 """Benchmark protocol: tuning grids, target accuracy, and complexity measures.
 
-For one random trial (problem instance, preference vector, initial model)
-the protocol is:
+For one random trial (problem instance, preference vector, initial model) the protocol is:
 
-  1. The target value J* is the minimum weighted min-max value attained by
-     the subgradient algorithm over every step size in its grid, scanning
-     all iterates of all runs.  The scans of a chunk of one cell's trials
-     run as one kernel pass, each row bit-identical to a scan of its trial alone.
-  2. For each algorithm and each hyperparameter combination in its grid,
-     the iteration complexity of that combination is the first iterate
-     whose min-max value lies within ``epsilon`` of J*; the algorithm's
-     iteration complexity i_o is the minimum over combinations, ties going
-     to the combination first in lexicographic grid order, and the winning
-     combination is re-run in the solver kernel, as one row and without trace
-     records, for exactly i_o iterations under a monotonic clock: the
-     wall-clock complexity t_o is the median of TIMING_REPS such runs.
-     The minimum is found by a lockstep race: the solver kernel advances
-     every combination one iterate per round as one array pass, and the
-     first round with a value in the band ends it, so the winner is exact.
-     Subgradient's race reads the target scan's min-max array in one pass.
-  3. Combinations that never enter the epsilon band are censored, never
-     conflated with slow successes.
+  1. The target value J* is the minimum weighted min-max value attained by the subgradient
+     algorithm over every step size in its grid, scanning all iterates of all runs.
+  2. For each algorithm and each hyperparameter combination in its grid, the iteration
+     complexity of that combination is the first iterate whose min-max value lies within
+     ``epsilon`` of J*; the algorithm's iteration complexity i_o is the minimum over
+     combinations, ties going to the combination first in lexicographic grid order.  The
+     wall-clock complexity t_o is the median of TIMING_REPS runs of the winning combination
+     for exactly i_o iterations, without trace records, on a monotonic clock.
+  3. Combinations that never enter the epsilon band are censored, never conflated with slow
+     successes.
 
-Aggregation over trials drops one minimum and one maximum sample and
-reports the mean of the rest with a normal-approximation confidence
-interval.
+Scans and races are passes of the solver kernel that :mod:`epoal.solvers` describes.
+Aggregation over trials drops one minimum and one maximum sample and reports the mean of the
+rest with a normal-approximation confidence interval.
 """
 
 from __future__ import annotations
@@ -55,8 +46,8 @@ class HarnessError(RuntimeError):
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n geometrically spaced values with exact endpoints lo and hi."""
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    if not (0 < lo < hi < np.inf):
+        raise ValueError(f"need 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     _check_non_negative_int("n", n)
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -203,12 +194,9 @@ def _race(rounds, target: float, epsilon: float):
 
 
 def measure_time(algorithm, problem, r, w0, config: SolverConfig, iters: int) -> float:
-    """Median seconds, on a monotonic clock, of ``TIMING_REPS`` runs of the bare solver kernel
-    for ``iters`` iterations, one configuration stepped in row arithmetic (``solvers._row``).
-
-    Each run makes ``run``'s checks and evaluations, raising DivergenceError where ``run``
-    would, but builds no trace records; callers keep concurrent load away while it runs.
-    """
+    """Median seconds, on a monotonic clock, of ``TIMING_REPS`` runs of ``iters`` iterations of
+    the configuration's kernel row (``solvers._row``): ``run``'s checks and evaluations, raising
+    where ``run`` does, without its trace records.  Callers keep concurrent load away."""
     timed = replace(config, max_iter=iters)
     samples = []
     for _ in range(TIMING_REPS):

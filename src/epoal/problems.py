@@ -114,6 +114,8 @@ class SyntheticProblem(ObjectiveSet):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        if self.seed is not None:
+            _check_non_negative_int("seed", self.seed)
         anchors = np.asarray(self.anchors, dtype=np.float64)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValueError(f"anchors must be a (K, d) matrix, got shape {anchors.shape}")

@@ -15,16 +15,41 @@ Three algorithms behind one lockstep kernel:
   smooth-max  gradient descent on the soft maximum log sum_k e^{v_k / tau}
               of the weighted objectives v = r * J(w).
 
-Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  The kernel
-steps many configurations together, in span coordinates on the anchor families.  ``_row`` is
-the single path of a single configuration, a d-space row: ``run`` (so ``epoal trace`` and the
-timing runs behind t_o) iterates it, the kernel replays it for a configuration that leaves the
-span, and each public step is one of its iterates, with ``run``'s checks.  A row is one loop of
-arithmetic on (d,) and (K,) arrays: it evaluates w - a_k and ||w - a_k||^2 on the anchors
-(another objective set through its jacobian), screens M = max r J and ||w - a_0||^2, and forms
-only the gradients its step reads, the active one for subgradient and the (K, d) stack for
-epo-al and smooth-max.
-A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.
+Each step is w+ = w - step sum_k y_k grad J_k(w) with the algorithm's weights y.  This
+docstring is the one description of how the kernel steps; the README states its contract.
+
+``_row`` is the single path of a single configuration, a d-space row: ``run`` (so the traces
+and the timing runs behind t_o) iterates it, the kernel replays it for a configuration that
+leaves the span, and each public step is one of its iterates, with ``run``'s checks.  A row is
+one loop of arithmetic on (d,) and (K,) arrays: on the anchor families it forms w - a_k,
+s_k = ||w - a_k||^2 and the values (another objective set goes through its jacobian), reads
+M = max r J and the active index from one argmax, and forms only the gradients its step reads,
+the active one for subgradient and the (K, d) stack otherwise.  A subgradient step draws from
+its stream only on a tie, so a row's generator is made from its seed at its first tie.
+
+A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises, but
+forms the stack for that rule only when its screen fails.  |r_k J_k| < limit bounds the values
+and the fairness residual (J >= 0 on the anchor families, so M bounds them all); there a finite
+s_0 makes w, every w - a_k and so every gradient, (w - a_k) / root with root >= 1 or
+2 e^-s_k (w - a_k), finite.  Another set's gradients are screened by their sum, duals by theirs.
+
+On the anchor families every step is w+ = w - step sum_k y_k c_k (w - a_k), c_k the gradient
+scale, so every iterate stays in the span of its trial's B = [w0; anchors].  ``_lockstep`` holds
+the rows of a pass of one kind as z, w = B^T z, with Gamma = B B^T formed once a trial:
+s_k = z^T Gamma z - 2 (Gamma z)_k + Gamma_kk, clamped at 0, and a step is
+z+ = (1 - sum g) z + [0; g] with g = step y c, O(K^2) a row whatever d is.  Every span product
+is an einsum without ``optimize`` (no BLAS kernel), and a row reads only its trial's arrays, so
+it is bit-identical whichever rows share its pass.  One mask filters the live rows' table when
+rows leave.  The span screen adds |z| < zlim, under which no span sum overflows; a row failing
+it at iterate i is replayed as its own d-space row from w0, which passes on its iterates from
+i: from there it is ``run``'s, bit for bit (a replay raising before i leaves at round i with
+``run``'s index).  A pass of other objective sets, or of mixed kinds, runs only such rows.
+
+The tests hold a d-space row bit for bit to ``tests/oracles.py::row_oracle``, which forms the
+whole stack at every iterate, and a span row, which differs from its run in the last bits (up
+to 2e-14 relative on the C7 targets), to the run's min-max values within SPAN_RTOL = 1e-12
+relative plus ``span_atol`` = eps max |Gamma| (times max r), duals within SPAN_RTOL of the
+largest, and active indices, band entries and divergence iterate and message exactly.
 """
 
 from __future__ import annotations
@@ -120,14 +145,14 @@ def dual_mass(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p / r))
 
 
-# The weights of a step, (y, step, p+, subgradient indices or None), from r, J, U = r J,
-# M = max U, the epo-al duals P, columns c and seeds: a block's (rows, K) arrays or a row's (K,).
-def _epo_al(r, J, U, M, P, c, seeds):
+# The weights of a step, (y, step, p+, subgradient indices or None), from r, U = r J, M = max U,
+# the epo-al duals P, columns c and seeds: a block's (rows, K) arrays or a row's (K,).
+def _epo_al(r, U, M, P, c, seeds):
     fairness_grad = _lr_product(r, U)
     return np.maximum(P, 0.0) + c.eta * fairness_grad, c.mu, P + c.mu * fairness_grad, None
 
 
-def _subgradient(r, J, U, M, P, c, seeds):
+def _subgradient(r, U, M, P, c, seeds):
     # The maximum is in its own tie set whatever its sign.
     tied = U >= ((1.0 - np.copysign(ACTIVE_TIE_RTOL, M)) * M)[:, None]
     k = U.argmax(axis=1)
@@ -141,7 +166,7 @@ def _subgradient(r, J, U, M, P, c, seeds):
     return np.where(tied, r, 0.0), c.mu, P, k        # y = r_k e_k: tied holds k alone
 
 
-def _smooth_max(r, J, U, M, P, c, seeds):
+def _smooth_max(r, U, M, P, c, seeds):
     # M / tau is max U / tau: rounding is monotonic.
     weights = np.exp(U / c.tau - M[..., None] / c.tau)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
@@ -254,13 +279,7 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
         U = r * J
         k = U.argmax()
         M = U[k]            # np.maximum.reduce(U), bit for bit: the first of equal values, or NaN
-        # The screen: a row that passes it cannot break the divergence rule, so only a row
-        # that fails it forms the whole stack for the rule.  |r_k J_k| < limit bounds the
-        # values and the fairness residual.  On the anchor families J >= 0, so M bounds every
-        # |r_k J_k|.  A non-finite entry of w makes every s_k = ||w - a_k||^2 non-finite, so a
-        # finite s_0 puts w and every w - a_k finite; then a convex gradient (w - a_k) / root,
-        # a root >= 1, and a gaussian one 2 e^-s_k (w - a_k) are finite.  Another set's
-        # gradients are screened by their sum, and an epo-al row's duals by theirs.
+        # The screen (module docstring): a row that passes it cannot break the divergence rule.
         if op is None:
             sound = (np.maximum.reduce(np.abs(U)) < limit
                      and math.isfinite(np.add.reduce(diffs, None)))
@@ -280,15 +299,14 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
             step_k = k
             w_next = w - config.mu * r[k] * (diffs[k] if op is None else op(diffs[k], scale[k]))
         elif i < last:
-            y, step, p_next, _ = weights(r, J, U, M, p, config, seeds)
+            y, step, p_next, _ = weights(r, U, M, p, config, seeds)
             w_next = w - step * (y @ (diffs if op is None else op(diffs, scale[:, None])))
         yield i, J, M, p, step_k, w_next, p_next
         w, p = w_next, p_next
 
 
 def _span_values(kind, G, dg, Z):
-    """Values J (R, K) of ``kind``'s family, and its gradient's scale and op, at span rows Z on
-    Gram matrices G (R, K+1, K+1): s_k = z^T G z - 2 (G z)_k + dg_k, clamped at 0."""
+    """``_family`` of ``kind`` at span rows Z on Gram matrices G (R, K+1, K+1), diagonals dg."""
     V = np.einsum("rij,rj->ri", G, Z)
     return _family(kind, np.maximum(np.einsum("ri,ri->r", Z, V)[:, None] - 2.0 * V[:, 1:] + dg,
                                     0.0))
@@ -297,19 +315,8 @@ def _span_values(kind, G, dg, Z):
 def _lockstep(algorithm, trials):
     """Advance the configurations of ``trials``, ``(obj, r, w0, configs)`` with one K, d and
     max_iter, together: round i steps iterate i of every live row (row j the j-th configuration
-    in trial order) and yields one _Block.  A row leaves at the first iterate that breaks
-    ``core._divergence``, where ``run`` stops.
-
-    Synthetic problems of one kind step in span coordinates: a row holds z, w = B^T z on its
-    trial's basis B = [w0; anchors], so a step w+ = w - step sum_k y_k c_k (w - a_k) is
-    z+ = (1 - sum g) z + [0; g] with g = step y c, and ||w - a_k||^2 comes from Gamma = B B^T,
-    formed once a trial.  A row failing the screen at iterate i (values not finite or near
-    overflow, duals without a finite sum, a z whose span sums could overflow) is replayed as its
-    configuration's own d-space :func:`_row` from w0, which passes on its iterates from i: from
-    there the row is ``run``'s, bit for bit, and leaves, or keeps going, where ``run`` does.
-    Other passes' rows are such rows from iterate 0.  A replay that raises before i (``run``
-    diverging before the span row left) leaves at round i with ``run``'s iteration index.
-    """
+    in trial order) and yields one _Block.  A row leaves where ``run`` stops.  The module
+    docstring describes the span coordinates, the screen and the replay."""
     objs, rs, w0s, configs, K, limit = _checked(algorithm, trials)
     last, weights = configs[0].max_iter, _WEIGHTS[algorithm]
     trial = np.repeat(np.arange(len(trials)), [len(cs) for *_, cs in trials])
@@ -351,7 +358,7 @@ def _lockstep(algorithm, trials):
             c = _Columns(*H)
         P_next, active = P, None
         if i < last:
-            y, step, P_next, active = weights(r, J, U, M, P, c, seeds)
+            y, step, P_next, active = weights(r, U, M, P, c, seeds)
             g = op(step * y, scale)
             Z = (1.0 - np.add.reduce(g, axis=1))[:, None] * Z
             Z[:, 1:] += g
@@ -360,8 +367,7 @@ def _lockstep(algorithm, trials):
 
 
 def _joined(i, span, loose):
-    """The _Block of round i: the span rows' (rows, J, minmax, P, active), then the next
-    iterate of each ``(row, generator)`` of ``loose``; a generator that raises leaves."""
+    """Round i's _Block: ``span``'s rows, then the next iterate of each generator of ``loose``."""
     out, diverged = [], []
     for entry in list(loose):
         try:

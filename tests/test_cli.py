@@ -591,6 +591,21 @@ def test_scripts_build_argv_that_the_cli_parses(monkeypatch, tmp_path, capsys, s
     assert [build_parser().parse_args(argv).command for argv in recorded] == commands
 
 
+@pytest.mark.parametrize("t, code", [(19, 3), (20, 3), (22, 3), (26, 3), (None, 0)])
+def test_certify_verdict_survives_gradients_that_underflow(tmp_path, capsys, t, code):
+    # On the gaussian pair's bisector t u the gradients are about 2 t e^-t^2, whose squares
+    # underflow: at t = 20 the gap is 1.2e-165 against a tolerance of 1.2e-169.  At (20, 6)
+    # the gap is 7.0e-198, under its tolerance of 5.8e-175.
+    problem = make_problem("nonconvex-gaussian", 2, 2, 0)
+    u = problem.anchors.sum(axis=0) / np.linalg.norm(problem.anchors.sum(axis=0))
+    problem_path, model_path = tmp_path / "problem.txt", tmp_path / "model.txt"
+    save_problem(problem, problem_path)
+    model_path.write_text("".join(f"{float(x)!r}\n" for x in ([20, 6] if t is None else t * u)))
+    assert main(["certify", "--problem", str(problem_path), "--model", str(model_path),
+                 "--r", "0.5,0.5"]) == code
+    assert 0.0 < json.loads(capsys.readouterr().out)["stationarity_gap"]
+
+
 def test_certify_missing_problem_exits_65(tmp_path, capsys):
     model_path = tmp_path / "model.txt"
     model_path.write_text("0.0\n")

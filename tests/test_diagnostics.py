@@ -164,6 +164,17 @@ def test_gap_on_degenerate_inputs(G):
     assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(degenerate_matrices(), st.integers(-600, 600))
+def test_gap_scales_with_a_power_of_two_bit_for_bit(G, k):
+    # Entries below 2^-400 are zeroed, so every entry of 2^k G stays normal, where scaling by
+    # a power of two is exact: the gap and the Gram matrix neither underflow nor overflow.
+    G = np.where(np.abs(G) < 2.0 ** -400, 0.0, G)
+    res, scaled = pareto_stationarity_gap(G), pareto_stationarity_gap(np.ldexp(G, k))
+    assert scaled.gap == np.ldexp(res.gap, k)
+    np.testing.assert_array_equal(scaled.weights, res.weights)
+
+
 def test_gap_is_exact_when_column_norms_differ():
     # The affine-minimizer system is shifted by the shortest column's squared norm;
     # a shift by the longest one misses the 1e-12 test on every one of these instances.

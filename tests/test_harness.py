@@ -46,6 +46,8 @@ def test_log_grid_validation():
         log_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError):
         log_grid(1.0, 0.1, 5)
+    with pytest.raises(ValueError, match="lo < hi < inf"):
+        log_grid(1e-3, np.inf, 4)
     with pytest.raises(ValueError):
         log_grid(0.1, 1.0, 1)
     for bad in (-1.0, 0.0, np.nan, np.inf):

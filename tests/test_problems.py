@@ -168,6 +168,14 @@ def test_problem_rejects_non_unit_anchors():
         SyntheticProblem(kind="convex-distance", anchors=np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("seed", [1.5, -5, "7"])
+def test_problem_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # save_problem writes int(seed), so 1.5 would come back as 1; no make_problem gives -5.
+    anchors = make_problem("convex-distance", 3, 2, seed=0).anchors
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        SyntheticProblem(kind="convex-distance", anchors=anchors, seed=seed)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_problem_rejects_non_finite_anchors(bad):
     anchors = np.array([[1.0, 0.0], [bad, 1.0]])
@@ -228,6 +236,8 @@ def test_load_problem_rejects_malformed_records(tmp_path):
         ("spherical 3 2 7\n1.0 0.0 0.0\n0.0 1.0 0.0\n", "unknown problem kind 'spherical'"),
         ("convex-distance 3 2 7\n1.0 0.0 0.0\n0.0 2.0 0.0\n", "anchor rows must have unit norm"),
         ("convex-distance 3 2 7\n1.0 0.0 0.0\nnan 0.0 0.0\n", "anchors must be finite"),
+        ("convex-distance 3 2 -5\n1.0 0.0 0.0\n0.0 1.0 0.0\n",
+         "seed must be a non-negative integer, got -5"),
     ]:
         bad.write_text(content)
         with pytest.raises(ValueError, match=re.escape(str(bad))) as excinfo:
