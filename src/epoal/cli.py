@@ -3,18 +3,18 @@
 Subcommands and exit codes:
 
   trace    JSON-lines per-iteration trace of one solver run   0 ok, 2 diverged
-  bench    CSV of aggregated benchmark results + JSON sidecar 0 ok, 1 harness error
+  bench    CSV of aggregated benchmark results + JSON sidecar 0 ok
   certify  JSON certificate for a stored model                0 certified, 3 not
 
-Usage errors exit 64; malformed data files, an output path that cannot be
-written (checked before any solver work), and a model that breaks the
-divergence rule exit 65.  One rule, ``core._divergence``, decides divergence
-in ``trace``, ``certify`` and the tuning behind ``bench``, so no JSON output
-holds NaN or Infinity; ``trace`` and ``certify`` silence the floating-point
-warnings of a divergence, which their exit code reports.  Every output file
-starts with a metadata header carrying the tool version, the fully resolved
-configuration and the seed; apart from wall-clock columns, outputs are a
-pure function of that header.
+Exit 1 is a harness error or an input too large to allocate, 64 a usage error,
+and 65 a malformed data file, an output path that cannot be written (checked
+before any solver work), or a model that breaks the divergence rule.  One rule,
+``core._divergence``, decides divergence in ``trace``, ``certify`` and the
+tuning behind ``bench``, so no JSON output holds NaN or Infinity; ``trace`` and
+``certify`` silence the floating-point warnings of a divergence, which their
+exit code reports.  Every output file starts with a metadata header carrying
+the tool version, the fully resolved configuration and the seed; apart from
+wall-clock columns, outputs are a pure function of that header.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ CSV_COLUMNS = ["kind", "algorithm", "K", "d", "trials", "n_censored",
                "t_o_mean", "t_o_ci_low", "t_o_ci_high", "master_seed"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -71,7 +67,7 @@ def _number_list(text: str, parse=float) -> list:
     try:
         return [parse(piece) for piece in text.split(",") if piece != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated {parse.__name__} values, got {text!r}")
+        raise ValueError(f"expected comma-separated {parse.__name__} values, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,22 +128,20 @@ def _check_writable(out: Path) -> None:
 def cmd_trace(args) -> int:
     K = 2 if args.fig1 and args.K is None else args.K
     if K is None:
-        raise UsageError("--K is required unless --fig1 is given")
+        raise ValueError("--K is required unless --fig1 is given")
     kind = FIG1 if args.fig1 else _SHORT_KINDS[args.kind]
     if args.out:
         _check_writable(Path(args.out))
 
+    # make_problem rejects K < 2 before the default r divides by K.
+    problem = make_problem(kind, args.d, K, args.seed)
+    r = _number_list(args.r) if args.r else [1.0 / K] * K
+    config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
+                          max_iter=args.iters, seed=args.seed)
     error = None
     try:
-        # make_problem rejects K < 2 before the default r divides by K.
-        problem = make_problem(kind, args.d, K, args.seed)
-        r = _number_list(args.r) if args.r else [1.0 / K] * K
-        config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
-                              max_iter=args.iters, seed=args.seed)
         with np.errstate(all="ignore"):     # a divergence ends in an error record instead
             records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
-    except ValueError as err:
-        raise UsageError(str(err))
     except DivergenceError as err:
         records, error = err.records, err
     header = {"type": "header", "tool": "epoal", "version": __version__,
@@ -175,18 +169,15 @@ def cmd_bench(args) -> int:
     try:
         kinds = [_SHORT_KINDS[k] for k in args.kinds.split(",") if k]
     except KeyError as err:
-        raise UsageError(f"unknown kind {err.args[0]!r}; choose from convex,nonconvex")
+        raise ValueError(f"unknown kind {err.args[0]!r}; choose from convex,nonconvex")
     K_values = _number_list(args.K, int)
     algos = [a for a in args.algos.split(",") if a]
     out = Path(args.out)
     _check_writable(out)
-    try:
-        grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
-        aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
-                                    algorithms=algos, grid=grid, jobs=args.jobs)
-    except ValueError as err:
-        # run_experiment checks every argument before its first solver run.
-        raise UsageError(str(err))
+    _check_writable(out.with_suffix(".meta.json"))
+    grid = GridSpec(max_iter=args.max_iter, epsilon=args.epsilon)
+    aggregates = run_experiment(kinds, K_values, args.d, args.trials, args.seed,
+                                algorithms=algos, grid=grid, jobs=args.jobs)
 
     config = {"kinds": kinds, "K_values": K_values, "d": args.d,
               "trials": args.trials, "algorithms": algos, "master_seed": args.seed,
@@ -228,8 +219,6 @@ def cmd_certify(args) -> int:
         with np.errstate(all="ignore"):     # a divergence exits 65 instead
             cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
                                gap_tol=args.gap_tol)
-    except ValueError as err:
-        raise UsageError(str(err))
     except DivergenceError as err:
         raise DataError(f"{args.model}: {err}")
     print(json.dumps(asdict(cert)))
@@ -241,12 +230,16 @@ def main(argv=None) -> int:
     handler = {"trace": cmd_trace, "bench": cmd_bench, "certify": cmd_certify}
     try:
         return handler[args.command](args)
-    except (UsageError, DataError, OSError) as err:
-        print(f"epoal: error: {err}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(err, UsageError) else EXIT_DATA
+    except ValueError as err:       # the library checks every argument before any work
+        code, message = EXIT_USAGE, f"error: {err}"
+    except (DataError, OSError) as err:
+        code, message = EXIT_DATA, f"error: {err}"
     except HarnessError as err:
-        print(f"epoal: harness error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"harness error: {err}"
+    except MemoryError as err:      # numpy's names the array's shape
+        code, message = EXIT_INTERNAL, f"out of memory: {err}"
+    print(f"epoal: {message}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

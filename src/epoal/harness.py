@@ -166,8 +166,8 @@ def iteration_complexity(trace: list[IterationRecord], target: float,
 
     Returns None (censored) when the trace never enters the band.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not trace:
         raise ValueError("empty trace")
     if not np.isfinite(target):
@@ -294,9 +294,8 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     The result list is ordered by (kind, K, algorithm) in input order and is
     a pure function of the arguments (timing fields aside).
 
-    Every argument is checked before the first solver run, so a ValueError
-    always means a bad argument; a failure inside the protocol raises
-    HarnessError, tuning arrays too large to allocate included.
+    Every argument is checked before the first solver run, so a ValueError always means a
+    bad argument; a failure inside the protocol raises HarnessError.
     """
     kinds, K_values, algorithms = list(kinds), list(K_values), list(algorithms)
     for name, value in (("d", d), ("n_trials", n_trials), ("master_seed", master_seed),
@@ -327,15 +326,12 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
         tasks += [(kind, K, d, seeds[lo:hi], algorithms, grid)
                   for lo, hi in zip(bounds, bounds[1:])]
 
-    try:
-        if jobs > 1:
-            # Fork-based pools start all their workers at the first submit.
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                chunks = list(pool.map(_tune_chunk, tasks))
-        else:
-            chunks = [_tune_chunk(task) for task in tasks]
-    except MemoryError as err:      # numpy's names the array's shape
-        raise HarnessError(f"tuning ran out of memory: {err}") from None
+    if jobs > 1:
+        # Fork-based pools start all their workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            chunks = list(pool.map(_tune_chunk, tasks))
+    else:
+        chunks = [_tune_chunk(task) for task in tasks]
 
     tuned = [trial for chunk in chunks for trial in chunk]
     for (problem, r, w0), trial in tuned:

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import inspect
 import io
 import json
 import runpy
@@ -210,18 +212,24 @@ def test_csv_columns_are_the_aggregate_fields_then_the_seed():
     assert CSV_COLUMNS == [{"n_trials": "trials"}.get(n, n) for n in names] + ["master_seed"]
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file",
+                                   "sidecar-is-a-directory"])
 def test_bench_unwritable_out_exits_65_before_any_run(tmp_path, capsys, monkeypatch, where):
     calls = []
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a) or [])
     (tmp_path / "file.txt").write_text("")
+    (tmp_path / "b.meta.json").mkdir()
     out = {"missing-dir": tmp_path / "missing" / "b.csv", "directory": tmp_path,
-           "under-a-file": tmp_path / "file.txt" / "b.csv"}[where]
+           "under-a-file": tmp_path / "file.txt" / "b.csv",
+           "sidecar-is-a-directory": tmp_path / "b.csv"}[where]
     code = main(["bench", "--kinds", "convex", "--K", "2,16", "--d", "50", "--trials", "3",
                  "--max-iter", "300", "--out", str(out)])
     assert code == 65
     assert calls == []
-    assert str(out) in capsys.readouterr().err
+    unwritable = tmp_path / "b.meta.json" if where == "sidecar-is-a-directory" else out
+    assert str(unwritable) in capsys.readouterr().err
+    if where == "sidecar-is-a-directory":
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
@@ -266,9 +274,39 @@ def test_bench_too_large_to_allocate_is_a_harness_error(tmp_path, capfd, jobs):
                  "--max-iter", "100000000000000", "--jobs", jobs, "--out", str(out)])
     err = capfd.readouterr().err
     assert code == 1
-    assert err.startswith("epoal: harness error: tuning ran out of memory")
+    assert err.startswith("epoal: out of memory: ")
     assert "100000000000001)" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "bench"])
+def test_input_too_large_to_allocate_exits_1(tmp_path, capfd, command):
+    # The (K, d) anchors are 146 TiB here, beyond any address space, so their allocation fails
+    # at once: in trace's problem, and in bench's argument checks before its first run.
+    out = tmp_path / "out"
+    argv = {"trace": ["trace", "--kind", "convex", "--algo", "subgradient", "--mu", "0.1"],
+            "bench": ["bench", "--kinds", "convex", "--trials", "3"]}[command]
+    code = main(argv + ["--K", "2", "--d", "10000000000000", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.startswith("epoal: out of memory: ") and err.count("\n") == 1
+    assert "shape (2, 10000000000000)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_only_the_certify_loads_catch_value_error():
+    # main alone maps exception types to exit codes.  A command catches ValueError only
+    # around a file load, where it means bad data (65), not a bad argument (64).
+    catching = []
+    for fn in ast.parse(inspect.getsource(cli)).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Try) and any(
+                        handler.type is None or "ValueError" in ast.unparse(handler.type)
+                        for handler in node.handlers):
+                    catching.append((fn.name, ast.unparse(node.body[0])))
+    assert catching == [("cmd_certify", "problem = load_problem(args.problem)"),
+                        ("cmd_certify", "w = load_model(args.model)")]
 
 
 def test_bench_rejects_unknown_kind(capsys):

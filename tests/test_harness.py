@@ -120,8 +120,9 @@ def test_iteration_complexity_monotone_in_epsilon():
 def test_iteration_complexity_validation():
     with pytest.raises(ValueError):
         iteration_complexity([], target=0.0, epsilon=0.1)
-    with pytest.raises(ValueError):
-        iteration_complexity(fake_trace([1.0]), target=0.0, epsilon=0.0)
+    for epsilon in (0.0, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            iteration_complexity(fake_trace([1.0]), target=0.0, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
