@@ -34,7 +34,7 @@ def run():
     out_dir.mkdir(parents=True, exist_ok=True)
     for algo, extra in RUNS.items():
         out = out_dir / f"{algo}.jsonl"
-        argv = ["trace", "--fig1", "--d", "3", "--algo", algo, "--mu", "0.1",
+        argv = ["trace", "--kind", "fig1", "--d", "3", "--algo", algo, "--mu", "0.1",
                 "--r", "0.2,0.8", "--iters", str(args.iters),
                 "--seed", str(args.seed), "--out", str(out), *extra]
         code = epoal_main(argv)

@@ -10,11 +10,11 @@ Exit 1 is a harness error or an input too large to allocate, 64 a usage error,
 and 65 a malformed data file, an output path that cannot be written (checked
 before any solver work), or a model that breaks the divergence rule.  One rule,
 ``core._divergence``, decides divergence in ``trace``, ``certify`` and the
-tuning behind ``bench``, so no JSON output holds NaN or Infinity; ``trace`` and
-``certify`` silence the floating-point warnings of a divergence, which their
-exit code reports.  Every output file starts with a metadata header carrying
-the tool version, the fully resolved configuration and the seed; apart from
-wall-clock columns, outputs are a pure function of that header.
+tuning behind ``bench``, so no JSON output holds NaN or Infinity.  No command
+prints numpy's floating-point warnings; the exit code reports a divergence.
+Every output file starts with a metadata header carrying the tool version, the
+fully resolved configuration and the seed; apart from wall-clock columns,
+outputs are a pure function of that header.
 """
 
 from __future__ import annotations
@@ -76,10 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     trace = sub.add_parser("trace", help="write a per-iteration JSON-lines trace")
-    kind = trace.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--kind", choices=sorted(_SHORT_KINDS))
-    kind.add_argument("--fig1", action="store_true",
-                      help="two-objective visualization problem (K=2)")
+    trace.add_argument("--kind", choices=sorted([*_SHORT_KINDS, "fig1"]), required=True,
+                       help="fig1 is the two-objective visualization problem (K=2)")
     trace.add_argument("--d", type=int, required=True)
     trace.add_argument("--K", type=int)
     trace.add_argument("--algo", choices=ALGORITHMS, required=True)
@@ -126,22 +124,21 @@ def _check_writable(out: Path) -> None:
 
 
 def cmd_trace(args) -> int:
-    K = 2 if args.fig1 and args.K is None else args.K
+    kind = {**_SHORT_KINDS, "fig1": FIG1}[args.kind]
+    K = 2 if kind == FIG1 and args.K is None else args.K
     if K is None:
-        raise ValueError("--K is required unless --fig1 is given")
-    kind = FIG1 if args.fig1 else _SHORT_KINDS[args.kind]
+        raise ValueError("--K is required unless --kind is fig1")
     if args.out:
         _check_writable(Path(args.out))
 
     # make_problem rejects K < 2 before the default r divides by K.
     problem = make_problem(kind, args.d, K, args.seed)
-    r = _number_list(args.r) if args.r else [1.0 / K] * K
+    r = [1.0 / K] * K if args.r is None else _number_list(args.r)
     config = SolverConfig(mu=args.mu, eta=args.eta, tau=args.tau,
                           max_iter=args.iters, seed=args.seed)
     error = None
     try:
-        with np.errstate(all="ignore"):     # a divergence ends in an error record instead
-            records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
+        records = run(args.algo, problem, r, sample_initial(args.d, args.seed), config)
     except DivergenceError as err:
         records, error = err.records, err
     header = {"type": "header", "tool": "epoal", "version": __version__,
@@ -216,9 +213,8 @@ def cmd_certify(args) -> int:
     if w.size != problem.d:
         raise DataError(f"{args.model}: model has {w.size} coordinates, problem has d={problem.d}")
     try:
-        with np.errstate(all="ignore"):     # a divergence exits 65 instead
-            cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
-                               gap_tol=args.gap_tol)
+        cert = certify_epo(w, problem, _number_list(args.r), fair_tol=args.fair_tol,
+                           gap_tol=args.gap_tol)
     except DivergenceError as err:
         raise DataError(f"{args.model}: {err}")
     print(json.dumps(asdict(cert)))
@@ -229,7 +225,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = {"trace": cmd_trace, "bench": cmd_bench, "certify": cmd_certify}
     try:
-        return handler[args.command](args)
+        with np.errstate(all="ignore"):     # a divergence is reported by its exit code instead
+            return handler[args.command](args)
     except ValueError as err:       # the library checks every argument before any work
         code, message = EXIT_USAGE, f"error: {err}"
     except (DataError, OSError) as err:

@@ -27,11 +27,11 @@ M = max r J and the active index from one argmax, and forms only the gradients i
 the active one for subgradient and the (K, d) stack otherwise.  A subgradient step draws from
 its stream only on a tie, so a row's generator is made from its seed at its first tie.
 
-A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises, but
-forms the stack for that rule only when its screen fails.  |r_k J_k| < limit bounds the values
-and the fairness residual (J >= 0 on the anchor families, so M bounds them all); there a finite
-s_0 makes w, every w - a_k and so every gradient, (w - a_k) / root with root >= 1 or
-2 e^-s_k (w - a_k), finite.  Another set's gradients are screened by their sum, duals by theirs.
+A row diverges at the first iterate that breaks ``core._divergence``, where ``run`` raises.  On
+the anchor families it forms the stack for that rule only when its screen fails: M < limit
+bounds every |r_k J_k| (J >= 0) and so the fairness residual, a finite s_0 makes w, every
+w - a_k and so every gradient, (w - a_k) / root with root >= 1 or 2 e^-s_k (w - a_k), finite,
+and a finite dual sum a finite dual.  Another objective set meets the rule at every iterate.
 
 On the anchor families every step is w+ = w - step sum_k y_k c_k (w - a_k), c_k the gradient
 scale, so every iterate stays in the span of its trial's B = [w0; anchors].  ``_lockstep`` holds
@@ -279,13 +279,9 @@ def _row(algorithm, obj, r, w, config, p=None, seeds=None, i=0, limit=None):
         U = r * J
         k = U.argmax()
         M = U[k]            # np.maximum.reduce(U), bit for bit: the first of equal values, or NaN
-        # The screen (module docstring): a row that passes it cannot break the divergence rule.
-        if op is None:
-            sound = (np.maximum.reduce(np.abs(U)) < limit
-                     and math.isfinite(np.add.reduce(diffs, None)))
-        else:
-            sound = M < limit and math.isfinite(sq[0])
-        if not (sound and (algorithm != EPO_AL or math.isfinite(np.add.reduce(p)))):
+        # The anchor screen (module docstring): a row that passes it cannot break the rule.
+        if not (op is not None and M < limit and math.isfinite(sq[0])
+                and (algorithm != EPO_AL or math.isfinite(np.add.reduce(p)))):
             G = diffs if op is None else op(diffs, scale[:, None])
             if broken := _divergence(r, J, G, p)[0]:
                 raise DivergenceError(broken, i, w)
@@ -328,7 +324,8 @@ def _lockstep(algorithm, trials):
     P0 = np.full(K if algorithm == EPO_AL else 0, 1.0 / K)
     if not all(isinstance(obj, SyntheticProblem) and obj.kind == objs[0].kind for obj in objs):
         loose = [replayed(j, 0) for j in range(trial.size)]
-        empty = (np.arange(0), np.empty((0, K)), np.empty(0), np.tile(P0, (0, 1)), np.arange(0))
+        empty = (np.arange(0), np.empty((0, K)), np.empty(0), np.tile(P0, (0, 1)),
+                 np.arange(0) if algorithm == SUBGRADIENT else None)
         yield from (_joined(i, empty, loose) for i in range(last + 1) if loose)
         return
     Gammas = np.array([np.einsum("id,jd->ij", B, B)

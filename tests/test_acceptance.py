@@ -213,7 +213,7 @@ def test_c8_reproducibility(tmp_path):
 
     bench_ok = non_timing_rows(out_a) == non_timing_rows(out_b)
 
-    trace_args = ["trace", "--fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1",
+    trace_args = ["trace", "--kind", "fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1",
                   "--eta", "10", "--r", "0.2,0.8", "--iters", "200", "--seed", "3"]
     trace_a, trace_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(trace_args + ["--out", str(trace_a)]) == 0

@@ -34,7 +34,7 @@ def read_csv_rows(path):
 
 def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as excinfo:
-        main(["trace", "--fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1",
+        main(["trace", "--kind", "fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1",
               "--eta", "10", "--bogus", "1"])
     assert excinfo.value.code == 64
 
@@ -47,13 +47,13 @@ def test_missing_subcommand_exits_64():
 
 def test_trace_requires_eta_for_epo_al(capsys):
     # The solver kernel owns the rule; the CLI maps its ValueError to exit 64.
-    code = main(["trace", "--fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1"])
+    code = main(["trace", "--kind", "fig1", "--d", "3", "--algo", "epo-al", "--mu", "0.1"])
     assert code == 64
     assert "epo-al requires config.eta" in capsys.readouterr().err
 
 
 def test_trace_requires_tau_for_smooth_max(capsys):
-    code = main(["trace", "--fig1", "--d", "3", "--algo", "smooth-max", "--mu", "0.1"])
+    code = main(["trace", "--kind", "fig1", "--d", "3", "--algo", "smooth-max", "--mu", "0.1"])
     assert code == 64
     assert "smooth-max requires config.tau" in capsys.readouterr().err
 
@@ -62,6 +62,19 @@ def test_trace_requires_k_without_fig1(capsys):
     code = main(["trace", "--kind", "convex", "--d", "3", "--algo", "subgradient",
                  "--mu", "0.1"])
     assert code == 64
+
+
+def test_trace_kind_fig1_defaults_to_two_objectives(tmp_path):
+    # --kind names every trace family; the --fig1 flag is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "--fig1", "--d", "3", "--algo", "subgradient", "--mu", "0.1"])
+    assert excinfo.value.code == 64
+    argv = ["trace", "--kind", "fig1", "--d", "3", "--algo", "subgradient", "--mu", "0.1",
+            "--iters", "20"]
+    default, two = tmp_path / "default.jsonl", tmp_path / "two.jsonl"
+    assert main(argv + ["--out", str(default)]) == 0
+    assert main(argv + ["--K", "2", "--out", str(two)]) == 0
+    assert default.read_bytes() == two.read_bytes()
 
 
 BENCH = ["bench", "--kinds", "convex", "--K", "2", "--d", "3", "--trials", "3",
@@ -86,7 +99,7 @@ CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,
     BENCH + ["--algos", "foo"],
     BENCH + ["--trials", "2"],
     BENCH + ["--jobs", "0"],
-    ["trace", "--fig1", "--K", "3", "--d", "3", "--algo", "subgradient", "--mu", "0.1"],
+    ["trace", "--kind", "fig1", "--K", "3", "--d", "3", "--algo", "subgradient", "--mu", "0.1"],
     ["trace", "--kind", "convex", "--d", "3", "--K", "3", "--r", "1,1", "--algo",
      "subgradient", "--mu", "0.1"],
     ["trace", "--kind", "convex", "--d", "3", "--K", "0", "--algo", "subgradient",
@@ -98,11 +111,13 @@ CERTIFY = ["certify", "--problem", "{problem}", "--model", "{model}", "--r", "1,
     BENCH + ["--algos", "subgradient,subgradient"],
     BENCH + ["--K", "2,2"],
     BENCH + ["--algos", ""],
+    ["trace", "--kind", "convex", "--d", "3", "--K", "2", "--r", "", "--algo", "subgradient",
+     "--mu", "0.1"],
 ], ids=["trace-K1", "trace-r-nan", "bench-K1", "bench-d0", "bench-epsilon-negative",
         "bench-max-iter-negative", "bench-algos-unknown", "bench-trials-2", "bench-jobs-0",
         "trace-fig1-K3", "trace-r-length", "trace-K0", "certify-fair-tol-0",
         "certify-gap-tol-negative", "certify-fair-tol-inf", "certify-gap-tol-inf",
-        "bench-algos-repeated", "bench-K-repeated", "bench-algos-empty"])
+        "bench-algos-repeated", "bench-K-repeated", "bench-algos-empty", "trace-r-empty"])
 def test_invalid_problem_or_preference_exits_64(argv, tmp_path, capsys):
     _, _, problem_path, model_path = certified_fixture(tmp_path, steps=0)
     argv = [arg.format(problem=problem_path, model=model_path) for arg in argv]
@@ -112,7 +127,7 @@ def test_invalid_problem_or_preference_exits_64(argv, tmp_path, capsys):
 
 def test_trace_zero_iterations_single_record(tmp_path):
     out = tmp_path / "trace.jsonl"
-    code = main(["trace", "--fig1", "--d", "3", "--algo", "subgradient",
+    code = main(["trace", "--kind", "fig1", "--d", "3", "--algo", "subgradient",
                  "--mu", "0.1", "--iters", "0", "--out", str(out)])
     assert code == 0
     lines = read_jsonl(out)
@@ -123,7 +138,7 @@ def test_trace_zero_iterations_single_record(tmp_path):
 
 def test_trace_fig1_epo_al_matches_oracle(tmp_path):
     out = tmp_path / "fig1.jsonl"
-    code = main(["trace", "--fig1", "--algo", "epo-al", "--mu", "0.1", "--eta", "10",
+    code = main(["trace", "--kind", "fig1", "--algo", "epo-al", "--mu", "0.1", "--eta", "10",
                  "--r", "0.2,0.8", "--iters", "500", "--d", "3", "--out", str(out)])
     assert code == 0
     lines = read_jsonl(out)
@@ -309,6 +324,14 @@ def test_only_the_certify_loads_catch_value_error():
                         ("cmd_certify", "w = load_model(args.model)")]
 
 
+def test_main_alone_sets_the_floating_point_policy():
+    # One np.errstate in main serves every command, bench included.
+    functions = {fn.name: ast.unparse(fn) for fn in ast.parse(inspect.getsource(cli)).body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert [name for name, source in functions.items() if "np.errstate" in source] == ["main"]
+    assert {"cmd_trace", "cmd_bench", "cmd_certify"} <= set(functions)
+
+
 def test_bench_rejects_unknown_kind(capsys):
     code = main(["bench", "--kinds", "spherical", "--K", "2", "--d", "4",
                  "--trials", "3", "--out", "x.csv"])
@@ -415,7 +438,7 @@ def test_overflowing_preference_writes_no_nan_or_infinity(tmp_path, capsys):
     assert str(model_path) in captured.err
 
     out = tmp_path / "trace.jsonl"
-    code = main(["trace", "--fig1", "--d", "3", "--algo", "subgradient", "--mu", "0.1",
+    code = main(["trace", "--kind", "fig1", "--d", "3", "--algo", "subgradient", "--mu", "0.1",
                  "--r", "1e300,1e300", "--out", str(out)])
     assert code == 2
     lines = [json.loads(ln, parse_constant=_reject_constant)
@@ -556,7 +579,7 @@ def test_bench_argv_ends_in_a_documented_code(bench_out, argv, broken):
 
 
 # Cheap trace flags, d <= 4, K <= 4 and at most 5 iterations, with extreme but valid step
-# sizes, preferences and seeds.  Each K comes with preferences of its length or none; --fig1
+# sizes, preferences and seeds.  Each K comes with preferences of its length or none; fig1
 # takes no --K, so a preference of another length than 2 is its usage error.
 TRACE_SHAPES = {"2": [None, "0.2,0.8", "1e308,1"], "3": [None, "1,1,1"],
                 "4": [None, "0.1,0.2,0.3,0.4", "1,1e308,1,1"]}
@@ -583,7 +606,7 @@ def test_trace_argv_ends_in_a_documented_code(kind, algo, shape, flags, broken):
     flags = {"--K": None if kind is None else shape[0], "--r": shape[1], **flags}
     if broken is not None:
         flags[broken[0]] = broken[1]
-    argv = ["trace", *(["--fig1"] if kind is None else ["--kind", kind]), "--algo", algo,
+    argv = ["trace", "--kind", "fig1" if kind is None else kind, "--algo", algo,
             *(token for flag, value in flags.items() if value is not None
               for token in (flag, value))]
     with warnings.catch_warnings(record=True) as caught:

@@ -713,8 +713,8 @@ def test_lockstep_runs_a_pass_of_other_objective_sets_as_rows():
 
 @pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
 def test_finite_gradients_whose_sum_overflows_keep_every_row(algorithm):
-    # Every gradient entry is finite, but their sum is not: the whole-block screen fails,
-    # and the row rule keeps every row, as run keeps going.
+    # Every gradient entry is finite, but their sum is not.  The divergence rule reads each
+    # entry, so run keeps going, and so does every row of a kernel pass.
     jac = np.full((3, 2), 1e308)
     assert np.isfinite(jac).all()
     obj = FixedObjectives([1.0, 2.0], jac)
@@ -727,6 +727,35 @@ def test_finite_gradients_whose_sum_overflows_keep_every_row(algorithm):
             5, 5]
         assert assert_kernel_stops_where_run_does(algorithm, obj, [0.5, 0.5], np.zeros(3),
                                                   configs) == []
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+def test_another_objective_set_meets_the_divergence_rule_at_every_iterate(monkeypatch,
+                                                                          algorithm):
+    # Only the anchor families have a screen that skips the rule.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _divergence(*args)
+
+    monkeypatch.setattr(solvers, "_divergence", counted)
+    obj = FixedObjectives([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    config = grid_configs(algorithm, max_iter=7)[0]
+    assert len(run(algorithm, obj, [0.5, 0.5], np.zeros(3), config)) == len(calls) == 8
+
+
+@pytest.mark.parametrize("algorithm", ["epo-al", "subgradient", "smooth-max"])
+@OVERFLOWS
+def test_a_round_whose_rows_all_left_carries_its_algorithms_active_form(algorithm):
+    # mu = 1e200 sends both twin rows to infinity at iterate 1, so round 1 holds no row.  Its
+    # active indices are an array for subgradient and None for the others, as in every round.
+    configs = [replace(cfg, mu=1e200) for cfg in grid_configs(algorithm, 5, seeds=(0, 1))]
+    trials = [(TwinObjectives(), np.array([0.5, 0.5]), np.array([0.3, -0.2, 0.1]), configs)]
+    blocks = list(_lockstep(algorithm, trials))
+    assert [(block.i, block.rows.size, len(block.diverged)) for block in blocks] == [
+        (0, 2, 0), (1, 0, 2)]
+    assert all((block.active is None) == (algorithm != "subgradient") for block in blocks)
 
 
 # Iterate entries past every threshold of the two anchor families: ||w - w_k||^2 overflows
