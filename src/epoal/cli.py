@@ -8,7 +8,9 @@ Subcommands and exit codes:
 
 Exit 1 is a harness error or an input too large to allocate, 64 a usage error,
 and 65 a malformed data file, an output path that cannot be written (checked
-before any solver work), or a model that breaks the divergence rule.  One rule,
+before any solver work), or a model that breaks the divergence rule.  An
+interrupt (SIGINT) exits 130 with one stderr line; an output pipe whose reader
+has gone (``epoal trace ... | head``) exits 141 with nothing printed.  One rule,
 ``core._divergence``, decides divergence in ``trace``, ``certify`` and the
 tuning behind ``bench``, so no JSON output holds NaN or Infinity.  No command
 prints numpy's floating-point warnings; the exit code reports a divergence.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -44,6 +45,9 @@ EXIT_DIVERGED = 2
 EXIT_NOT_CERTIFIED = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+# 128 + the signal number, as a shell reports a command that SIGINT or SIGPIPE ended.
+EXIT_INTERRUPTED = 130
+EXIT_CLOSED_PIPE = 141
 
 _SHORT_KINDS = {"convex": CONVEX, "nonconvex": NONCONVEX}
 
@@ -163,6 +167,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv      # loaded on first use, not by `import epoal.cli`
     try:
         kinds = [_SHORT_KINDS[k] for k in args.kinds.split(",") if k]
     except KeyError as err:
@@ -221,12 +226,28 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.is_fair and cert.is_stationary else EXIT_NOT_CERTIFIED
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the interpreter's final flush of what is
+    still buffered for a closed pipe succeeds and prints nothing."""
+    with contextlib.suppress(OSError, ValueError):      # stdout has no descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = {"trace": cmd_trace, "bench": cmd_bench, "certify": cmd_certify}
     try:
         with np.errstate(all="ignore"):     # a divergence is reported by its exit code instead
             return handler[args.command](args)
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "interrupted"
+    except BrokenPipeError:         # the reader chose to stop reading; that is not an error
+        _discard_stdout()
+        return EXIT_CLOSED_PIPE
     except ValueError as err:       # the library checks every argument before any work
         code, message = EXIT_USAGE, f"error: {err}"
     except (DataError, OSError) as err:

@@ -21,9 +21,7 @@ rest with a normal-approximation confidence interval.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -243,6 +241,7 @@ def trimmed_mean_ci(samples) -> tuple[float, float, float]:
     mean = float(trimmed.mean())
     if trimmed.size < 2:
         return mean, mean, mean
+    from statistics import NormalDist     # loaded on first use, not by `import epoal`
     half = (NormalDist().inv_cdf(0.5 + CI_LEVEL / 2)
             * float(trimmed.std(ddof=1)) / np.sqrt(trimmed.size))
     return mean, mean - half, mean + half
@@ -291,6 +290,8 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
     a per-trial sub-seed; all algorithms share the trial's instances and its
     target J*.  Tuning work may fan out over ``jobs`` processes, but timing
     always runs sequentially in this process so measurements never contend.
+    The process pool, and the multiprocessing modules under it, load only for
+    ``jobs > 1``.
     The result list is ordered by (kind, K, algorithm) in input order and is
     a pure function of the arguments (timing fields aside).
 
@@ -327,6 +328,7 @@ def run_experiment(kinds, K_values, d: int, n_trials: int, master_seed: int,
                   for lo, hi in zip(bounds, bounds[1:])]
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         # Fork-based pools start all their workers at the first submit.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_tune_chunk, tasks))

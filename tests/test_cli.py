@@ -4,7 +4,10 @@ import csv
 import inspect
 import io
 import json
+import os
 import runpy
+import signal
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
@@ -330,6 +333,72 @@ def test_main_alone_sets_the_floating_point_policy():
                  if isinstance(fn, ast.FunctionDef)}
     assert [name for name, source in functions.items() if "np.errstate" in source] == ["main"]
     assert {"cmd_trace", "cmd_bench", "cmd_certify"} <= set(functions)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """The environment of a child interpreter that imports epoal from this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_importing_the_cli_leaves_the_pool_statistics_and_csv_unloaded():
+    # Each loads on the one path that uses it: the process pool at jobs > 1, NormalDist for
+    # an aggregate's interval, csv for bench's output file.
+    modules = ["concurrent.futures", "multiprocessing", "statistics", "csv"]
+    script = "import sys, epoal, epoal.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", script, *modules], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_a_closed_stdout_exits_141_and_prints_nothing(tmp_path):
+    # The trace is megabytes, far more than a pipe buffers, so the reader closes the pipe
+    # while epoal is still writing.
+    argv = [sys.executable, "-m", "epoal.cli", "trace", "--kind", "convex", "--K", "4",
+            "--d", "5", "--algo", "subgradient", "--mu", "0.05", "--iters", "20000"]
+    with open(tmp_path / "err", "wb") as err:
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=child_env())
+        head = child.stdout.read(100)
+        child.stdout.close()
+        code = child.wait(timeout=120)
+    assert head.startswith(b'{"type": "header"')
+    assert (code, (tmp_path / "err").read_text()) == (141, "")
+
+
+# Python leaves SIGINT ignored when its parent ignored it, as a shell does for a background
+# job; the child restores the handler a terminal's Ctrl-C meets.  It reports from inside the
+# trace's solver call, which then repeats until the interrupt lands.
+INTERRUPTED_TRACE = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+import epoal.cli as cli
+solve = cli.run
+def run(*args, **kwargs):
+    print("inside main", file=sys.stderr, flush=True)
+    while True:
+        solve(*args, **kwargs)
+cli.run = run
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sigint_exits_130_with_one_stderr_line():
+    argv = [sys.executable, "-c", INTERRUPTED_TRACE, "trace", "--kind", "nonconvex",
+            "--K", "2", "--d", "3", "--algo", "epo-al", "--eta", "1", "--mu", "0.1",
+            "--iters", "200"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=child_env(), text=True)
+    try:
+        assert child.stderr.readline() == "inside main\n"
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, "", "epoal: interrupted\n")
 
 
 def test_bench_rejects_unknown_kind(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import fields, replace
 
 import numpy as np
@@ -578,7 +579,7 @@ def test_run_experiment_pool_has_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     run_experiment(["convex-distance"], [2], d=3, n_trials=3, master_seed=0,
                    algorithms=["subgradient"], grid=small_grid(max_iter=20), jobs=64)
     assert sizes == [3]
@@ -611,7 +612,7 @@ def test_run_experiment_chunking_does_not_change_results(monkeypatch):
             chunks.append([len(task[3]) for task in tasks])
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     kwargs = dict(K_values=[2, 5], d=4, n_trials=5, master_seed=8,
                   algorithms=["epo-al", "subgradient"], grid=small_grid(max_iter=60))
     results = {jobs: untimed(run_experiment(["convex-distance"], jobs=jobs, **kwargs))
