@@ -53,8 +53,8 @@ def numpy_build():
 
 def run_one(workload, seed, seconds):
     """One untraced benchmark run; returns its result file's content."""
-    argv = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable, str(RUNNER.relative_to(ROOT)), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     # No bytecode cache, as the benchmark is run: each import compiles its source.
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)

@@ -229,7 +229,7 @@ def cmd_certify(args) -> int:
 def _discard_stdout() -> None:
     """Point stdout's descriptor at devnull, so the interpreter's final flush of what is
     still buffered for a closed pipe succeeds and prints nothing."""
-    with contextlib.suppress(OSError, ValueError):      # stdout has no descriptor
+    with contextlib.suppress(OSError, ValueError):      # as when stdout has no descriptor
         devnull = os.open(os.devnull, os.O_WRONLY)
         try:
             os.dup2(devnull, sys.stdout.fileno())
