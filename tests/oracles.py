@@ -7,6 +7,7 @@ import numpy as np
 from epoal import (CONVEX, DivergenceError, StationarityResult, SyntheticProblem,
                    as_model_vector, as_preference, lr_apply, run)
 from epoal.core import _divergence
+from epoal.diagnostics import WOLFE_TOL
 from epoal.harness import SUBGRADIENT, _grid_configs, iteration_complexity
 from epoal.solvers import ACTIVE_TIE_RTOL, EPO_AL, SMOOTH_MAX
 
@@ -110,6 +111,56 @@ def frank_wolfe_gap(G, tol=1e-10, max_fw_iter=500):
 
     p /= p.sum()
     return StationarityResult(gap=float(np.linalg.norm(G @ p)), weights=p,
+                              fw_iterations=iterations)
+
+
+def cold_start_gap(G, max_fw_iter=500):
+    """``pareto_stationarity_gap`` with Wolfe's cycles always started from the shortest column.
+
+    The library's own path at K = 2 and K > d; elsewhere it starts from a corral instead."""
+    G = np.asarray(G, dtype=np.float64)
+    e = np.frexp(np.abs(G).max())[1]
+    G_unit = np.ldexp(G, -e)
+    M = G_unit.T @ G_unit
+    scale = float(M.diagonal().max()) or 1.0
+    A = M + max(float(M.diagonal().min()), 1e-30 * scale)
+    p = np.eye(1, G.shape[1], M.diagonal().argmin())[0]
+    active = p > 0
+    B = np.diag(p / A.diagonal())
+    for iterations in range(max_fw_iter + 1):
+        q = M @ p
+        k = int(q.argmin())
+        if float(p @ q) - q[k] <= WOLFE_TOL * scale or active[k] or iterations == max_fw_iter:
+            break
+        u = B @ A[:, k]
+        s = float(A[k, k] - A[:, k] @ u)
+        active[k] = True
+        if s > 1e-12 * A[k, k]:
+            v = u / s
+            B += np.outer(u, v)
+            B[:, k] = B[k] = -v
+            B[k, k] = 1.0 / s
+            cap = 1.0
+        else:
+            alpha, step, cap = p, np.eye(1, p.size, k)[0] - u, np.inf
+        while True:
+            if cap == 1.0:
+                y = B.sum(axis=1)
+                y += B @ np.where(active, 1.0 - A @ y, 0.0)
+                alpha = y / y.sum()
+                step = alpha - p
+            out = np.flatnonzero(active & (step < 0))
+            ratios = p[out] / -step[out]
+            if ratios.min(initial=np.inf) >= cap:
+                p = np.maximum(alpha, 0.0)
+                break
+            p += ratios.min() * step
+            p[out[ratios.argmin()]] = 0.0
+            active &= p > 0
+            p[~active], B[:] = 0.0, 0.0
+            B[np.ix_(active, active)] = np.linalg.inv(A[np.ix_(active, active)])
+            cap = 1.0
+    return StationarityResult(gap=float(np.ldexp(np.linalg.norm(G_unit @ p), e)), weights=p,
                               fw_iterations=iterations)
 
 

@@ -12,7 +12,7 @@ from epoal import (DivergenceError, SolverConfig, certify_epo, epo_al_step, fair
                    sample_initial, sample_preference)
 from epoal.problems import SyntheticProblem
 
-from oracles import (InfeasibilityError, frank_wolfe_gap, min_norm_grid_search,
+from oracles import (InfeasibilityError, cold_start_gap, frank_wolfe_gap, min_norm_grid_search,
                      two_objective_epo_oracle)
 
 
@@ -51,8 +51,9 @@ def test_gap_weights_stay_in_simplex_and_are_consistent():
 
 
 def test_gap_objective_non_increasing_in_iteration_budget():
+    # K > d: the cycles start from the shortest column, so each budget ends elsewhere.
     rng = np.random.default_rng(11)
-    G = rng.standard_normal((5, 4))
+    G = rng.standard_normal((5, 8))
     gaps = [pareto_stationarity_gap(G, max_fw_iter=t).gap
             for t in range(1, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -199,6 +200,89 @@ def test_gap_on_nearly_repeated_columns():
         assert np.all(res.weights >= 0.0) and res.fw_iterations < 500
         assert kkt_residual(G, res.weights) <= 1e-12 * max_sq_norm(G)
         assert res.gap <= frank_wolfe_gap(G).gap + 1e-14 * np.sqrt(max_sq_norm(G))
+
+
+@st.composite
+def gradient_matrices(draw, warm):
+    """(d, K) matrices with 2 < K <= d when ``warm``, else K = 2 or K > d: random columns, all
+    centred (a stationary point) or not, some nearly repeated, scaled by 1e-6, zeroed or
+    colinear with another."""
+    if warm:
+        K = draw(st.integers(3, 12))
+        d = draw(st.integers(K, 16))
+    else:
+        d = draw(st.integers(1, 8))
+        K = draw(st.one_of(st.just(2), st.integers(d + 1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.standard_normal((d, K))
+    if draw(st.booleans()):
+        G -= G.mean(axis=1, keepdims=True)
+    for op, i, j in draw(st.lists(st.tuples(st.sampled_from(["near", "tiny", "zero", "colinear"]),
+                                            st.integers(0, K - 1), st.integers(0, K - 1)),
+                                  max_size=4)):
+        if op == "near":
+            G[:, i] = G[:, j] + 1e-9 * rng.standard_normal(d)
+        elif op == "tiny":
+            G[:, i] *= 1e-6
+        elif op == "zero":
+            G[:, i] = 0.0
+        else:
+            G[:, i] = rng.uniform(-2.0, 2.0) * G[:, j]
+    return G
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gradient_matrices(warm=True))
+def test_gap_from_a_corral_is_exact_against_the_cold_start(G):
+    # Neither bit for bit nor always at most the cold start's gap: where the stop test cannot
+    # tell two points apart (near a zero gap, or on columns of norm 1e-6) either start may end
+    # at either.  Both stay within the stop test's bound, ||G p||^2 - min^2 <= 2 (p.q - min q).
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise",
+                                                over="raise"):
+        warnings.simplefilter("error")
+        res = pareto_stationarity_gap(G)
+    oracle = cold_start_gap(G)
+    scale = max_sq_norm(G)
+    assert np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert kkt_residual(G, res.weights) <= 1e-12 * scale
+    q = G.T @ (G @ oracle.weights)
+    lower_sq = oracle.gap ** 2 - 2.0 * float(oracle.weights @ q - q.min())
+    rounding = 1e-14 * np.sqrt(scale)
+    upper_sq = oracle.gap ** 2 + 2.0 * max(kkt_residual(G, res.weights), 0.0)
+    assert res.gap <= np.sqrt(upper_sq) + rounding
+    assert res.gap >= np.sqrt(max(lower_sq, 0.0)) - rounding
+
+
+def assert_same_result(res, oracle):
+    assert res.gap == oracle.gap and res.fw_iterations == oracle.fw_iterations
+    np.testing.assert_array_equal(res.weights, oracle.weights)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gradient_matrices(warm=False))
+def test_gap_at_two_objectives_or_more_than_d_is_the_cold_start_bit_for_bit(G):
+    assert_same_result(pareto_stationarity_gap(G), cold_start_gap(G))
+
+
+def test_gap_falls_back_to_the_cold_start_where_the_budget_ends_first():
+    # Three major cycles finish from the corral here: a budget of one or two misses the
+    # stop test there, and the result is the cold start's at that budget.
+    rng = np.random.default_rng(17)
+    G = rng.standard_normal((9, 9)) + rng.standard_normal((9, 1))
+    assert pareto_stationarity_gap(G).fw_iterations == 3 < cold_start_gap(G).fw_iterations
+    for budget in (1, 2):
+        assert_same_result(pareto_stationarity_gap(G, max_fw_iter=budget),
+                           cold_start_gap(G, max_fw_iter=budget))
+
+
+def test_gap_falls_back_to_the_cold_start_where_a_vertex_is_on_the_others_hull():
+    # Two columns 1e-10 apart: the full set's inverse is a rounding error, which numpy returns
+    # here without raising.
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((6, 4))
+    G[:, 3] = G[:, 0] + 1e-10 * rng.standard_normal(6)
+    assert_same_result(pareto_stationarity_gap(G), cold_start_gap(G))
 
 
 def test_certify_passes_at_common_minimizer_of_identical_objectives():
