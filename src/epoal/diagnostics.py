@@ -155,6 +155,7 @@ def pareto_stationarity_gap(G: np.ndarray, max_fw_iter: int = 500) -> Stationari
     A = M + max(float(M.diagonal().min()), 1e-30 * scale)
     stopped = False
     if 2 < G.shape[1] <= G.shape[0]:
+        # A near-singular start may overflow on its way to the checks that reject it.
         with np.errstate(all="ignore"):
             try:
                 p, iterations, stopped = _wolfe(M, A, *_corral(A), scale, max_fw_iter)
